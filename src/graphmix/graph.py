@@ -23,6 +23,7 @@ __all__ = [
     "square_degree_ratio",
     "max_degree_ratio",
     "top_k_degrees",
+    "component_labels",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -84,18 +85,6 @@ class Graph:
             object.__setattr__(self, "_degrees", deg)
         return self._degrees
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        lo, hi = (u, v) if u < v else (v, u)
-        i = np.searchsorted(self.edges[:, 0], lo, side="left")
-        j = np.searchsorted(self.edges[:, 0], lo, side="right")
-        return bool(np.any(self.edges[i:j, 1] == hi))
-
-    def edge_set(self) -> set:
-        """Edges as a set of (u, v) tuples with u < v.  Small graphs only."""
-        return {(int(u), int(v)) for u, v in self.edges}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -107,6 +96,31 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def component_labels(g: Graph) -> np.ndarray:
+    """Smallest node id of each node's connected component.
+
+    Min-label hooking with full pointer jumping (Shiloach-Vishkin 1982):
+    each round hooks every component root onto the smallest root it
+    shares an edge with, then jumps every node straight to its root.
+    Roots only ever move to smaller ids, so the final root of a component
+    is its smallest node.  Rounds stop once both ends of every edge carry
+    the same label.
+    """
+    parent = np.arange(g.node_count, dtype=np.int64)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    while True:
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            return parent
+        np.minimum.at(parent, pu, pv)
+        np.minimum.at(parent, pv, pu)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 @dataclass(frozen=True)

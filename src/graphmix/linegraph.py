@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, component_labels
 
 __all__ = [
-    "UnionFind",
     "StructureError",
     "line_graph",
     "CliqueDecomposition",
@@ -32,30 +31,6 @@ class StructureError(ValueError):
     """Input graph violates a structural precondition."""
 
 
-class UnionFind:
-    """Array union-find with path halving and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def line_graph(g: Graph) -> Graph:
     """L(G): one node per edge of G, adjacent iff the edges share an endpoint.
 
@@ -65,19 +40,14 @@ def line_graph(g: Graph) -> Graph:
     m = g.edge_count
     if m == 0:
         raise ValueError("line graph of an edgeless graph is undefined here")
-    incident: list[list[int]] = [[] for _ in range(g.node_count)]
-    for eid, (u, v) in enumerate(g.edges):
-        incident[int(u)].append(eid)
-        incident[int(v)].append(eid)
-    chunks = []
-    for ids in incident:
-        d = len(ids)
-        if d >= 2:
-            arr = np.asarray(ids, dtype=np.int64)
-            a, b = np.triu_indices(d, k=1)
-            chunks.append(np.column_stack([arr[a], arr[b]]))
-    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    return Graph(m, edges)
+    ends = g.edges.ravel()
+    order = np.argsort(ends, kind="stable")
+    incident = order // 2  # edge ids grouped by endpoint, ascending in each group
+    # each slot pairs with the slots after it in its endpoint's group
+    later = np.cumsum(g.degrees())[ends[order]] - np.arange(1, 2 * m + 1)
+    first = np.repeat(np.arange(2 * m), later)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    return Graph(m, np.column_stack([incident[first], incident[first + 1 + offset]]))
 
 
 @dataclass(frozen=True)
@@ -89,32 +59,27 @@ class CliqueDecomposition:
 
 
 def decompose_disjoint_cliques(h: Graph) -> CliqueDecomposition:
-    """Split h into cliques, or fail naming a non-clique component."""
-    uf = UnionFind(h.node_count)
-    for u, v in h.edges:
-        uf.union(int(u), int(v))
-    roots = np.fromiter(
-        (uf.find(i) for i in range(h.node_count)), dtype=np.int64, count=h.node_count
+    """Split h into cliques, or fail naming a non-clique component.
+
+    The error names the smallest node of the non-clique component whose
+    smallest node is lowest.
+    """
+    labels = component_labels(h)
+    nodes = np.bincount(labels, minlength=h.node_count)
+    edges = np.bincount(labels[h.edges[:, 0]], minlength=h.node_count)
+    roots = np.flatnonzero(nodes)
+    c, e = nodes[roots], edges[roots]
+    bad = np.flatnonzero(e != c * (c - 1) // 2)
+    if bad.size:
+        i = bad[0]
+        raise StructureError(
+            f"component containing node {int(roots[i])} has {int(c[i])} nodes and "
+            f"{int(e[i])} edges, not a clique"
+        )
+    sizes = np.sort(c[c >= 2])[::-1]
+    return CliqueDecomposition(
+        clique_sizes=tuple(sizes.tolist()), isolated_count=int(np.sum(c == 1))
     )
-    edge_per_root = np.zeros(h.node_count, dtype=np.int64)
-    if h.edge_count:
-        np.add.at(edge_per_root, roots[h.edges[:, 0]], 1)
-    sizes = []
-    isolated = 0
-    for root in np.unique(roots):
-        c = int(np.sum(roots == root))
-        e = int(edge_per_root[root])
-        if c == 1:
-            isolated += 1
-            continue
-        if e != c * (c - 1) // 2:
-            raise StructureError(
-                f"component containing node {int(root)} has {c} nodes and {e} edges, "
-                "not a clique"
-            )
-        sizes.append(c)
-    sizes.sort(reverse=True)
-    return CliqueDecomposition(clique_sizes=tuple(sizes), isolated_count=isolated)
 
 
 def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]:

@@ -23,9 +23,9 @@ from enum import IntEnum
 
 import numpy as np
 
-from .graph import Graph, degree_spectrum, edge_density
+from .graph import Graph, component_labels, degree_spectrum, edge_density
 from .graphon import CapacityError, Graphon, _graph_from_latents
-from .linegraph import UnionFind, star_forest
+from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
 
 __all__ = [
@@ -126,35 +126,26 @@ def _derive_sparse_meta(g_s: Graph) -> tuple[np.ndarray, dict[int, int]]:
     """Best-effort provenance for a bare sparse graph.
 
     Components of two nodes count as isolated edges; larger components
-    are treated as stars whose hub is the maximum-degree node.  Ranks
-    (largest component first, ties by smallest node) give partition ids.
+    are treated as stars whose hub is the maximum-degree node (ties by
+    smallest node).  Ranks (largest component first, ties by smallest
+    node) give partition ids.
+
+    A bare graph cannot tell a K_{1,1} star from an isolated edge, so
+    both are tagged SPARSE_ISOLATED, whereas generate_mixture, which
+    knows the draw, tags a K_{1,1} as hub plus leaf.  Tagging 2-node
+    components as stars would instead mislabel every isolated edge.
     """
-    uf = UnionFind(g_s.node_count)
-    for u, v in g_s.edges:
-        uf.union(int(u), int(v))
-    roots = np.fromiter(
-        (uf.find(i) for i in range(g_s.node_count)),
-        dtype=np.int64,
-        count=g_s.node_count,
-    )
-    deg = g_s.degrees()
+    labels = component_labels(g_s)
+    size = np.bincount(labels, minlength=g_s.node_count)[labels]
     origin = np.full(g_s.node_count, NodeOrigin.SPARSE_LEAF, dtype=np.int8)
-    comps: list[tuple[int, int, int]] = []  # (size, min_node, hub)
-    for root in np.unique(roots):
-        members = np.flatnonzero(roots == root)
-        if members.size < 2:
-            continue
-        if members.size == 2:
-            origin[members] = NodeOrigin.SPARSE_ISOLATED
-            continue
-        hub = members[np.argmax(deg[members])]
-        comps.append((int(members.size), int(members.min()), int(hub)))
-    comps.sort(key=lambda t: (-t[0], t[1]))
-    hubs = {}
-    for rank, (_, _, hub) in enumerate(comps):
-        origin[hub] = NodeOrigin.SPARSE_HUB
-        hubs[rank] = hub
-    return origin, hubs
+    origin[size == 2] = NodeOrigin.SPARSE_ISOLATED
+    order = np.lexsort((np.arange(g_s.node_count), -g_s.degrees(), labels))
+    _, first = np.unique(labels[order], return_index=True)
+    hub_nodes = order[first]  # one per component, ascending label
+    hub_nodes = hub_nodes[size[hub_nodes] >= 3]
+    hub_nodes = hub_nodes[np.lexsort((labels[hub_nodes], -size[hub_nodes]))]
+    origin[hub_nodes] = NodeOrigin.SPARSE_HUB
+    return origin, {rank: int(hub) for rank, hub in enumerate(hub_nodes)}
 
 
 def join_graphs(
@@ -168,7 +159,9 @@ def join_graphs(
 
     Dense nodes keep labels 0..n_d-1; sparse labels shift by n_d.  When
     the caller knows the sparse provenance (generate_mixture does) it is
-    passed through; otherwise tags are derived from the star structure.
+    passed through; otherwise tags are derived from the star structure,
+    and a K_{1,1} star is then tagged as an isolated edge (see
+    _derive_sparse_meta).
     """
     if g_d.node_count < 1 or g_s.node_count < 1:
         raise ValueError("both parts need at least one node")

@@ -35,7 +35,6 @@ from graphmix.experiments import (
     run_infinite_u_suite,
     run_topk_suite,
 )
-from graphmix.linegraph import UnionFind
 
 W = parse_graphon("exp_sum")
 U23 = parse_mass_partition("mass:[0.6666666666666666,0.3333333333333333]")
@@ -147,15 +146,23 @@ def test_criterion_5_hubs_are_top_degrees():
 
 
 def _forest_signature(g):
-    uf = UnionFind(g.node_count)
-    for u, v in g.edges:
-        uf.union(int(u), int(v))
-    roots = [uf.find(i) for i in range(g.node_count)]
+    """Sorted (nodes, edges) per component, from a plain list union-find."""
+    parent = list(range(g.node_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges.tolist():
+        parent[find(u)] = find(v)
+    roots = [find(x) for x in range(g.node_count)]
     sizes: dict[int, list[int]] = {}
     for r in roots:
         sizes.setdefault(r, [0, 0])[0] += 1
-    for u, v in g.edges:
-        sizes[uf.find(int(u))][1] += 1
+    for u in g.edges[:, 0].tolist():
+        sizes[roots[u]][1] += 1
     return sorted(map(tuple, sizes.values()))
 
 

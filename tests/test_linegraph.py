@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmix import (
     Graph,
     StructureError,
     classify_sequence,
+    component_labels,
     decompose_disjoint_cliques,
     inverse_line_graph_disjoint,
     line_graph,
@@ -21,18 +24,109 @@ def complete_graph(n, offset=0, total=None):
     return Graph(total if total is not None else offset + n, edges)
 
 
+def union_find_roots(g):
+    """Component root of every node: a plain list union-find, the reference."""
+    parent = list(range(g.node_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges.tolist():
+        parent[find(u)] = find(v)
+    return [find(x) for x in range(g.node_count)]
+
+
 def component_edge_counts(g):
     """Sorted per-component edge counts, the isomorphism signature used here."""
-    from graphmix.linegraph import UnionFind
-
-    uf = UnionFind(g.node_count)
-    for u, v in g.edges:
-        uf.union(int(u), int(v))
-    roots = [uf.find(i) for i in range(g.node_count)]
+    roots = union_find_roots(g)
     counts = {}
-    for u, _ in g.edges:
-        counts[uf.find(int(u))] = counts.get(uf.find(int(u)), 0) + 1
+    for u in g.edges[:, 0].tolist():
+        counts[roots[u]] = counts.get(roots[u], 0) + 1
     return sorted(counts.values())
+
+
+def reference_line_graph(g):
+    """L(G) built per vertex with triu_indices, the reference."""
+    incident = [[] for _ in range(g.node_count)]
+    for eid, (u, v) in enumerate(g.edges.tolist()):
+        incident[u].append(eid)
+        incident[v].append(eid)
+    pairs = []
+    for ids in incident:
+        a, b = np.triu_indices(len(ids), k=1)
+        pairs += [(ids[i], ids[j]) for i, j in zip(a.tolist(), b.tolist())]
+    return Graph(g.edge_count, pairs)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def graphs(draw, max_nodes=40):
+    n = draw(st.integers(0, max_nodes))
+    if n < 2:
+        return Graph(n)
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return Graph(n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}))
+
+
+@st.composite
+def relabelled_cliques(draw):
+    """(graph, clique sizes, node permutation) for a shuffled union of cliques."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    edges, start = [], 0
+    for c in sizes:
+        edges += [(perm[start + i], perm[start + j]) for i in range(c) for j in range(i + 1, c)]
+        start += c
+    return Graph(n, edges), sizes, perm
+
+
+@PROPERTY
+@given(graphs())
+def test_component_labels_match_union_find(g):
+    labels = component_labels(g)
+    roots = union_find_roots(g)
+    smallest = {}
+    for x, r in enumerate(roots):
+        smallest.setdefault(r, x)
+    assert labels.tolist() == [smallest[r] for r in roots]
+    assert np.array_equal(labels[labels], labels)
+
+
+@PROPERTY
+@given(graphs())
+def test_line_graph_matches_reference(g):
+    if g.edge_count == 0:
+        return
+    lg = line_graph(g)
+    assert lg == reference_line_graph(g)
+    deg = g.degrees()
+    assert lg.edge_count == int((deg * (deg - 1) // 2).sum())
+
+
+@PROPERTY
+@given(relabelled_cliques(), st.data())
+def test_decompose_relabelled_cliques(case, data):
+    h, sizes, perm = case
+    dec = decompose_disjoint_cliques(h)
+    assert dec.clique_sizes == tuple(sorted((c for c in sizes if c >= 2), reverse=True))
+    assert dec.isolated_count == sizes.count(1)
+    big = [i for i, c in enumerate(sizes) if c >= 3]
+    if not big:
+        return
+    i = data.draw(st.sampled_from(big))
+    start = sum(sizes[:i])
+    members = perm[start : start + sizes[i]]
+    a, b = data.draw(st.sampled_from([(a, b) for a in members for b in members if a < b]))
+    broken = Graph(h.node_count, [e for e in h.edges.tolist() if e != [a, b]])
+    with pytest.raises(StructureError, match=f"containing node {min(members)} "):
+        decompose_disjoint_cliques(broken)
 
 
 def test_line_graph_path():

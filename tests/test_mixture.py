@@ -49,6 +49,26 @@ def test_join_zero_c_is_disjoint_union():
     assert mix.graph.node_count == g_d.node_count + g_s.node_count
 
 
+def test_bare_join_tags_k11_star_as_isolated_edge():
+    # a bare graph cannot tell K_{1,1} from an isolated edge; both derive as isolated
+    g_s, _ = star_forest([1])
+    mix = join_graphs(fixed_dense(), g_s, JoinConfig(edge_multiplier_c=0.0))
+    assert mix.node_origin[mix.n_dense :].tolist() == [NodeOrigin.SPARSE_ISOLATED] * 2
+    assert mix.hubs == {}
+
+
+def test_bare_join_derives_hubs_by_size_then_smallest_node():
+    forest, _ = star_forest([2, 4, 4], isolated_edges=1)  # hubs 0, 3, 8; edge 13-14
+    n = forest.node_count
+    path = [(n, n + 1), (n + 1, n + 2), (n + 2, n + 3)]  # hub tie: n+1 vs n+2
+    g_s = Graph(n + 4, forest.edges.tolist() + path)
+    mix = join_graphs(fixed_dense(), g_s, JoinConfig(edge_multiplier_c=0.0))
+    sparse = mix.node_origin[mix.n_dense :]
+    assert {j: v - mix.n_dense for j, v in mix.hubs.items()} == {0: 3, 1: 8, 2: n + 1, 3: 0}
+    assert np.flatnonzero(sparse == NodeOrigin.SPARSE_ISOLATED).tolist() == [13, 14]
+    assert np.flatnonzero(sparse == NodeOrigin.SPARSE_HUB).tolist() == [0, 3, 8, n + 1]
+
+
 def test_join_adds_exact_cross_edges():
     g_d = fixed_dense(n=10, m=20, seed=1)
     g_s, _ = star_forest([99])  # 100 sparse nodes
