@@ -11,15 +11,19 @@ ingest      clean a temporal edge list and materialize snapshots
 
 Every command is deterministic under --seed: reruns produce
 byte-identical output files.  Exit codes: 0 success, 2 usage or config
-error, 3 data error.
+error, 3 data error or output that cannot be written.
+
+Global flags (--seed, --out, --scale, --format) go before the command.
+generate and ingest write into --out (default: the working directory);
+estimate, predict and experiment write files only when --out is given.
 
 Examples
 --------
-  graphmix generate --config mixture.json --out runs/seq1
+  graphmix --out runs/seq1 generate --config mixture.json
   graphmix estimate --input g.edges --mode auto
-  graphmix experiment --suite table1:finiteU --replicates 10 --out runs/t1
+  graphmix --out runs/t1 experiment --suite table1:finiteU --replicates 10
   graphmix predict --data hep.events --train-times 80,85 --horizons 6,8 --k 10
-  graphmix ingest --data raw.events --snapshot-times 100,200 --out snaps
+  graphmix --out snaps ingest --data raw.events --snapshot-times 100,200
 """
 
 from __future__ import annotations
@@ -125,23 +129,19 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"bad generate config: {exc}") from None
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    os.makedirs(args.out, exist_ok=True)
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
     sizes = schedule.sizes_for(u, steps)
     seq = MixtureSequence(u, w, sizes, cfg=join, seed=seed)
     density_rows = []
     for i in range(steps):
         mix = seq.member(i)
-        with open(os.path.join(args.out, f"graph_{i + 1:04d}.edges"), "w") as f:
+        with open(os.path.join(out, f"graph_{i + 1:04d}.edges"), "w") as f:
             write_edge_list(mix.graph, f)
         origin = mix.node_origin
-        rle = []
-        pos = 0
-        while pos < origin.size:
-            run = pos
-            while run < origin.size and origin[run] == origin[pos]:
-                run += 1
-            rle.append([int(origin[pos]), run - pos])
-            pos = run
+        starts = np.flatnonzero(np.diff(origin, prepend=-1))
+        lengths = np.diff(starts, append=origin.size)
+        rle = [[int(v), int(n)] for v, n in zip(origin[starts], lengths)]
         prov = {
             "index": i + 1,
             "n_dense": mix.n_dense,
@@ -152,7 +152,7 @@ def cmd_generate(args) -> int:
             "hubs": {str(j): int(v) for j, v in sorted(mix.hubs.items())},
             "origin_rle": rle,
         }
-        with open(os.path.join(args.out, f"provenance_{i + 1:04d}.json"), "w") as f:
+        with open(os.path.join(out, f"provenance_{i + 1:04d}.json"), "w") as f:
             json.dump(prov, f, indent=2)
             f.write("\n")
         density_rows.append(
@@ -165,10 +165,10 @@ def cmd_generate(args) -> int:
         )
     _write_rows(
         density_rows,
-        os.path.join(args.out, f"densities.{_table_ext(args.format)}"),
+        os.path.join(out, f"densities.{_table_ext(args.format)}"),
         args.format,
     )
-    print(f"wrote {steps} graphs to {args.out}")
+    print(f"wrote {steps} graphs to {out}")
     return EXIT_OK
 
 
@@ -278,10 +278,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    out = args.out or "."
     if args.make_fixture:
         events = build_temporal_fixture(seed=args.seed if args.seed is not None else 0)
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "synthetic_growth.events")
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, "synthetic_growth.events")
         with open(path, "w") as f:
             for u, v, t in events:
                 f.write(f"{u} {v} {t}\n")
@@ -290,7 +291,7 @@ def cmd_ingest(args) -> int:
     if not args.data:
         raise ConfigError("ingest needs --data (or --make-fixture)")
     tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     report = {
         "events": len(tel.events),
         "nodes": len(tel.node_ids),
@@ -302,10 +303,10 @@ def cmd_ingest(args) -> int:
     snaps = _int_list(args.snapshot_times) if args.snapshot_times else []
     for t in snaps:
         g = snapshot_at(tel, t)
-        with open(os.path.join(args.out, f"snapshot_{t}.edges"), "w") as f:
+        with open(os.path.join(out, f"snapshot_{t}.edges"), "w") as f:
             write_edge_list(g, f)
     report["snapshots"] = snaps
-    with open(os.path.join(args.out, "ingest_report.json"), "w") as f:
+    with open(os.path.join(out, "ingest_report.json"), "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate sparse/dense mixture graphs and estimate their sparse part.",
     )
     parser.add_argument("--seed", type=int, default=None, help="global RNG seed")
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", default=None, help="output directory (generate/ingest: '.')")
     parser.add_argument("--scale", type=float, default=1.0, help="size multiplier for suites")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -383,6 +384,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

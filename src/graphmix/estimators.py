@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DegreeSpectrum
+from .graph import DegreeSpectrum, top_k_degrees
 
 __all__ = [
     "predict_top_k",
     "baseline_sqrt_predict",
+    "forecast_top_k",
     "SmallDegreePolicy",
     "estimate_k_finite",
     "estimate_partition_finite",
@@ -69,6 +70,20 @@ def baseline_sqrt_predict(train_top: np.ndarray, n_train: int, n_test: int) -> n
     if n_train < 1 or n_test < 1:
         raise ValueError("node counts must be positive")
     return top * math.sqrt(n_test / n_train)
+
+
+def forecast_top_k(
+    spec_train: DegreeSpectrum, spec_test: DegreeSpectrum, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k test degrees (float) with their node-ratio forecast and sqrt
+    baseline from the top-k train degrees: (actual, predicted, baseline)."""
+    train_top = top_k_degrees(spec_train, k)
+    n_train, n_test = spec_train.node_count, spec_test.node_count
+    return (
+        top_k_degrees(spec_test, k).astype(np.float64),
+        predict_top_k(train_top, n_train, n_test),
+        baseline_sqrt_predict(train_top, n_train, n_test),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Reference experiment suites and synthetic temporal fixtures.
 
-Three suites mirror the headline comparison tables:
+Three suites mirror the headline comparison tables; run_suite runs any
+of them from one table (_SUITES) of per-experiment plans and replicate
+functions:
 
 * topk      degree forecasting between a train and a larger test
             mixture (linear node-ratio scaling vs the sqrt baseline);
@@ -24,32 +26,27 @@ alone would sit near 4% MAPE.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .estimators import (
     baseline_partition,
-    baseline_sqrt_predict,
-    estimate_k_finite,
     estimate_k_infinite,
     estimate_partition_finite,
     estimate_partition_infinite,
+    forecast_top_k,
     mape,
-    predict_top_k,
 )
-from .graph import degree_spectrum, top_k_degrees
-from .graphon import _graph_from_latents, parse_graphon
-from .masspartition import MassPartition, parse_mass_partition, sample_clique_labels
-from .mixture import JoinConfig, MixtureSequence, _round_half_up
+from .graph import degree_spectrum
+from .graphon import CapacityError, parse_graphon
+from .masspartition import MassPartition, parse_mass_partition
+from .mixture import MixtureSequence, _round_half_up, _sequence_latents, generate_mixture
 
 __all__ = [
     "TOPK_EXPERIMENTS",
     "FINITE_U_EXPERIMENTS",
     "INFINITE_U_EXPERIMENTS",
-    "run_topk_suite",
-    "run_finite_u_suite",
-    "run_infinite_u_suite",
     "run_suite",
     "build_temporal_fixture",
 ]
@@ -61,6 +58,9 @@ PAPER_N_TEST = 13200
 # the sparse part (m_s = n_total - n_dense - #partition entries)
 TOPK_DENSE = 600
 FINITE_DENSE = 500
+
+# dense kernel of the finiteU and infiniteU suites
+GRAPHON_W = "exp_sum"
 
 TOPK_EXPERIMENTS = {
     1: ("exp_sum", "power:1.2:2:50"),
@@ -108,14 +108,7 @@ def _scaled(value: int, scale: float, floor: int) -> int:
     return max(floor, int(round(value * scale)))
 
 
-def _run_replicates(fn, arg_list, workers: int):
-    if workers <= 1:
-        return [fn(args) for args in arg_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, arg_list))
-
-
-def _aggregate(rows: list[dict], keys: list[str]) -> dict:
+def _aggregate(rows: list[dict], keys: tuple[str, ...]) -> dict:
     out = {"replicates": len(rows)}
     for key in keys:
         vals = np.asarray([r[key] for r in rows], dtype=np.float64)
@@ -124,181 +117,129 @@ def _aggregate(rows: list[dict], keys: list[str]) -> dict:
     return out
 
 
-def _topk_replicate(args: tuple) -> dict:
-    (w_text, u_text, n_d_tr, m_s_tr, n_d_te, m_s_te, c, seed) = args
+def _topk_plan(exp: int, scale: float) -> tuple[tuple, dict]:
+    w_text, u_text = TOPK_EXPERIMENTS[exp]
     u = parse_mass_partition(u_text)
-    w = parse_graphon(w_text)
-    seq = MixtureSequence(
-        u, w, [(n_d_tr, m_s_tr), (n_d_te, m_s_te)],
-        cfg=JoinConfig(edge_multiplier_c=c), seed=seed,
+    n_train = _scaled(PAPER_N_TRAIN, scale, 200)
+    n_test = _scaled(PAPER_N_TEST, scale, 240)
+    n_d_tr = _scaled(TOPK_DENSE, scale, 20)
+    n_d_te = _round_half_up(n_d_tr * n_test / n_train)
+    sizes = (
+        (n_d_tr, _sparse_budget(n_train, n_d_tr, u)),
+        (n_d_te, _sparse_budget(n_test, n_d_te, u)),
     )
-    train, test = seq.member(0), seq.member(1)
-    spec_tr = degree_spectrum(train.graph)
-    spec_te = degree_spectrum(test.graph)
+    return (w_text, u_text, sizes), {"graphon": w_text, "partition": u_text}
+
+
+def _topk_replicate(args: tuple) -> dict:
+    w_text, u_text, sizes, seed = args
+    seq = MixtureSequence(parse_mass_partition(u_text), parse_graphon(w_text), sizes, seed=seed)
+    spec_tr = degree_spectrum(seq.member(0).graph)
+    spec_te = degree_spectrum(seq.member(1).graph)
     k_hat, _ = estimate_k_infinite(spec_tr)
     k = min(k_hat, spec_tr.node_count, spec_te.node_count)
-    train_top = top_k_degrees(spec_tr, k)
-    actual = top_k_degrees(spec_te, k).astype(np.float64)
-    n_tr, n_te = train.graph.node_count, test.graph.node_count
-    prop = predict_top_k(train_top, n_tr, n_te)
-    base = baseline_sqrt_predict(train_top, n_tr, n_te)
+    actual, prop, base = forecast_top_k(spec_tr, spec_te, k)
     return {
         "k_hat": k_hat,
-        "n_train": n_tr,
-        "n_test": n_te,
+        "n_train": spec_tr.node_count,
+        "n_test": spec_te.node_count,
         "mape_proposed": mape(actual, prop),
         "mape_baseline": mape(actual, base),
     }
 
 
-def run_topk_suite(
-    replicates: int = 10,
-    seed: int = 0,
-    scale: float = 1.0,
-    experiments=(1, 2, 3, 4),
-    workers: int = 1,
-    c: float = 1.0,
-) -> dict:
-    """Top-k degree forecasting on the four graphon/partition pairs."""
-    n_train = _scaled(PAPER_N_TRAIN, scale, 200)
-    n_test = _scaled(PAPER_N_TEST, scale, 240)
-    n_d_tr = _scaled(TOPK_DENSE, scale, 20)
-    n_d_te = _round_half_up(n_d_tr * n_test / n_train)
-    rows, aggregates = [], []
-    for exp in experiments:
-        w_text, u_text = TOPK_EXPERIMENTS[exp]
-        u = parse_mass_partition(u_text)
-        m_s_tr = _sparse_budget(n_train, n_d_tr, u)
-        m_s_te = _sparse_budget(n_test, n_d_te, u)
-        args = [
-            (w_text, u_text, n_d_tr, m_s_tr, n_d_te, m_s_te, c, s)
-            for s in _replicate_seeds(seed + exp, replicates)
-        ]
-        results = _run_replicates(_topk_replicate, args, workers)
-        for rep, res in enumerate(results):
-            rows.append({"experiment": exp, "replicate": rep, **res})
-        agg = _aggregate(results, ["k_hat", "mape_proposed", "mape_baseline"])
-        aggregates.append({"experiment": exp, "graphon": w_text, "partition": u_text, **agg})
-    return {"suite": "table1:topk", "rows": rows, "aggregates": aggregates}
+def _partition_plan(
+    u_text: str, n_dense: int, n_total: int, scale: float, infinite: bool
+) -> tuple[tuple, dict]:
+    n_d = _scaled(n_dense, scale, 20)
+    m_s = _sparse_budget(_scaled(n_total, scale, 200), n_d, parse_mass_partition(u_text))
+    return (infinite, u_text, n_d, m_s), {"partition": u_text}
 
 
-def _finite_replicate(args: tuple) -> dict:
-    (w_text, u_text, n_d, m_s, c, seed) = args
-    from .mixture import generate_mixture
-
+def _partition_replicate(args: tuple) -> dict:
+    infinite, u_text, n_d, m_s, seed = args
     u = parse_mass_partition(u_text)
-    w = parse_graphon(w_text)
-    mix = generate_mixture(
-        u, w, n_d, m_s, JoinConfig(edge_multiplier_c=c), np.random.default_rng(seed)
-    )
+    mix = generate_mixture(u, parse_graphon(GRAPHON_W), n_d, m_s, rng=np.random.default_rng(seed))
     spec = degree_spectrum(mix.graph)
-    k_hat, _ = estimate_k_finite(spec)
-    est = estimate_partition_finite(spec, k_hat)
-    k_eval = min(k_hat, len(u))
-    truth = u.weights[:k_eval]
+    if infinite:
+        est = estimate_partition_infinite(spec, percentile_c=INFINITE_PERCENTILE)
+    else:
+        est = estimate_partition_finite(spec)
+    truth = u.weights[: min(est.k_hat, len(u))]
+    head = (
+        {"k_hat": est.k_hat, "covered_mass": float(truth.sum())}
+        if infinite
+        else {"k_true": len(u), "k_hat": est.k_hat}
+    )
     return {
-        "k_true": len(u),
-        "k_hat": k_hat,
-        "mape_proposed": mape(truth, est.weights[:k_eval]),
-        "mape_baseline": mape(truth, baseline_partition(spec, k_hat)[:k_eval]),
+        **head,
+        "mape_proposed": mape(truth, est.weights[: truth.size]),
+        "mape_baseline": mape(truth, baseline_partition(spec, est.k_hat)[: truth.size]),
     }
 
 
-def run_finite_u_suite(
-    replicates: int = 10,
-    seed: int = 0,
-    scale: float = 1.0,
-    experiments=(1, 2, 3, 4),
-    workers: int = 1,
-    graphon_w: str = "exp_sum",
-    c: float = 1.0,
-) -> dict:
-    """Partition recovery for the four finite partitions."""
-    n_total = _scaled(PAPER_N_TRAIN, scale, 200)
-    n_d = _scaled(FINITE_DENSE, scale, 20)
-    rows, aggregates = [], []
-    for exp in experiments:
-        u_text = FINITE_U_EXPERIMENTS[exp]
-        u = parse_mass_partition(u_text)
-        m_s = _sparse_budget(n_total, n_d, u)
-        args = [
-            (graphon_w, u_text, n_d, m_s, c, s)
-            for s in _replicate_seeds(seed + exp, replicates)
-        ]
-        results = _run_replicates(_finite_replicate, args, workers)
-        for rep, res in enumerate(results):
-            rows.append({"experiment": exp, "replicate": rep, **res})
-        agg = _aggregate(results, ["k_hat", "mape_proposed", "mape_baseline"])
-        aggregates.append({"experiment": exp, "partition": u_text, **agg})
-    return {"suite": "table1:finiteU", "rows": rows, "aggregates": aggregates}
+class _Suite(NamedTuple):
+    plan: Callable[[int, float], tuple[tuple, dict]]  # -> (replicate args, label)
+    replicate: Callable[[tuple], dict]
+    replicates: int
+    keys: tuple[str, ...]
 
 
-def _infinite_replicate(args: tuple) -> dict:
-    (w_text, u_text, n_d, m_s, c, percentile_c, seed) = args
-    from .mixture import generate_mixture
-
-    u = parse_mass_partition(u_text)
-    w = parse_graphon(w_text)
-    mix = generate_mixture(
-        u, w, n_d, m_s, JoinConfig(edge_multiplier_c=c), np.random.default_rng(seed)
-    )
-    spec = degree_spectrum(mix.graph)
-    k_hat, _ = estimate_k_infinite(spec, percentile_c=percentile_c)
-    est = estimate_partition_infinite(spec, k_hat)
-    k_eval = min(k_hat, len(u))
-    truth = u.weights[:k_eval]
-    return {
-        "k_hat": k_hat,
-        "covered_mass": float(u.weights[: min(k_hat, len(u))].sum()),
-        "mape_proposed": mape(truth, est.weights[:k_eval]),
-        "mape_baseline": mape(truth, baseline_partition(spec, k_hat)[:k_eval]),
-    }
-
-
-def run_infinite_u_suite(
-    replicates: int = 5,
-    seed: int = 0,
-    scale: float = 1.0,
-    experiments=(1, 2, 3, 4),
-    workers: int = 1,
-    graphon_w: str = "exp_sum",
-    c: float = 1.0,
-) -> dict:
-    """Breakpoint and covered-mass recovery for power-like partitions."""
-    rows, aggregates = [], []
-    for exp in experiments:
-        u_text, base_n_d, base_n_total = INFINITE_U_EXPERIMENTS[exp]
-        n_total = _scaled(base_n_total, scale, 200)
-        n_d = _scaled(base_n_d, scale, 20)
-        u = parse_mass_partition(u_text)
-        m_s = _sparse_budget(n_total, n_d, u)
-        args = [
-            (graphon_w, u_text, n_d, m_s, c, INFINITE_PERCENTILE, s)
-            for s in _replicate_seeds(seed + exp, replicates)
-        ]
-        results = _run_replicates(_infinite_replicate, args, workers)
-        for rep, res in enumerate(results):
-            rows.append({"experiment": exp, "replicate": rep, **res})
-        agg = _aggregate(
-            results, ["k_hat", "covered_mass", "mape_proposed", "mape_baseline"]
-        )
-        aggregates.append({"experiment": exp, "partition": u_text, **agg})
-    return {"suite": "table1:infiniteU", "rows": rows, "aggregates": aggregates}
-
+_KEYS = ("k_hat", "mape_proposed", "mape_baseline")
 
 _SUITES = {
-    "table1:topk": run_topk_suite,
-    "table1:finiteU": run_finite_u_suite,
-    "table1:infiniteU": run_infinite_u_suite,
+    "table1:topk": _Suite(_topk_plan, _topk_replicate, 10, _KEYS),
+    "table1:finiteU": _Suite(
+        lambda exp, scale: _partition_plan(
+            FINITE_U_EXPERIMENTS[exp], FINITE_DENSE, PAPER_N_TRAIN, scale, False
+        ),
+        _partition_replicate,
+        10,
+        _KEYS,
+    ),
+    "table1:infiniteU": _Suite(
+        lambda exp, scale: _partition_plan(*INFINITE_U_EXPERIMENTS[exp], scale, True),
+        _partition_replicate,
+        5,
+        ("k_hat", "covered_mass", "mape_proposed", "mape_baseline"),
+    ),
 }
 
 
-def run_suite(name: str, **kwargs) -> dict:
+def run_suite(
+    name: str,
+    replicates: int | None = None,
+    seed: int = 0,
+    scale: float = 1.0,
+    experiments=(1, 2, 3, 4),
+    workers: int = 1,
+) -> dict:
+    """Run the named suite; replicates defaults to 10 (5 for infiniteU).
+
+    Replicate r of experiment e is seeded from SeedSequence(seed + e),
+    so results do not depend on workers or on which experiments run.
+    """
     if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(_SUITES))}"
         )
-    return _SUITES[name](**kwargs)
+    suite = _SUITES[name]
+    if replicates is None:
+        replicates = suite.replicates
+    rows, aggregates = [], []
+    for exp in experiments:
+        args, label = suite.plan(exp, scale)
+        arg_list = [(*args, s) for s in _replicate_seeds(seed + exp, replicates)]
+        if workers <= 1:
+            results = [suite.replicate(a) for a in arg_list]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(suite.replicate, arg_list))
+        rows.extend(
+            {"experiment": exp, "replicate": rep, **res} for rep, res in enumerate(results)
+        )
+        aggregates.append({"experiment": exp, **label, **_aggregate(results, suite.keys)})
+    return {"suite": name, "rows": rows, "aggregates": aggregates}
 
 
 def build_temporal_fixture(
@@ -314,7 +255,9 @@ def build_temporal_fixture(
     edge is stamped with the first step at which it exists.  Dense nodes
     are d<i>, hubs h<j>, sparse leaves s<i> (one per clique-sample
     vertex); joins accumulate so snapshots of the event list reproduce
-    the growing graphs.
+    the growing graphs.  The dense part and clique labels are those of
+    MixtureSequence(u, w, sizes, seed=seed); only the joins differ.
+    Raises CapacityError when a step's join target does not fit.
     """
     u = parse_mass_partition(u_text)
     w = parse_graphon(w_text)
@@ -325,11 +268,10 @@ def build_temporal_fixture(
     ms_steps = np.asarray([b for _, b in sizes])
     if np.any(np.diff(nd_steps) < 0) or np.any(np.diff(ms_steps) < 0):
         raise ValueError("fixture sizes must be non-decreasing")
-    streams = np.random.SeedSequence(seed).spawn(4)
-    xs = np.random.default_rng(streams[0]).random(int(nd_steps[-1]))
-    dense = _graph_from_latents(w, xs, np.random.default_rng(streams[1]))
-    labels = sample_clique_labels(u, int(ms_steps[-1]), np.random.default_rng(streams[2]))
-    join_rng = np.random.default_rng(streams[3])
+    dense, labels, (join_stream,) = _sequence_latents(
+        u, w, int(nd_steps[-1]), int(ms_steps[-1]), 1, seed
+    )
+    join_rng = np.random.default_rng(join_stream)
 
     events: list[tuple[str, str, int]] = []
     # dense edge exists once both endpoints are inside the dense prefix
@@ -347,12 +289,18 @@ def build_temporal_fixture(
         else:
             events.append((f"s{i}", f"s{i}b", int(t) + 1))
     # joining edges accumulate toward round(c * m_dense(t)) per step
-    dense_edge_count_at = np.cumsum(np.bincount(edge_step, minlength=len(sizes))) if dense.edge_count else np.zeros(len(sizes), dtype=np.int64)
+    dense_edge_count_at = (
+        np.cumsum(np.bincount(edge_step, minlength=len(sizes)))
+        if dense.edge_count
+        else np.zeros(len(sizes), dtype=np.int64)
+    )
     placed: set[tuple[int, int]] = set()
     for t_idx, (n_d, m_s) in enumerate(sizes):
         target = _round_half_up(c * int(dense_edge_count_at[t_idx]))
+        # a target beyond the n_d x m_s available pairs gets no draws
+        limit = 200 * max(target, 1) if target <= n_d * m_s else 0
         guard = 0
-        while len(placed) < target and guard < 200 * max(target, 1):
+        while len(placed) < target and guard < limit:
             a = int(join_rng.integers(0, n_d))
             i = int(join_rng.integers(0, m_s))
             guard += 1
@@ -360,5 +308,10 @@ def build_temporal_fixture(
                 continue
             placed.add((a, i))
             events.append((f"d{a}", f"s{i}", t_idx + 1))
+        if len(placed) < target:
+            raise CapacityError(
+                f"fixture step {t_idx + 1}: placed {len(placed)}/{target} "
+                f"distinct cross edges between {n_d} x {m_s} nodes"
+            )
     events.sort(key=lambda e: e[2])
     return events

@@ -34,9 +34,13 @@ class GraphFormatError(ValueError):
 
 
 def _canonical_edges(node_count: int, edges) -> np.ndarray:
-    arr = np.asarray(edges, dtype=np.int64)
-    if arr.size == 0:
+    raw = np.asarray(edges)
+    if raw.size == 0:
         return np.empty((0, 2), dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        arr = raw.astype(np.int64, copy=False)
+    if raw.dtype.kind not in "iub" and not np.array_equal(arr, raw):
+        raise ValueError("edge endpoints must be integer values")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be an iterable of (u, v) pairs")
     if arr.min() < 0 or arr.max() >= node_count:

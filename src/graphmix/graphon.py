@@ -124,15 +124,7 @@ class Graphon:
         """Connection probabilities for all (x_i, y_j) pairs."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        if self.kind == "constant":
-            return np.full((xs.size, ys.size), self._fn)
-        if self.kind == "analytic":
-            return np.asarray(self._fn(xs[:, None], ys[None, :]), dtype=np.float64)
-        if self.kind == "step":
-            return self._grid[np.ix_(self._cells(xs), self._cells(ys))]
-        ix, iy = self._intervals(xs), self._intervals(ys)
-        k = len(self._partition)
-        return ((ix[:, None] == iy[None, :]) & (ix[:, None] < k)).astype(np.float64)
+        return self(xs[:, None], ys[None, :])
 
     def __repr__(self):
         return f"Graphon({self.name})"

@@ -18,12 +18,12 @@ are redrawn per member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .graph import Graph, component_labels, degree_spectrum, edge_density
+from .graph import Graph, component_labels, edge_density
 from .graphon import CapacityError, Graphon, _graph_from_latents
 from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
@@ -51,19 +51,19 @@ class NodeOrigin(IntEnum):
     SPARSE_ISOLATED = 3
 
 
+# cross-pair sampling gives up after this many draws per joining edge
+COLLISION_RETRIES = 100
+
+
 @dataclass(frozen=True)
 class JoinConfig:
-    """edge_multiplier_c scales m_new; collision_retries * m_new bounds
-    the total number of cross-pair draws before giving up."""
+    """edge_multiplier_c scales m_new = round(c * m_dense)."""
 
     edge_multiplier_c: float = 1.0
-    collision_retries: int = 100
 
     def __post_init__(self):
         if self.edge_multiplier_c < 0:
             raise ValueError("edge_multiplier_c must be >= 0")
-        if self.collision_retries < 1:
-            raise ValueError("collision_retries must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,7 @@ class MixtureGraph:
         object.__setattr__(self, "node_origin", origin)
 
 
-def _sample_cross_pairs(
-    n_d: int, n_s: int, m_new: int, budget: int, rng: np.random.Generator
-) -> np.ndarray:
+def _sample_cross_pairs(n_d: int, n_s: int, m_new: int, rng: np.random.Generator) -> np.ndarray:
     """m_new distinct (dense, sparse) pairs, uniform via rejection."""
     if m_new == 0:
         return np.empty((0, 2), dtype=np.int64)
@@ -105,6 +103,7 @@ def _sample_cross_pairs(
         raise CapacityError(
             f"cannot place {m_new} distinct cross edges between {n_d} x {n_s} nodes"
         )
+    budget = COLLISION_RETRIES * m_new
     codes = np.empty(0, dtype=np.int64)
     attempts = 0
     while codes.size < m_new:
@@ -170,11 +169,7 @@ def join_graphs(
     m_new = _round_half_up(cfg.edge_multiplier_c * g_d.edge_count)
     if m_new > 0 and rng is None:
         raise ValueError("joining edges require an rng")
-    cross = (
-        _sample_cross_pairs(n_d, n_s, m_new, cfg.collision_retries * max(m_new, 1), rng)
-        if m_new
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    cross = _sample_cross_pairs(n_d, n_s, m_new, rng)
     parts = [g_d.edges]
     if g_s.edge_count:
         parts.append(g_s.edges + n_d)
@@ -244,6 +239,24 @@ def generate_mixture(
     return join_graphs(g_d, g_s, cfg, rng, sparse_meta=(origin, hubs))
 
 
+def _sequence_latents(
+    u: MassPartition, w: Graphon, n_max: int, m_max: int, joins: int, seed
+) -> tuple[Graph, np.ndarray, list[np.random.SeedSequence]]:
+    """Dense graph, clique labels and join streams of a growing sequence.
+
+    seed (int, None or SeedSequence) spawns 3 + joins children in a fixed
+    order: positions, dense edges, labels, then one stream per join.  A
+    child does not depend on how many are spawned, so callers that differ
+    only in joins share the dense part and labels.
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    streams = ss.spawn(3 + joins)
+    xs = np.random.default_rng(streams[0]).random(n_max)
+    dense = _graph_from_latents(w, xs, np.random.default_rng(streams[1]))
+    labels = sample_clique_labels(u, m_max, np.random.default_rng(streams[2]))
+    return dense, labels, streams[3:]
+
+
 class MixtureSequence:
     """Coupled growing mixtures over a list of (n_dense, m_sparse) sizes.
 
@@ -271,18 +284,11 @@ class MixtureSequence:
         self.u = u
         self.w = w
         self.cfg = cfg or JoinConfig()
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        streams = ss.spawn(3 + len(self.sizes))
         n_max = max(n for n, _ in self.sizes)
         m_max = max(m for _, m in self.sizes)
-        self._xs = np.random.default_rng(streams[0]).random(n_max)
-        self._dense_full = _graph_from_latents(
-            w, self._xs, np.random.default_rng(streams[1])
+        self._dense_full, self._labels, self._join_streams = _sequence_latents(
+            u, w, n_max, m_max, len(self.sizes), seed
         )
-        self._labels = sample_clique_labels(
-            u, m_max, np.random.default_rng(streams[2])
-        )
-        self._join_streams = streams[3:]
 
     def __len__(self) -> int:
         return len(self.sizes)

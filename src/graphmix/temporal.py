@@ -16,8 +16,8 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .graph import DegreeSpectrum, Graph, degree_spectrum, top_k_degrees
-from .estimators import baseline_sqrt_predict, mape, predict_top_k
+from .graph import Graph, degree_spectrum
+from .estimators import forecast_top_k, mape
 
 __all__ = [
     "TemporalFormatError",
@@ -199,10 +199,7 @@ def evaluation_run(
                     "skipping train_t=%s horizon=%s: fewer than k=%d nodes", tt, h, k
                 )
                 continue
-            train_top = top_k_degrees(spec_train, k)
-            actual = top_k_degrees(spec_test, k).astype(np.float64)
-            prop = predict_top_k(train_top, g_train.node_count, g_test.node_count)
-            base = baseline_sqrt_predict(train_top, g_train.node_count, g_test.node_count)
+            actual, prop, base = forecast_top_k(spec_train, spec_test, k)
             summary.append(
                 {
                     "train_t": tt,

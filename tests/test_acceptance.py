@@ -30,11 +30,7 @@ from graphmix import (
     parse_mass_partition,
     star_forest,
 )
-from graphmix.experiments import (
-    run_finite_u_suite,
-    run_infinite_u_suite,
-    run_topk_suite,
-)
+from graphmix.experiments import run_suite
 
 W = parse_graphon("exp_sum")
 U23 = parse_mass_partition("mass:[0.6666666666666666,0.3333333333333333]")
@@ -55,7 +51,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_topk_forecast():
     t0 = time.perf_counter()
-    result = run_topk_suite(replicates=10, seed=0, experiments=(1,))
+    result = run_suite("table1:topk", replicates=10, seed=0, experiments=(1,))
     elapsed = time.perf_counter() - t0
     agg = result["aggregates"][0]
     prop, base = agg["mape_proposed_mean"], agg["mape_baseline_mean"]
@@ -70,7 +66,7 @@ def test_criterion_1_topk_forecast():
 
 def test_criterion_2_finite_partition_recovery():
     t0 = time.perf_counter()
-    result = run_finite_u_suite(replicates=10, seed=0)
+    result = run_suite("table1:finiteU", replicates=10, seed=0)
     elapsed = time.perf_counter() - t0
     props = [a["mape_proposed_mean"] for a in result["aggregates"]]
     bases = [a["mape_baseline_mean"] for a in result["aggregates"]]
@@ -92,7 +88,7 @@ def test_criterion_3_infinite_partition_recovery():
     targets_k = {1: 30.0, 2: 23.0, 3: 30.0, 4: 4.0}
     targets_mass = {1: 0.902, 2: 0.985, 3: 0.941, 4: 0.998}
     t0 = time.perf_counter()
-    result = run_infinite_u_suite(replicates=5, seed=0)
+    result = run_suite("table1:infiniteU", replicates=5, seed=0)
     elapsed = time.perf_counter() - t0
     details, ok = [], elapsed < 600
     for agg in result["aggregates"]:

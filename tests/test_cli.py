@@ -8,6 +8,8 @@ import pytest
 
 from graphmix import (
     JoinConfig,
+    MixtureSequence,
+    RatioSchedule,
     generate_mixture,
     join_graphs,
     parse_graphon,
@@ -87,6 +89,20 @@ def test_generate_is_deterministic(tmp_path, capsys):
     assert g.node_count == prov["n_dense"] + prov["n_sparse"]
     assert g.edge_count == prov["m_dense"] + prov["m_sparse"] + prov["m_new"]
     assert sum(run for _, run in prov["origin_rle"]) == g.node_count
+    u = parse_mass_partition("mass:[0.6666666666666666,0.3333333333333333]")
+    seq = MixtureSequence(
+        u,
+        parse_graphon("exp_sum"),
+        RatioSchedule("constant", a=1.5, base_n_d=25).sizes_for(u, 2),
+        cfg=JoinConfig(edge_multiplier_c=1.0),
+        seed=5,
+    )
+    for i in range(2):
+        prov = json.loads((d1 / f"provenance_{i + 1:04d}.json").read_text())
+        values, runs = zip(*prov["origin_rle"])
+        assert all(a != b for a, b in zip(values, values[1:]))  # maximal runs
+        decoded = np.repeat(values, runs)
+        np.testing.assert_array_equal(decoded, seq.member(i).node_origin)
     capsys.readouterr()
 
 
@@ -179,6 +195,41 @@ def test_predict_writes_tables(tmp_path, capsys):
     ) == 0
     capsys.readouterr()
     assert json.loads((out2 / "prediction_summary.json").read_text())
+
+
+def test_commands_without_out_write_no_files(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "inputs" / "mix.edges"
+    graph.parent.mkdir()
+    write_graph_file(graph, three_star_mixture().graph)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["estimate", "--input", str(graph)]) == 0
+    assert main(
+        ["predict", "--data", FIXTURE, "--train-times", "6", "--horizons", "2", "--k", "5"]
+    ) == 0
+    assert main(
+        ["--scale", "0.02", "experiment", "--suite", "table1:finiteU",
+         "--replicates", "1"]
+    ) == 0
+    capsys.readouterr()
+    assert os.listdir(work) == []
+
+
+def test_unusable_out_is_data_error(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "mix.edges"
+    write_graph_file(graph, three_star_mixture().graph)
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    monkeypatch.chdir(tmp_path)
+    bad_out = str(blocker / "sub")
+    assert main(["--out", bad_out, "estimate", "--input", str(graph)]) == 3
+    assert main(["--out", bad_out, "ingest", "--make-fixture"]) == 3
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error: ") for line in lines)
+    assert "Traceback" not in err
 
 
 def test_predict_out_of_range_is_data_error(capsys):

@@ -16,6 +16,7 @@ from graphmix import (
     estimate_partition_finite,
     estimate_partition_infinite,
     fit_two_segments,
+    forecast_top_k,
     generate_mixture,
     mape,
     ols_fit,
@@ -53,6 +54,18 @@ def test_baseline_sqrt_predict():
     top = np.array([100.0, 50.0])
     np.testing.assert_allclose(baseline_sqrt_predict(top, 100, 400), [200.0, 100.0])
     np.testing.assert_allclose(baseline_sqrt_predict(top, 7, 7), top)
+
+
+def test_forecast_top_k_scales_train_degrees():
+    spec_tr = spec_of([8, 4, 2, 1, 1])  # 5 nodes
+    spec_te = spec_of([30, 9, 3] + [1] * 17)  # 20 nodes
+    actual, predicted, baseline = forecast_top_k(spec_tr, spec_te, 2)
+    assert actual.dtype == np.float64
+    np.testing.assert_array_equal(actual, [30.0, 9.0])
+    np.testing.assert_allclose(predicted, [32.0, 16.0])
+    np.testing.assert_allclose(baseline, [16.0, 8.0])
+    with pytest.raises(ValueError):
+        forecast_top_k(spec_tr, spec_te, 6)
 
 
 def test_self_prediction_has_zero_error():

@@ -1,0 +1,76 @@
+"""Reference suites and the synthetic temporal fixture."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from graphmix import (
+    CapacityError,
+    MixtureSequence,
+    build_temporal_fixture,
+    parse_graphon,
+    parse_mass_partition,
+    run_suite,
+)
+
+# SHA-256 of json.dumps(run_suite(name, replicates=2, seed=0, scale=0.05),
+# sort_keys=True); any change to seeding, sizing, sampling or estimation
+# in a suite shows up here.
+GOLDEN = {
+    "table1:topk": "bf5fe04eecbad432f87b4599e4a26a3a11eb5f8e79868a48b1db00d5f92fb7c1",
+    "table1:finiteU": "a7d0782416f0c108f33ae15c96ae937477042b3ef808c29e8c8b21ebb069aa69",
+    "table1:infiniteU": "9df9a1a84f81fa377b2eb676929869af4be1c150f7f66a76a2c51730db729e94",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_suite_output_is_pinned(name):
+    result = run_suite(name, replicates=2, seed=0, scale=0.05)
+    digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN[name]
+
+
+def test_suite_defaults_and_shape():
+    result = run_suite("table1:infiniteU", scale=0.02, experiments=(2,))
+    assert result["suite"] == "table1:infiniteU"
+    assert [r["replicate"] for r in result["rows"]] == [0, 1, 2, 3, 4]
+    (agg,) = result["aggregates"]
+    assert list(agg)[:3] == ["experiment", "partition", "replicates"]
+    assert agg["replicates"] == 5
+    assert "covered_mass_mean" in agg
+
+
+def test_suite_replicates_do_not_depend_on_selection():
+    both = run_suite("table1:finiteU", replicates=2, seed=4, scale=0.03, experiments=(1, 2))
+    second = run_suite("table1:finiteU", replicates=2, seed=4, scale=0.03, experiments=(2,))
+    assert both["rows"][2:] == second["rows"]
+    assert both["aggregates"][1:] == second["aggregates"]
+
+
+def test_fixture_raises_when_joins_cannot_fit():
+    # 12 dense x 1 sparse node give 12 cross pairs; c=1 asks for 30
+    with pytest.raises(CapacityError, match="0/30"):
+        build_temporal_fixture(sizes=[(12, 1)], c=1.0)
+
+
+def test_fixture_shares_latents_with_sequence():
+    u_text, w_text, seed = "mass:[0.5,0.3]", "exp_sum", 9
+    sizes = [(10, 40), (20, 80), (30, 120)]
+    events = build_temporal_fixture(u_text, w_text, sizes, c=0.5, seed=seed)
+    mix = MixtureSequence(
+        parse_mass_partition(u_text), parse_graphon(w_text), sizes, seed=seed
+    ).member(len(sizes) - 1)
+    n_d = mix.n_dense
+
+    dense = sorted(
+        (int(a[1:]), int(b[1:])) for a, b, _ in events if a[0] == b[0] == "d"
+    )
+    e = mix.graph.edges
+    assert dense == [tuple(r) for r in e[(e < n_d).all(axis=1)].tolist()]
+
+    sparse_deg = np.bincount(e[(e >= n_d).all(axis=1)].ravel(), minlength=mix.graph.node_count)
+    for j, hub in mix.hubs.items():
+        spokes = sum(1 for a, _, _ in events if a == f"h{j}")
+        assert spokes == sparse_deg[hub]

@@ -59,6 +59,18 @@ def test_graph_rejects_bad_edges():
         Graph(-1)
 
 
+def test_graph_rejects_non_integer_endpoints():
+    with pytest.raises(ValueError, match="integer"):
+        Graph(3, [(0.5, 1.7)])
+    with pytest.raises(ValueError, match="integer"):
+        Graph(3, np.array([[0.0, np.nan]]))
+    # integer-valued floats and every integer dtype name the same edges
+    want = Graph(3, [(0, 1), (1, 2)])
+    assert Graph(3, [(0.0, 1.0), (2.0, 1.0)]) == want
+    for dtype in (np.int8, np.int32, np.uint16, np.int64):
+        assert Graph(3, np.array([[0, 1], [2, 1]], dtype=dtype)) == want
+
+
 def test_graph_is_immutable():
     g = Graph(2, [(0, 1)])
     with pytest.raises(AttributeError):

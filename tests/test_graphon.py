@@ -118,6 +118,26 @@ def test_disjoint_clique_graphon_grid_symmetric_binary():
     assert set(np.unique(mat)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize(
+    "w",
+    [
+        parse_graphon("const:0.3"),
+        parse_graphon("exp_sum"),
+        Graphon.step([[0.9, 0.1, 0.0], [0.1, 0.5, 0.2], [0.0, 0.2, 0.7]]),
+        parse_graphon("mass:[0.5,0.3]"),
+    ],
+    ids=lambda w: w.kind,
+)
+def test_prob_matrix_matches_pointwise_evaluation(w):
+    xs = np.concatenate([[0.0, 1.0], np.random.default_rng(2).random(9)])
+    ys = np.concatenate([[1.0, 0.5], np.random.default_rng(3).random(6)])
+    mat = w.prob_matrix(xs, ys)
+    assert mat.shape == (xs.size, ys.size)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert mat[i, j] == float(w(x, y))
+
+
 def test_sample_with_partition_graphon_matches_direct_sampler():
     # W-random sampling from a disjoint-clique kernel yields disjoint cliques
     from graphmix import decompose_disjoint_cliques

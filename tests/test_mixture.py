@@ -36,8 +36,6 @@ def fixed_dense(n=50, m=100, seed=0):
 def test_join_config_validation():
     with pytest.raises(ValueError):
         JoinConfig(edge_multiplier_c=-0.1)
-    with pytest.raises(ValueError):
-        JoinConfig(collision_retries=0)
 
 
 def test_join_zero_c_is_disjoint_union():
