@@ -6,159 +6,22 @@ star-forest part (the inverse line graph of a disjoint-clique graph
 driven by a mass partition), joins them with a controlled number of
 cross edges, and recovers the mass partition from the observed degree
 spectrum of the blend.
+
+Each module declares its public names in its own __all__; the package
+re-exports them all.
 """
 
-from .graph import (
-    DegreeSpectrum,
-    Graph,
-    GraphFormatError,
-    component_labels,
-    degree_spectrum,
-    edge_density,
-    max_degree_ratio,
-    read_edge_list,
-    square_degree_ratio,
-    top_k_degrees,
-    write_edge_list,
-)
-from .masspartition import (
-    MassPartition,
-    clique_size_counts,
-    expected_hub_degree,
-    make_mass_partition,
-    parse_mass_partition,
-    sample_clique_labels,
-    sample_disjoint_clique_graph,
-    tail_mass_bound,
-)
-from .graphon import (
-    CapacityError,
-    Graphon,
-    brute_force_cut_distance,
-    degree_function,
-    empirical_graphon,
-    parse_graphon,
-    register_graphon,
-    sample_w_random_graph,
-)
-from .linegraph import (
-    CliqueDecomposition,
-    SequenceEvidence,
-    StructureError,
-    classify_sequence,
-    decompose_disjoint_cliques,
-    inverse_line_graph_disjoint,
-    line_graph,
-    star_forest,
-)
-from .mixture import (
-    JoinConfig,
-    MixtureGraph,
-    MixtureSequence,
-    NodeOrigin,
-    RatioSchedule,
-    density_trajectory,
-    generate_mixture,
-    join_graphs,
-)
-from .estimators import (
-    AUTO_GAP_THRESHOLD,
-    PartitionEstimate,
-    SegmentFit,
-    SmallDegreePolicy,
-    baseline_partition,
-    baseline_sqrt_predict,
-    estimate_k_finite,
-    estimate_k_infinite,
-    estimate_partition,
-    estimate_partition_finite,
-    estimate_partition_infinite,
-    fit_two_segments,
-    forecast_top_k,
-    mape,
-    ols_fit,
-    predict_top_k,
-    retained_log_points,
-)
-from .temporal import (
-    TemporalEdgeList,
-    TemporalFormatError,
-    evaluation_run,
-    parse_edge_events,
-    serialize_edge_events,
-    snapshot_at,
-)
-from .experiments import build_temporal_fixture, run_suite
+from . import estimators, experiments, graph, graphon, linegraph, masspartition, mixture, temporal
+from .estimators import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .graphon import *  # noqa: F401,F403
+from .linegraph import *  # noqa: F401,F403
+from .masspartition import *  # noqa: F401,F403
+from .mixture import *  # noqa: F401,F403
+from .temporal import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUTO_GAP_THRESHOLD",
-    "CapacityError",
-    "CliqueDecomposition",
-    "DegreeSpectrum",
-    "Graph",
-    "GraphFormatError",
-    "Graphon",
-    "JoinConfig",
-    "MassPartition",
-    "MixtureGraph",
-    "MixtureSequence",
-    "NodeOrigin",
-    "PartitionEstimate",
-    "RatioSchedule",
-    "SegmentFit",
-    "SequenceEvidence",
-    "SmallDegreePolicy",
-    "StructureError",
-    "TemporalEdgeList",
-    "TemporalFormatError",
-    "baseline_partition",
-    "baseline_sqrt_predict",
-    "brute_force_cut_distance",
-    "build_temporal_fixture",
-    "classify_sequence",
-    "clique_size_counts",
-    "component_labels",
-    "decompose_disjoint_cliques",
-    "degree_function",
-    "degree_spectrum",
-    "density_trajectory",
-    "edge_density",
-    "empirical_graphon",
-    "estimate_k_finite",
-    "estimate_k_infinite",
-    "estimate_partition",
-    "estimate_partition_finite",
-    "estimate_partition_infinite",
-    "evaluation_run",
-    "expected_hub_degree",
-    "fit_two_segments",
-    "forecast_top_k",
-    "generate_mixture",
-    "inverse_line_graph_disjoint",
-    "join_graphs",
-    "line_graph",
-    "make_mass_partition",
-    "mape",
-    "max_degree_ratio",
-    "ols_fit",
-    "parse_edge_events",
-    "parse_graphon",
-    "parse_mass_partition",
-    "predict_top_k",
-    "read_edge_list",
-    "register_graphon",
-    "retained_log_points",
-    "run_suite",
-    "sample_clique_labels",
-    "sample_disjoint_clique_graph",
-    "sample_w_random_graph",
-    "serialize_edge_events",
-    "snapshot_at",
-    "square_degree_ratio",
-    "star_forest",
-    "tail_mass_bound",
-    "top_k_degrees",
-    "write_edge_list",
-]
+_MODULES = (estimators, experiments, graph, graphon, linegraph, masspartition, mixture, temporal)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named reference suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--replicates", type=int, default=10)
+    p.add_argument("--replicates", type=int, default=None,
+                   help="default: the suite's own count")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_experiment)
 

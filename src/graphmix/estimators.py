@@ -26,6 +26,7 @@ import numpy as np
 from .graph import DegreeSpectrum, top_k_degrees
 
 __all__ = [
+    "AUTO_GAP_THRESHOLD",
     "predict_top_k",
     "baseline_sqrt_predict",
     "forecast_top_k",
@@ -35,6 +36,7 @@ __all__ = [
     "ols_fit",
     "SegmentFit",
     "fit_two_segments",
+    "retained_log_points",
     "estimate_k_infinite",
     "estimate_partition_infinite",
     "estimate_partition",
@@ -322,14 +324,9 @@ def estimate_partition(
     if mode != "auto":
         raise ValueError(f"unknown mode {mode!r}")
     try:
-        k_hat, gaps = estimate_k_finite(spectrum, policy)
-        if gaps.max() > gap_threshold:
-            return PartitionEstimate(
-                mode="finite",
-                k_hat=k_hat,
-                weights=_ratio_partition(spectrum, k_hat),
-                diagnostics=gaps,
-            )
+        est = estimate_partition_finite(spectrum, policy=policy)
+        if est.diagnostics.max() > gap_threshold:
+            return est
     except ValueError:
         pass
     log.warning(

@@ -39,17 +39,17 @@ from .estimators import (
     mape,
 )
 from .graph import degree_spectrum
-from .graphon import CapacityError, parse_graphon
+from .graphon import parse_graphon
 from .masspartition import MassPartition, parse_mass_partition
-from .mixture import MixtureSequence, _round_half_up, _sequence_latents, generate_mixture
+from .mixture import (
+    MixtureSequence,
+    _round_half_up,
+    _sample_cross_pairs,
+    _sequence_latents,
+    generate_mixture,
+)
 
-__all__ = [
-    "TOPK_EXPERIMENTS",
-    "FINITE_U_EXPERIMENTS",
-    "INFINITE_U_EXPERIMENTS",
-    "run_suite",
-    "build_temporal_fixture",
-]
+__all__ = ["run_suite", "build_temporal_fixture"]
 
 PAPER_N_TRAIN = 11000
 PAPER_N_TEST = 13200
@@ -254,10 +254,12 @@ def build_temporal_fixture(
     sizes is a non-decreasing list of (n_dense, m_sparse) per step; each
     edge is stamped with the first step at which it exists.  Dense nodes
     are d<i>, hubs h<j>, sparse leaves s<i> (one per clique-sample
-    vertex); joins accumulate so snapshots of the event list reproduce
-    the growing graphs.  The dense part and clique labels are those of
-    MixtureSequence(u, w, sizes, seed=seed); only the joins differ.
-    Raises CapacityError when a step's join target does not fit.
+    vertex).  The dense part and clique labels are those of
+    MixtureSequence(u, w, sizes, seed=seed).  Joins come from the same
+    sampler as join_graphs but accumulate: step t adds cross pairs
+    d<a> s<i> (never a hub) until round(c * m_dense(t)) exist, so
+    snapshots of the event list reproduce the growing graphs.  Raises
+    CapacityError when a step's joins do not fit.
     """
     u = parse_mass_partition(u_text)
     w = parse_graphon(w_text)
@@ -275,11 +277,9 @@ def build_temporal_fixture(
 
     events: list[tuple[str, str, int]] = []
     # dense edge exists once both endpoints are inside the dense prefix
-    if dense.edge_count:
-        hi = dense.edges.max(axis=1)
-        edge_step = np.searchsorted(nd_steps, hi, side="right")
-        for (a, b), t in zip(dense.edges, edge_step):
-            events.append((f"d{a}", f"d{b}", int(t) + 1))
+    edge_step = np.searchsorted(nd_steps, dense.edges.max(axis=1), side="right")
+    for (a, b), t in zip(dense.edges, edge_step):
+        events.append((f"d{a}", f"d{b}", int(t) + 1))
     # sparse vertex i contributes one star (or isolated) edge
     k = len(u)
     vert_step = np.searchsorted(ms_steps, np.arange(ms_steps[-1]), side="right")
@@ -288,30 +288,13 @@ def build_temporal_fixture(
             events.append((f"h{j}", f"s{i}", int(t) + 1))
         else:
             events.append((f"s{i}", f"s{i}b", int(t) + 1))
-    # joining edges accumulate toward round(c * m_dense(t)) per step
-    dense_edge_count_at = (
-        np.cumsum(np.bincount(edge_step, minlength=len(sizes)))
-        if dense.edge_count
-        else np.zeros(len(sizes), dtype=np.int64)
-    )
-    placed: set[tuple[int, int]] = set()
+    dense_edge_count_at = np.cumsum(np.bincount(edge_step, minlength=len(sizes)))
+    placed = np.empty((0, 2), dtype=np.int64)
     for t_idx, (n_d, m_s) in enumerate(sizes):
         target = _round_half_up(c * int(dense_edge_count_at[t_idx]))
-        # a target beyond the n_d x m_s available pairs gets no draws
-        limit = 200 * max(target, 1) if target <= n_d * m_s else 0
-        guard = 0
-        while len(placed) < target and guard < limit:
-            a = int(join_rng.integers(0, n_d))
-            i = int(join_rng.integers(0, m_s))
-            guard += 1
-            if (a, i) in placed:
-                continue
-            placed.add((a, i))
-            events.append((f"d{a}", f"s{i}", t_idx + 1))
-        if len(placed) < target:
-            raise CapacityError(
-                f"fixture step {t_idx + 1}: placed {len(placed)}/{target} "
-                f"distinct cross edges between {n_d} x {m_s} nodes"
-            )
+        taken = placed[:, 0] * m_s + placed[:, 1]
+        new = _sample_cross_pairs(n_d, m_s, target - len(placed), join_rng, taken)
+        placed = np.concatenate([placed, new])
+        events.extend((f"d{a}", f"s{i}", t_idx + 1) for a, i in new.tolist())
     events.sort(key=lambda e: e[2])
     return events

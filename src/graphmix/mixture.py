@@ -95,29 +95,41 @@ class MixtureGraph:
         object.__setattr__(self, "node_origin", origin)
 
 
-def _sample_cross_pairs(n_d: int, n_s: int, m_new: int, rng: np.random.Generator) -> np.ndarray:
-    """m_new distinct (dense, sparse) pairs, uniform via rejection."""
+def _sample_cross_pairs(
+    n_d: int,
+    n_s: int,
+    m_new: int,
+    rng: np.random.Generator,
+    taken: np.ndarray = np.empty(0, dtype=np.int64),
+) -> np.ndarray:
+    """m_new distinct (dense, sparse) pairs, uniform via rejection.
+
+    taken holds the codes d * n_s + s of pairs already placed; only the
+    m_new new pairs are returned, none of them in taken.
+    """
     if m_new == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if m_new > n_d * n_s:
+    if m_new > n_d * n_s - taken.size:
         raise CapacityError(
-            f"cannot place {m_new} distinct cross edges between {n_d} x {n_s} nodes"
+            f"cannot place {m_new} distinct cross edges between {n_d} x {n_s} "
+            f"nodes ({taken.size} pairs already taken)"
         )
     budget = COLLISION_RETRIES * m_new
-    codes = np.empty(0, dtype=np.int64)
+    goal = taken.size + m_new
+    codes = taken
     attempts = 0
-    while codes.size < m_new:
-        need = m_new - codes.size
+    while codes.size < goal:
         if attempts >= budget:
             raise CapacityError(
                 f"cross-edge sampling exhausted {budget} draws with "
-                f"{codes.size}/{m_new} placed"
+                f"{codes.size - taken.size}/{m_new} placed"
             )
-        batch = min(need, budget - attempts)
+        batch = min(goal - codes.size, budget - attempts)
         d = rng.integers(0, n_d, batch)
         s = rng.integers(0, n_s, batch)
         attempts += batch
         codes = np.unique(np.concatenate([codes, d * n_s + s]))
+    codes = np.setdiff1d(codes, taken, assume_unique=True)
     return np.column_stack([codes // n_s, codes % n_s])
 
 
@@ -170,12 +182,7 @@ def join_graphs(
     if m_new > 0 and rng is None:
         raise ValueError("joining edges require an rng")
     cross = _sample_cross_pairs(n_d, n_s, m_new, rng)
-    parts = [g_d.edges]
-    if g_s.edge_count:
-        parts.append(g_s.edges + n_d)
-    if cross.size:
-        parts.append(np.column_stack([cross[:, 0], cross[:, 1] + n_d]))
-    graph = Graph(n_d + n_s, np.concatenate(parts) if parts else ())
+    graph = Graph(n_d + n_s, np.concatenate([g_d.edges, g_s.edges + n_d, cross + (0, n_d)]))
     if sparse_meta is None:
         sparse_origin, sparse_hubs = _derive_sparse_meta(g_s)
     else:
@@ -296,8 +303,7 @@ class MixtureSequence:
     def member(self, i: int) -> MixtureGraph:
         n_d, m_s = self.sizes[i]
         e = self._dense_full.edges
-        keep = e[(e[:, 0] < n_d) & (e[:, 1] < n_d)] if e.size else e
-        g_d = Graph(n_d, keep)
+        g_d = Graph(n_d, e[(e[:, 0] < n_d) & (e[:, 1] < n_d)])
         g_s, origin, hubs = _sparse_part_from_labels(self.u, self._labels[:m_s])
         rng = np.random.default_rng(self._join_streams[i])
         return join_graphs(g_d, g_s, self.cfg, rng, sparse_meta=(origin, hubs))

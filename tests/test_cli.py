@@ -266,6 +266,12 @@ def test_experiment_suite_files_and_determinism(tmp_path, capsys):
     assert all(a["replicates"] == 2 for a in aggregates)
 
 
+def test_experiment_replicates_default_to_the_suite(capsys):
+    assert main(["--scale", "0.02", "experiment", "--suite", "table1:infiniteU"]) == 0
+    aggregates = json.loads(capsys.readouterr().out)
+    assert [a["replicates"] for a in aggregates] == [5, 5, 5, 5]
+
+
 def test_ingest_requires_data(capsys):
     assert main(["ingest"]) == 2
     capsys.readouterr()

@@ -51,8 +51,26 @@ def test_suite_replicates_do_not_depend_on_selection():
 
 def test_fixture_raises_when_joins_cannot_fit():
     # 12 dense x 1 sparse node give 12 cross pairs; c=1 asks for 30
-    with pytest.raises(CapacityError, match="0/30"):
+    with pytest.raises(CapacityError, match="cannot place 30 distinct cross edges between 12 x 1"):
         build_temporal_fixture(sizes=[(12, 1)], c=1.0)
+
+
+# the second case has no dense edges at all, so it places no joins
+@pytest.mark.parametrize("sizes", [[(10, 20), (10, 30), (25, 60), (40, 60)], [(1, 5), (1, 10)]])
+def test_fixture_joins_accumulate_to_target(sizes):
+    c = 0.7
+    events = build_temporal_fixture("mass:[0.5,0.3]", "exp_sum", sizes, c=c, seed=5)
+    dense = [t for a, b, t in events if a[0] == b[0] == "d"]
+    joins = [(a, b, t) for a, b, t in events if a[0] == "d" and b[0] != "d"]
+    for step, (n_d, m_s) in enumerate(sizes, start=1):
+        m_dense = sum(t <= step for t in dense)
+        placed = [(int(a[1:]), b) for a, b, t in joins if t <= step]
+        assert len(placed) == int(np.floor(c * m_dense + 0.5))
+        assert len(set(placed)) == len(placed)
+        for a, b in placed:
+            # only leaves s<i> of the current step, never hubs or s<i>b
+            assert b[0] == "s" and b[1:].isdigit() and int(b[1:]) < m_s
+            assert a < n_d
 
 
 def test_fixture_shares_latents_with_sequence():

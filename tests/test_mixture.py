@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmix import (
     CapacityError,
@@ -18,6 +20,7 @@ from graphmix import (
     parse_mass_partition,
     star_forest,
 )
+from graphmix.mixture import _sample_cross_pairs
 
 U23 = parse_mass_partition("mass:[0.6666666666666666,0.3333333333333333]")
 W = parse_graphon("exp_sum")
@@ -92,6 +95,43 @@ def test_join_capacity_error():
     g_s, _ = star_forest([1])
     with pytest.raises(CapacityError):
         join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=10.0), np.random.default_rng(0))
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def grids_with_taken(draw):
+    """(n_d, n_s, taken codes, free pairs) for a partly filled pair grid."""
+    n_d, n_s = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    codes = draw(st.sets(st.integers(0, n_d * n_s - 1), min_size=1))
+    taken = np.asarray(draw(st.permutations(sorted(codes))), dtype=np.int64)
+    return n_d, n_s, taken, n_d * n_s - taken.size
+
+
+@PROPERTY
+@given(grids_with_taken(), st.data())
+def test_cross_pairs_avoid_taken(grid, data):
+    n_d, n_s, taken, free = grid
+    # keep half the grid free so the draw budget cannot run out
+    m_new = data.draw(st.integers(0, max(0, n_d * n_s // 2 - taken.size)))
+    pairs = _sample_cross_pairs(n_d, n_s, m_new, np.random.default_rng(taken.size), taken)
+    assert pairs.shape == (m_new, 2)
+    assert np.all((pairs >= 0) & (pairs < (n_d, n_s)))
+    codes = pairs[:, 0] * n_s + pairs[:, 1]
+    assert np.unique(codes).size == m_new
+    assert not np.isin(codes, taken).any()
+
+
+@PROPERTY
+@given(grids_with_taken(), st.integers(1, 20))
+def test_cross_pairs_beyond_free_capacity_raise_without_drawing(grid, excess):
+    n_d, n_s, taken, free = grid
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(CapacityError, match=f"cannot place {free + excess} "):
+        _sample_cross_pairs(n_d, n_s, free + excess, rng, taken)
+    assert rng.bit_generator.state == state
 
 
 def test_join_increment_per_dense_node():
