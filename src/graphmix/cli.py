@@ -293,7 +293,7 @@ def cmd_ingest(args) -> int:
     tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format)
     os.makedirs(out, exist_ok=True)
     report = {
-        "events": len(tel.events),
+        "events": tel.edge_t.size,
         "nodes": len(tel.node_ids),
         "t_min": tel.t_min,
         "t_max": tel.t_max,

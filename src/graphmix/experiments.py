@@ -292,8 +292,7 @@ def build_temporal_fixture(
     placed = np.empty((0, 2), dtype=np.int64)
     for t_idx, (n_d, m_s) in enumerate(sizes):
         target = _round_half_up(c * int(dense_edge_count_at[t_idx]))
-        taken = placed[:, 0] * m_s + placed[:, 1]
-        new = _sample_cross_pairs(n_d, m_s, target - len(placed), join_rng, taken)
+        new = _sample_cross_pairs(n_d, m_s, target - len(placed), join_rng, placed)
         placed = np.concatenate([placed, new])
         events.extend((f"d{a}", f"s{i}", t_idx + 1) for a, i in new.tolist())
     events.sort(key=lambda e: e[2])

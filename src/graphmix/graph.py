@@ -37,8 +37,11 @@ def _canonical_edges(node_count: int, edges) -> np.ndarray:
     raw = np.asarray(edges)
     if raw.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        arr = raw.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            arr = raw.astype(np.int64, copy=False)
+    except OverflowError:  # Python ints beyond int64
+        raise ValueError("edge endpoint out of range 0..node_count-1") from None
     if raw.dtype.kind not in "iub" and not np.array_equal(arr, raw):
         raise ValueError("edge endpoints must be integer values")
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -66,8 +69,8 @@ class Graph:
 
     def __init__(self, node_count: int, edges=()):
         node_count = int(node_count)
-        if node_count < 0:
-            raise ValueError("node_count must be >= 0")
+        if not 0 <= node_count < 2**63:
+            raise ValueError("node_count out of range 0..2**63-1")
         object.__setattr__(self, "node_count", node_count)
         arr = _canonical_edges(node_count, edges)
         arr.setflags(write=False)

@@ -51,7 +51,8 @@ class NodeOrigin(IntEnum):
     SPARSE_ISOLATED = 3
 
 
-# cross-pair sampling gives up after this many draws per joining edge
+# cross-pair sampling gives up after this many draws per joining edge,
+# scaled up by how full the pair grid gets
 COLLISION_RETRIES = 100
 
 
@@ -100,21 +101,24 @@ def _sample_cross_pairs(
     n_s: int,
     m_new: int,
     rng: np.random.Generator,
-    taken: np.ndarray = np.empty(0, dtype=np.int64),
+    taken: np.ndarray = np.empty((0, 2), dtype=np.int64),
 ) -> np.ndarray:
     """m_new distinct (dense, sparse) pairs, uniform via rejection.
 
-    taken holds the codes d * n_s + s of pairs already placed; only the
-    m_new new pairs are returned, none of them in taken.
+    taken holds the (d, s) pairs already placed; only the m_new new
+    pairs are returned, none of them in taken.  The draw budget grows
+    as the free part of the n_d x n_s grid shrinks.
     """
     if m_new == 0:
         return np.empty((0, 2), dtype=np.int64)
-    if m_new > n_d * n_s - taken.size:
+    taken = taken[:, 0] * n_s + taken[:, 1]  # pair codes d * n_s + s
+    free = n_d * n_s - taken.size
+    if m_new > free:
         raise CapacityError(
             f"cannot place {m_new} distinct cross edges between {n_d} x {n_s} "
             f"nodes ({taken.size} pairs already taken)"
         )
-    budget = COLLISION_RETRIES * m_new
+    budget = COLLISION_RETRIES * m_new * (n_d * n_s) // (free - m_new + 1)
     goal = taken.size + m_new
     codes = taken
     attempts = 0

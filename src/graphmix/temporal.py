@@ -2,14 +2,17 @@
 
 Real networks arrive as (u, v, t) events.  Parsing relabels node ids to
 dense integers in order of first appearance, drops self loops and
-malformed rows (keeping a reject log), and keeps the earliest timestamp
-per undirected pair.  Snapshots are cumulative: snapshot_at(t) contains
-every node and edge seen up to and including t, so earlier snapshots
-are induced prefixes of later ones.
+malformed rows (keeping a reject log in line order), and keeps the
+earliest timestamp per undirected pair.  Timestamps are integers that
+fit int64.  A TemporalEdgeList holds the node ids plus index arrays;
+its events are derived from them.  Snapshots are cumulative:
+snapshot_at(t) contains every node and edge seen up to and including t,
+so earlier snapshots are induced prefixes of later ones.
 """
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
@@ -39,13 +42,21 @@ class TemporalFormatError(ValueError):
 class TemporalEdgeList:
     """Cleaned events sorted by time, deduplicated to earliest-seen pairs."""
 
-    events: tuple  # (u_id, v_id, t) with original id strings
     node_ids: tuple  # dense index -> original id, in first-appearance order
-    rejects: tuple  # (line_number, reason)
+    rejects: tuple  # (line_number, reason), in line order
     edge_u: np.ndarray = field(repr=False)  # dense endpoint indexes
     edge_v: np.ndarray = field(repr=False)
     edge_t: np.ndarray = field(repr=False)
     node_first_t: np.ndarray = field(repr=False)
+
+    @property
+    def events(self) -> tuple:
+        """(u_id, v_id, t) per kept event, with the original id strings."""
+        return tuple(self._id_rows())
+
+    def _id_rows(self):
+        ids = np.asarray(self.node_ids, dtype=object)
+        return zip(ids[self.edge_u].tolist(), ids[self.edge_v].tolist(), self.edge_t.tolist())
 
     @property
     def t_min(self) -> int:
@@ -56,61 +67,55 @@ class TemporalEdgeList:
         return int(self.edge_t[-1])
 
 
-def _parse_rows(lines: Iterable[str], fmt: str):
-    rows, rejects = [], []
-    if fmt == "csv3col":
-        import csv
-
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header is None:
-            return rows, rejects, 0
-        if [h.strip().lower() for h in header] != ["u", "v", "t"]:
-            raise TemporalFormatError("csv3col needs a 'u,v,t' header")
-        seen = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            seen += 1
-            if len(row) != 3:
-                rejects.append((lineno, "expected three columns"))
-                continue
-            rows.append((lineno, row[0].strip(), row[1].strip(), row[2].strip()))
-        return rows, rejects, seen
-    if fmt != "whitespace3col":
-        raise ValueError(f"unknown temporal format {fmt!r}")
-    seen = 0
-    for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        seen += 1
-        if len(parts) != 3:
-            rejects.append((lineno, "expected three columns"))
-            continue
-        rows.append((lineno, parts[0], parts[1], parts[2]))
-    return rows, rejects, seen
-
-
 def parse_edge_events(lines: Iterable[str], fmt: str = "whitespace3col") -> TemporalEdgeList:
     """Parse, clean and index a stream of "u v t" events.
+
+    Rows are whitespace-split, or for csv3col read as CSV after a
+    'u,v,t' header.  Blank rows are skipped; a row is rejected when it
+    has other than three columns, a timestamp that is not an integer
+    inside int64, or u == v.  Among the rest, sorted stably by time, the
+    first row of each unordered pair is kept.
 
     Raises TemporalFormatError when more than 10% of data rows are
     unusable, and ValueError when nothing usable remains at all.
     """
-    rows, rejects, seen = _parse_rows(lines, fmt)
-    parsed = []
-    for lineno, u, v, t in rows:
+    if fmt == "csv3col":
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is not None and [h.strip().lower() for h in header] != ["u", "v", "t"]:
+            raise TemporalFormatError("csv3col needs a 'u,v,t' header")
+        rows, first_line = ([c.strip() for c in row] for row in reader), 2
+    elif fmt == "whitespace3col":
+        rows, first_line = (raw.split() for raw in lines), 1
+    else:
+        raise ValueError(f"unknown temporal format {fmt!r}")
+
+    index: dict[str, int] = {}  # id -> provisional index, in line order
+    eu, ev, et, rejects = [], [], [], []
+    seen = 0
+    for lineno, row in enumerate(rows, start=first_line):
+        if not any(row):
+            continue
+        seen += 1
+        if len(row) != 3:
+            rejects.append((lineno, "expected three columns"))
+            continue
+        u, v, t_text = row
         try:
-            t_int = int(t)
+            t = int(t_text)
         except ValueError:
-            rejects.append((lineno, f"non-integer timestamp {t!r}"))
+            rejects.append((lineno, f"non-integer timestamp {t_text!r}"))
+            continue
+        if not -(2**63) <= t < 2**63:
+            rejects.append((lineno, f"timestamp {t_text!r} outside int64"))
             continue
         if u == v:
             rejects.append((lineno, f"self loop at node {u!r}"))
             continue
-        parsed.append((u, v, t_int))
-    if seen == 0 or not parsed:
+        eu.append(index.setdefault(u, len(index)))
+        ev.append(index.setdefault(v, len(index)))
+        et.append(t)
+    if seen == 0 or not et:
         raise ValueError("no usable edge events in input")
     if len(rejects) > 0.10 * seen:
         raise TemporalFormatError(
@@ -118,42 +123,31 @@ def parse_edge_events(lines: Iterable[str], fmt: str = "whitespace3col") -> Temp
         )
     for lineno, reason in rejects:
         log.warning("rejected line %d: %s", lineno, reason)
-    parsed.sort(key=lambda e: e[2])  # stable: input order preserved within t
-    index: dict[str, int] = {}
-    node_ids: list[str] = []
-    node_first_t: list[int] = []
-    events = []
-    pair_seen = set()
-    eu, ev, et = [], [], []
-    for u, v, t in parsed:
-        key = (u, v) if u <= v else (v, u)
-        if key in pair_seen:
-            continue
-        pair_seen.add(key)
-        for ident in (u, v):
-            if ident not in index:
-                index[ident] = len(node_ids)
-                node_ids.append(ident)
-                node_first_t.append(t)
-        events.append((u, v, t))
-        eu.append(index[u])
-        ev.append(index[v])
-        et.append(t)
+
+    eu, ev, et = (np.asarray(c, dtype=np.int64) for c in (eu, ev, et))
+    order = np.argsort(et, kind="stable")  # input order preserved within t
+    pair = np.minimum(eu, ev) * len(index) + np.maximum(eu, ev)
+    _, first = np.unique(pair[order], return_index=True)
+    keep = order[np.sort(first)]
+    eu, ev, et = eu[keep], ev[keep], et[keep]
+    # every provisional index occurs in a kept event, so this ranks them all
+    _, first_end = np.unique(np.column_stack([eu, ev]).ravel(), return_index=True)
+    appearance = np.argsort(first_end)
+    relabel = np.argsort(appearance)
+    ids = list(index)
     return TemporalEdgeList(
-        events=tuple(events),
-        node_ids=tuple(node_ids),
+        node_ids=tuple(ids[i] for i in appearance.tolist()),
         rejects=tuple(rejects),
-        edge_u=np.asarray(eu, dtype=np.int64),
-        edge_v=np.asarray(ev, dtype=np.int64),
-        edge_t=np.asarray(et, dtype=np.int64),
-        node_first_t=np.asarray(node_first_t, dtype=np.int64),
+        edge_u=relabel[eu],
+        edge_v=relabel[ev],
+        edge_t=et,
+        node_first_t=et[first_end[appearance] // 2],
     )
 
 
 def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:
     """Whitespace "u v t" rows of the cleaned events (round-trips)."""
-    for u, v, t in tel.events:
-        fobj.write(f"{u} {v} {t}\n")
+    fobj.writelines(f"{u} {v} {t}\n" for u, v, t in tel._id_rows())
 
 
 def snapshot_at(tel: TemporalEdgeList, t: int) -> Graph:

@@ -240,6 +240,24 @@ def test_predict_out_of_range_is_data_error(capsys):
     assert "no evaluable" in capsys.readouterr().err
 
 
+def test_integers_beyond_int64_are_input_errors(tmp_path, capsys):
+    big = "99999999999999999999"
+    for name, text in (("endpoint.edges", f"n 3\n0 1\n1 {big}\n"), ("count.edges", f"n {big}\n0 1\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["estimate", "--input", str(path)]) == 2
+    events = tmp_path / "big.events"
+    events.write_text(f"a b 1\nb c {big}\na c 2\n")  # 1 of 3 rows rejected: above 10%
+    argv = ["predict", "--data", str(events), "--train-times", "1", "--horizons", "1", "--k", "1"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("error: ") for line in lines)
+    assert "out of range" in lines[0] and "out of range" in lines[1]
+    assert "Traceback" not in err
+
+
 def test_predict_bad_times_flag(capsys):
     code = main(
         ["predict", "--data", FIXTURE, "--train-times", "six", "--horizons", "0"]

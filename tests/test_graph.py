@@ -194,6 +194,13 @@ def test_read_edge_list_errors():
         read_edge_list(["n 2", "0 5"])
 
 
+def test_read_edge_list_rejects_integers_beyond_int64():
+    big = "99999999999999999999"
+    for lines in (["n 3", f"0 {big}"], [f"n {big}", "0 1"]):
+        with pytest.raises(GraphFormatError, match="out of range"):
+            read_edge_list(lines)
+
+
 def test_read_edge_list_skips_blank_lines():
     g = read_edge_list(["", "n 3", "", "0 1", "  ", "1 2"])
     assert g == Graph(3, [(0, 1), (1, 2)])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from graphmix import (
@@ -61,9 +61,6 @@ def reference_line_graph(g):
     return Graph(g.edge_count, pairs)
 
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
-
-
 @st.composite
 def graphs(draw, max_nodes=40):
     n = draw(st.integers(0, max_nodes))
@@ -87,7 +84,6 @@ def relabelled_cliques(draw):
     return Graph(n, edges), sizes, perm
 
 
-@PROPERTY
 @given(graphs())
 def test_component_labels_match_union_find(g):
     labels = component_labels(g)
@@ -99,7 +95,6 @@ def test_component_labels_match_union_find(g):
     assert np.array_equal(labels[labels], labels)
 
 
-@PROPERTY
 @given(graphs())
 def test_line_graph_matches_reference(g):
     if g.edge_count == 0:
@@ -110,7 +105,6 @@ def test_line_graph_matches_reference(g):
     assert lg.edge_count == int((deg * (deg - 1) // 2).sum())
 
 
-@PROPERTY
 @given(relabelled_cliques(), st.data())
 def test_decompose_relabelled_cliques(case, data):
     h, sizes, perm = case

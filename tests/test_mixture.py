@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from graphmix import (
@@ -97,33 +97,36 @@ def test_join_capacity_error():
         join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=10.0), np.random.default_rng(0))
 
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
-
-
 @st.composite
 def grids_with_taken(draw):
-    """(n_d, n_s, taken codes, free pairs) for a partly filled pair grid."""
+    """(n_d, n_s, taken pairs, free pairs) for a partly filled pair grid."""
     n_d, n_s = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    codes = draw(st.sets(st.integers(0, n_d * n_s - 1), min_size=1))
-    taken = np.asarray(draw(st.permutations(sorted(codes))), dtype=np.int64)
-    return n_d, n_s, taken, n_d * n_s - taken.size
+    cells = st.tuples(st.integers(0, n_d - 1), st.integers(0, n_s - 1))
+    pairs = draw(st.sets(cells, min_size=1))
+    taken = np.asarray(draw(st.permutations(sorted(pairs))), dtype=np.int64).reshape(-1, 2)
+    return n_d, n_s, taken, n_d * n_s - len(taken)
 
 
-@PROPERTY
 @given(grids_with_taken(), st.data())
 def test_cross_pairs_avoid_taken(grid, data):
     n_d, n_s, taken, free = grid
-    # keep half the grid free so the draw budget cannot run out
-    m_new = data.draw(st.integers(0, max(0, n_d * n_s // 2 - taken.size)))
-    pairs = _sample_cross_pairs(n_d, n_s, m_new, np.random.default_rng(taken.size), taken)
+    m_new = data.draw(st.integers(0, free))
+    pairs = _sample_cross_pairs(n_d, n_s, m_new, np.random.default_rng(len(taken)), taken)
     assert pairs.shape == (m_new, 2)
     assert np.all((pairs >= 0) & (pairs < (n_d, n_s)))
-    codes = pairs[:, 0] * n_s + pairs[:, 1]
-    assert np.unique(codes).size == m_new
-    assert not np.isin(codes, taken).any()
+    new = set(map(tuple, pairs.tolist()))
+    assert len(new) == m_new
+    assert not new & set(map(tuple, taken.tolist()))
 
 
-@PROPERTY
+def test_cross_pairs_find_the_last_free_pair():
+    # the draw budget grows with the fill, so one free pair of 64 is always found
+    taken = np.argwhere(np.ones((8, 8), dtype=bool))[:63]
+    for seed in range(200):
+        pairs = _sample_cross_pairs(8, 8, 1, np.random.default_rng(seed), taken)
+        assert pairs.tolist() == [[7, 7]]
+
+
 @given(grids_with_taken(), st.integers(1, 20))
 def test_cross_pairs_beyond_free_capacity_raise_without_drawing(grid, excess):
     n_d, n_s, taken, free = grid

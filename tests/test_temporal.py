@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphmix import (
     TemporalFormatError,
@@ -51,10 +53,25 @@ def test_parse_rejects_self_loops_under_cap():
 
 
 def test_parse_rejects_bad_timestamp_under_cap():
-    lines = [f"a{i} b{i} {i}" for i in range(1, 11)] + ["p q soon"]
+    for stamp, reason in (
+        ("soon", "non-integer timestamp"),
+        ("99999999999999999999", "outside int64"),
+        ("-9223372036854775809", "outside int64"),
+    ):
+        lines = [f"a{i} b{i} {i}" for i in range(1, 11)] + [f"p q {stamp}"]
+        tel = parse_edge_events(lines)
+        assert len(tel.rejects) == 1
+        assert reason in tel.rejects[0][1]
+
+
+def test_parse_rejects_in_line_order():
+    lines = [f"a{i} b{i} {i}" for i in range(1, 21)]
+    lines[2] = "z z 3"
+    lines[14] = "p q"
     tel = parse_edge_events(lines)
-    assert len(tel.rejects) == 1
-    assert "non-integer timestamp" in tel.rejects[0][1]
+    assert [ln for ln, _ in tel.rejects] == [3, 15]
+    assert "self loop" in tel.rejects[0][1]
+    assert "three columns" in tel.rejects[1][1]
 
 
 def test_parse_too_many_rejects():
@@ -160,3 +177,117 @@ def test_evaluation_rejects_bad_k():
     tel = parse_edge_events(STAR_LINES)
     with pytest.raises(ValueError):
         evaluation_run(tel, [1], [0], k=0)
+
+
+# ---------------------------------------------------------------------------
+# properties against a row-by-row reference of the parse_edge_events rules
+
+FORMATS = ["whitespace3col", "csv3col"]
+IDS = ["a", "b", "c", "d", "10", "2"]
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def reference_parse(lines, fmt):
+    """(events, node_ids, node_first_t, rejects) by the documented rules."""
+    start = 1
+    if fmt == "csv3col":
+        lines, start = lines[1:], 2  # after the u,v,t header
+    rejects, usable = [], []
+    for lineno, line in enumerate(lines, start):
+        cells = [c.strip() for c in line.split(",")] if fmt == "csv3col" else line.split()
+        if not any(cells):
+            continue
+        if len(cells) != 3:
+            rejects.append((lineno, "expected three columns"))
+            continue
+        u, v, t = cells
+        try:
+            t_int = int(t)
+        except ValueError:
+            rejects.append((lineno, f"non-integer timestamp {t!r}"))
+            continue
+        if not INT64_MIN <= t_int <= INT64_MAX:
+            rejects.append((lineno, f"timestamp {t!r} outside int64"))
+            continue
+        if u == v:
+            rejects.append((lineno, f"self loop at node {u!r}"))
+            continue
+        usable.append((t_int, lineno, u, v))
+    events, pairs = [], set()
+    for t, _, u, v in sorted(usable):  # by time, then line
+        if frozenset((u, v)) not in pairs:
+            pairs.add(frozenset((u, v)))
+            events.append((u, v, t))
+    first_t = {}
+    for u, v, t in events:
+        first_t.setdefault(u, t)
+        first_t.setdefault(v, t)
+    return events, list(first_t), list(first_t.values()), rejects
+
+
+@st.composite
+def event_lines(draw, fmt):
+    """Rows over a small id alphabet, rejects kept under the 10% cap."""
+    node = st.sampled_from(IDS)
+    stamp = st.one_of(st.integers(-3, 8), st.sampled_from([INT64_MIN, INT64_MAX]))
+    good = draw(
+        st.lists(
+            st.tuples(node, node, stamp.map(str)).filter(lambda r: r[0] != r[1]),
+            min_size=9,  # room for at least one reject
+            max_size=40,
+        )
+    )
+    bad_stamp = st.sampled_from(["soon", "1.5", str(INT64_MAX + 1), str(INT64_MIN - 1)])
+    bad = st.one_of(
+        node.map(lambda u: (u, u, "1")),
+        st.lists(node, min_size=1, max_size=2).map(tuple),
+        st.lists(node, min_size=4, max_size=4).map(tuple),
+        st.tuples(node, node, bad_stamp),
+    )
+    rows = good + draw(st.lists(bad, max_size=len(good) // 9))
+    rows += [()] * draw(st.integers(0, 3))  # blank rows
+    rows = draw(st.permutations(rows))
+    if fmt == "csv3col":
+        return ["u,v,t"] + [",".join(r) for r in rows]
+    sep = draw(st.sampled_from([" ", "\t", "   "]))
+    return [sep.join(r) + draw(st.sampled_from(["", "\n", "  "])) for r in rows]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(data=st.data())
+def test_parse_matches_reference(fmt, data):
+    lines = data.draw(event_lines(fmt))
+    tel = parse_edge_events(lines, fmt=fmt)
+    events, node_ids, first_t, rejects = reference_parse(lines, fmt)
+    assert tel.events == tuple(events)
+    assert tel.node_ids == tuple(node_ids)
+    assert tel.rejects == tuple(rejects)
+    index = {x: i for i, x in enumerate(node_ids)}
+    assert tel.edge_u.tolist() == [index[u] for u, _, _ in events]
+    assert tel.edge_v.tolist() == [index[v] for _, v, _ in events]
+    assert tel.edge_t.tolist() == [t for _, _, t in events]
+    assert tel.node_first_t.tolist() == first_t
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(data=st.data())
+def test_serialize_round_trips_and_snapshots_nest(fmt, data):
+    tel = parse_edge_events(data.draw(event_lines(fmt)), fmt=fmt)
+    buf = io.StringIO()
+    serialize_edge_events(tel, buf)
+    again = parse_edge_events(buf.getvalue().splitlines())
+    assert again.rejects == ()
+    assert again.events == tel.events and again.node_ids == tel.node_ids
+    for name in ("edge_u", "edge_v", "edge_t", "node_first_t"):
+        assert np.array_equal(getattr(again, name), getattr(tel, name))
+
+    prev_edges, prev_nodes = set(), 0
+    for t in [tel.t_min - 1] + sorted(set(tel.edge_t.tolist())):
+        g = snapshot_at(tel, t)
+        edges = set(map(tuple, g.edges.tolist()))
+        seen = [e for e in tel.events if e[2] <= t]
+        assert len(edges) == len(seen)
+        assert g.node_count == len({x for u, v, _ in seen for x in (u, v)})
+        assert prev_edges <= edges and prev_nodes <= g.node_count
+        prev_edges, prev_nodes = edges, g.node_count
+    assert prev_nodes == len(tel.node_ids)
