@@ -9,6 +9,7 @@ nodes are allowed and matter (they enter node counts and densities).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -33,33 +34,54 @@ class GraphFormatError(ValueError):
     """Raised when an edge-list file cannot be parsed."""
 
 
-def _canonical_edges(node_count: int, edges) -> np.ndarray:
-    raw = np.asarray(edges)
-    if raw.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
+# largest node count whose pair keys lo * n + hi stay below 2**63
+_KEY_NODE_LIMIT = 3_037_000_499
+
+
+def _endpoint_array(raw: np.ndarray) -> np.ndarray:
+    """raw as int64, or ValueError for non-integer or beyond-int64 values."""
+    if raw.dtype.kind == "f":
+        # Python ints in 2**63..2**64-1 mixed with small ones arrive as float64
+        if not np.all(np.isfinite(raw) & (np.floor(raw) == raw)):
+            raise ValueError("edge endpoints must be integer values")
+        if np.any(np.abs(raw) >= 2.0**63):
+            raise ValueError("edge endpoint out of range 0..node_count-1")
     try:
         with np.errstate(invalid="ignore"):
             arr = raw.astype(np.int64, copy=False)
     except OverflowError:  # Python ints beyond int64
         raise ValueError("edge endpoint out of range 0..node_count-1") from None
-    if raw.dtype.kind not in "iub" and not np.array_equal(arr, raw):
+    if raw.dtype.kind not in "iubf" and not np.array_equal(arr, raw):
         raise ValueError("edge endpoints must be integer values")
+    return arr
+
+
+def _canonical_edges(node_count: int, edges) -> np.ndarray:
+    """Rows (min, max), sorted and distinct, as one sorted int64 key per edge."""
+    raw = np.asarray(edges)
+    if raw.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    arr = _endpoint_array(raw)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be an iterable of (u, v) pairs")
-    if arr.min() < 0 or arr.max() >= node_count:
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    if lo.min() < 0 or hi.max() >= node_count:
         raise ValueError("edge endpoint out of range 0..node_count-1")
-    lo = arr.min(axis=1)
-    hi = arr.max(axis=1)
     if np.any(lo == hi):
         raise ValueError("self loops are not allowed")
-    arr = np.column_stack([lo, hi])
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    dup = (arr[1:] == arr[:-1]).all(axis=1)
+    if node_count <= _KEY_NODE_LIMIT:
+        # key order is lexicographic (lo, hi) order
+        key = np.sort(lo * node_count + hi)
+        lo, hi = np.divmod(key, node_count)
+    else:
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+    dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
     if dup.any():
-        u, v = arr[1:][dup][0]
-        raise ValueError(f"duplicate edge ({u}, {v})")
-    return arr
+        i = int(dup.argmax()) + 1
+        raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
+    return np.column_stack([lo, hi])
 
 
 class Graph:
@@ -158,11 +180,20 @@ class DegreeSpectrum:
         return int(self.sorted_degrees.size)
 
 
-def degree_spectrum(g: Graph) -> DegreeSpectrum:
-    deg = g.degrees()
+def _distinct_sorted(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a sorted array, in its order (sort-and-mask, no hashing)."""
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _spectrum_from_degrees(deg: np.ndarray) -> DegreeSpectrum:
     sd = np.sort(deg)[::-1]
-    ud = np.unique(deg)[::-1]
-    return DegreeSpectrum(sorted_degrees=sd, unique_degrees=ud)
+    return DegreeSpectrum(sorted_degrees=sd, unique_degrees=_distinct_sorted(sd))
+
+
+def degree_spectrum(g: Graph) -> DegreeSpectrum:
+    return _spectrum_from_degrees(g.degrees())
 
 
 def edge_density(g: Graph) -> float:
@@ -194,14 +225,52 @@ def top_k_degrees(spectrum: DegreeSpectrum, k: int) -> np.ndarray:
     return spectrum.sorted_degrees[:k].copy()
 
 
+# edge rows formatted per write call; bounds the temporary text and ints
+_WRITE_ROWS = 1 << 16
+
+
 def write_edge_list(g: Graph, fobj: TextIO) -> None:
     """Text format: header line "n <node_count>", then one "u v" per edge."""
     fobj.write(f"n {g.node_count}\n")
-    for u, v in g.edges:
-        fobj.write(f"{u} {v}\n")
+    for start in range(0, g.edge_count, _WRITE_ROWS):
+        rows = g.edges[start : start + _WRITE_ROWS]
+        fobj.write("%d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
+
+
+def _bulk_edges(body: list[str]) -> np.ndarray | None:
+    """All edge rows parsed at once, or None if any line needs the line scan."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            arr = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return arr if arr.shape[1] == 2 else None
+
+
+def _scan_edges(body: list[str]) -> list[tuple[int, int]]:
+    """Edge rows line by line; errors name the line (the header is line 1)."""
+    edges = []
+    for lineno, raw in enumerate(body, start=2):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'u v'")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+    return edges
 
 
 def read_edge_list(lines: Iterable[str]) -> Graph:
+    """Parse the write_edge_list format.
+
+    The body is parsed in bulk; any line the bulk parse cannot take
+    (extra columns, non-integers, values beyond int64) sends the whole
+    body through the line scan, so format errors still name their line.
+    """
     it = iter(lines)
     header = None
     for raw in it:
@@ -216,17 +285,10 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
         n = int(header[1])
     except ValueError:
         raise GraphFormatError(f"bad node count {header[1]!r}") from None
-    edges = []
-    for lineno, raw in enumerate(it, start=2):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v'")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
+    body = list(it)
+    edges = _bulk_edges(body)
+    if edges is None:
+        edges = _scan_edges(body)
     try:
         return Graph(n, edges)
     except ValueError as exc:

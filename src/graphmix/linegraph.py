@@ -89,24 +89,18 @@ def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]
     star is hub first then its leaves; each isolated edge appends two
     fresh nodes.
     """
-    sizes = [int(c) for c in star_sizes]
-    if any(c < 1 for c in sizes):
+    sizes = np.asarray(star_sizes, dtype=np.int64)
+    if np.any(sizes < 1):
         raise ValueError("star sizes must be >= 1")
     if isolated_edges < 0:
         raise ValueError("isolated_edges must be >= 0")
-    hubs = np.empty(len(sizes), dtype=np.int64)
-    chunks = []
-    node = 0
-    for i, c in enumerate(sizes):
-        hubs[i] = node
-        leaves = np.arange(node + 1, node + 1 + c, dtype=np.int64)
-        chunks.append(np.column_stack([np.full(c, node, dtype=np.int64), leaves]))
-        node += c + 1
-    for _ in range(isolated_edges):
-        chunks.append(np.array([[node, node + 1]], dtype=np.int64))
-        node += 2
-    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    return Graph(node, edges), hubs
+    hubs = np.cumsum(sizes + 1) - (sizes + 1)
+    # leaf slots 0..sum(sizes)-1 skip one hub node per star started so far
+    leaves = np.arange(sizes.sum()) + np.repeat(np.arange(1, sizes.size + 1), sizes)
+    tail = sizes.sum() + sizes.size
+    pairs = tail + np.arange(2 * isolated_edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.concatenate([np.column_stack([np.repeat(hubs, sizes), leaves]), pairs])
+    return Graph(tail + 2 * isolated_edges, edges), hubs
 
 
 def inverse_line_graph_disjoint(h: Graph) -> Graph:

@@ -23,7 +23,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .graph import Graph, component_labels, edge_density
+from .graph import Graph, _distinct_sorted, component_labels, edge_density
 from .graphon import CapacityError, Graphon, _graph_from_latents
 from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
@@ -132,7 +132,7 @@ def _sample_cross_pairs(
         d = rng.integers(0, n_d, batch)
         s = rng.integers(0, n_s, batch)
         attempts += batch
-        codes = np.unique(np.concatenate([codes, d * n_s + s]))
+        codes = _distinct_sorted(np.sort(np.concatenate([codes, d * n_s + s])))
     codes = np.setdiff1d(codes, taken, assume_unique=True)
     return np.column_stack([codes // n_s, codes % n_s])
 

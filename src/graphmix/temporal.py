@@ -19,7 +19,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .graph import Graph, degree_spectrum
+from .graph import Graph, _spectrum_from_degrees
 from .estimators import forecast_top_k, mape
 
 __all__ = [
@@ -150,13 +150,24 @@ def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:
     fobj.writelines(f"{u} {v} {t}\n" for u, v, t in tel._id_rows())
 
 
+def _prefix_at(tel: TemporalEdgeList, t: int) -> tuple[int, int]:
+    """(edges, nodes) seen up to and including time t."""
+    pos = int(np.searchsorted(tel.edge_t, t, side="right"))
+    return pos, int(np.searchsorted(tel.node_first_t, t, side="right"))
+
+
 def snapshot_at(tel: TemporalEdgeList, t: int) -> Graph:
     """Cumulative graph of everything seen up to and including time t."""
-    pos = int(np.searchsorted(tel.edge_t, t, side="right"))
-    n = int(np.searchsorted(tel.node_first_t, t, side="right"))
+    pos, n = _prefix_at(tel, t)
     if pos == 0:
         log.warning("snapshot at t=%s predates the first event", t)
     return Graph(n, np.column_stack([tel.edge_u[:pos], tel.edge_v[:pos]]))
+
+
+def _degrees_at(tel: TemporalEdgeList, t: int) -> np.ndarray:
+    """snapshot_at(tel, t).degrees(), without building the graph."""
+    pos, n = _prefix_at(tel, t)
+    return np.bincount(np.concatenate([tel.edge_u[:pos], tel.edge_v[:pos]]), minlength=n)
 
 
 def evaluation_run(
@@ -184,10 +195,8 @@ def evaluation_run(
                     tt, h, tel.t_min, tel.t_max,
                 )
                 continue
-            g_train = snapshot_at(tel, tt)
-            g_test = snapshot_at(tel, te)
-            spec_train = degree_spectrum(g_train)
-            spec_test = degree_spectrum(g_test)
+            spec_train = _spectrum_from_degrees(_degrees_at(tel, tt))
+            spec_test = _spectrum_from_degrees(_degrees_at(tel, te))
             if k > spec_train.node_count or k > spec_test.node_count:
                 log.warning(
                     "skipping train_t=%s horizon=%s: fewer than k=%d nodes", tt, h, k
@@ -198,8 +207,8 @@ def evaluation_run(
                 {
                     "train_t": tt,
                     "horizon": h,
-                    "n_train": g_train.node_count,
-                    "n_test": g_test.node_count,
+                    "n_train": spec_train.node_count,
+                    "n_test": spec_test.node_count,
                     "mape_proposed": mape(actual, prop),
                     "mape_baseline": mape(actual, base),
                 }

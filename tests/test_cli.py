@@ -242,7 +242,12 @@ def test_predict_out_of_range_is_data_error(capsys):
 
 def test_integers_beyond_int64_are_input_errors(tmp_path, capsys):
     big = "99999999999999999999"
-    for name, text in (("endpoint.edges", f"n 3\n0 1\n1 {big}\n"), ("count.edges", f"n {big}\n0 1\n")):
+    files = (
+        ("endpoint.edges", f"n 3\n0 1\n1 {big}\n"),
+        ("count.edges", f"n {big}\n0 1\n"),
+        ("uint64.edges", f"n 5\n0 1\n1 {2**63}\n"),  # beyond int64, inside uint64
+    )
+    for name, text in files:
         path = tmp_path / name
         path.write_text(text)
         assert main(["estimate", "--input", str(path)]) == 2
@@ -252,9 +257,9 @@ def test_integers_beyond_int64_are_input_errors(tmp_path, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     lines = err.strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert all(line.startswith("error: ") for line in lines)
-    assert "out of range" in lines[0] and "out of range" in lines[1]
+    assert all("out of range" in line for line in lines[:3])
     assert "Traceback" not in err
 
 

@@ -2,9 +2,13 @@
 
 import io
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphmix import (
     DegreeSpectrum,
@@ -18,6 +22,8 @@ from graphmix import (
     top_k_degrees,
     write_edge_list,
 )
+from graphmix import graph as graph_module
+from graphmix.graph import _KEY_NODE_LIMIT
 
 
 def complete_graph(n):
@@ -69,6 +75,69 @@ def test_graph_rejects_non_integer_endpoints():
     assert Graph(3, [(0.0, 1.0), (2.0, 1.0)]) == want
     for dtype in (np.int8, np.int32, np.uint16, np.int64):
         assert Graph(3, np.array([[0, 1], [2, 1]], dtype=dtype)) == want
+
+
+def test_graph_endpoints_beyond_int64_are_out_of_range():
+    # a Python list mixing such ints with small ones arrives as float64
+    for big in (2**63, 2**64 - 1, 2**64):
+        with pytest.raises(ValueError, match="out of range 0..node_count-1"):
+            Graph(5, [(0, 1), (1, big)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(5, np.array([[0, 1], [1, 2**63]], dtype=np.uint64))
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(5, [(0.0, 1.0), (1.0, 1e30)])
+    with pytest.raises(ValueError, match="integer"):
+        Graph(5, [(0.0, 1.0), (1.0, math.inf)])
+
+
+# node counts on both sides of the largest one whose pair keys fit int64
+NODE_COUNTS = st.one_of(
+    st.integers(2, 40),
+    st.integers(_KEY_NODE_LIMIT - 2, _KEY_NODE_LIMIT + 2),
+    st.integers(_KEY_NODE_LIMIT + 3, 2**63 - 1),
+)
+
+
+@st.composite
+def distinct_edge_sets(draw, min_size=0):
+    """(n, sorted distinct (lo, hi) pairs, the same pairs shuffled and partly flipped)."""
+    n = draw(NODE_COUNTS)
+    ends = st.integers(0, n - 1) if n <= 40 else st.sampled_from([0, 1, 2, n // 2, n - 2, n - 1])
+    pairs = draw(
+        st.sets(
+            st.tuples(ends, ends).filter(lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p))),
+            min_size=min_size,
+            max_size=40,
+        )
+    )
+    rows = [p[::-1] if draw(st.booleans()) else p for p in draw(st.permutations(sorted(pairs)))]
+    return n, sorted(pairs), rows
+
+
+@given(distinct_edge_sets())
+def test_graph_edges_are_the_sorted_pair_set(case):
+    n, want, rows = case
+    g = Graph(n, rows)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (len(want), 2)
+    assert [tuple(r) for r in g.edges.tolist()] == want
+
+
+@given(distinct_edge_sets(min_size=1), st.data())
+def test_graph_names_the_smallest_duplicate(case, data):
+    n, pairs, rows = case
+    again = data.draw(st.lists(st.sampled_from(pairs), min_size=1))
+    rows = data.draw(st.permutations(rows + [p[::-1] if data.draw(st.booleans()) else p for p in again]))
+    u, v = min(again)
+    with pytest.raises(ValueError, match=re.escape(f"duplicate edge ({u}, {v})")):
+        Graph(n, rows)
+
+
+def test_graph_beyond_int64_pair_keys():
+    n = 4_000_000_000  # n * n overflows int64, so the rows are sorted as pairs
+    g = Graph(n, [(3_999_999_999, 0), (1, 2)])
+    assert g.edges.tolist() == [[0, 3_999_999_999], [1, 2]]
+    with pytest.raises(ValueError, match=re.escape("duplicate edge (1, 3999999999)")):
+        Graph(n, [(3_999_999_999, 1), (0, 5), (1, 3_999_999_999)])
 
 
 def test_graph_is_immutable():
@@ -204,3 +273,57 @@ def test_read_edge_list_rejects_integers_beyond_int64():
 def test_read_edge_list_skips_blank_lines():
     g = read_edge_list(["", "n 3", "", "0 1", "  ", "1 2"])
     assert g == Graph(3, [(0, 1), (1, 2)])
+
+
+ENDPOINT_TEXT = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["+3", "07", "1_0", "1.0", "2e0", "a", "#", "0x1", "\u0663",
+                     str(2**63 - 1), str(2**63), str(2**64)]),
+)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0c", "\xa0"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text: "u v" rows, some out of range or repeated, plus odd rows anywhere."""
+    n = draw(st.integers(0, 9))
+    ends = st.integers(0, n)
+    row = st.tuples(ends, SEPARATORS, ends).filter(lambda r: r[0] != r[2])
+    odd = st.one_of(
+        st.tuples(ENDPOINT_TEXT, SEPARATORS, ENDPOINT_TEXT).map("".join),
+        st.lists(ENDPOINT_TEXT, min_size=1, max_size=4).map(" ".join),
+        st.sampled_from(["", "   ", "#", "# 0 1", "0 1 #", "1 1"]),
+    )
+    rows = draw(st.lists(row, max_size=12))
+    if rows:  # repeat a few rows, flipped
+        rows += [r[::-1] for r in draw(st.lists(st.sampled_from(rows), max_size=2))]
+    body = [f"{u}{sep}{v}" for u, sep, v in rows]
+    for line in draw(st.lists(odd, max_size=3)):
+        body.insert(draw(st.integers(0, len(body))), line)
+    pad = draw(st.sampled_from(["", " ", "\r"]))
+    return "".join(f"{line}{pad}\n" for line in [f"n {n}"] + body)
+
+
+def read_outcome(lines):
+    try:
+        return read_edge_list(lines)
+    except GraphFormatError as exc:
+        return type(exc), str(exc)
+
+
+@given(edge_list_texts(), st.booleans())
+def test_bulk_read_matches_line_scan(text, keepends):
+    lines = text.splitlines(keepends)
+    with mock.patch.object(graph_module, "_bulk_edges", lambda body: None):
+        want = read_outcome(lines)
+    assert read_outcome(lines) == want
+
+
+def test_bulk_read_takes_whole_files():
+    g = random_graph(np.random.default_rng(13))
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    lines = io.StringIO(buf.getvalue() + "\n").readlines()
+    rows = graph_module._bulk_edges(lines[1:])
+    assert rows is not None and np.array_equal(rows, g.edges)
+    assert graph_module._bulk_edges(["0 1 2\n"]) is None

@@ -197,6 +197,29 @@ def test_star_forest_layout():
         star_forest([2], isolated_edges=-1)
 
 
+def star_forest_by_loops(star_sizes, isolated_edges):
+    """Star forest built one star and one isolated edge at a time, the reference."""
+    hubs, edges, node = [], [], 0
+    for c in star_sizes:
+        hubs.append(node)
+        edges += [(node, node + 1 + j) for j in range(c)]
+        node += c + 1
+    for _ in range(isolated_edges):
+        edges.append((node, node + 1))
+        node += 2
+    return Graph(node, edges), np.asarray(hubs, dtype=np.int64)
+
+
+@given(st.lists(st.integers(1, 9), max_size=12), st.integers(0, 6))
+def test_star_forest_matches_loop_construction(sizes, iso):
+    g, hubs = star_forest(sizes, isolated_edges=iso)
+    want_g, want_hubs = star_forest_by_loops(sizes, iso)
+    assert g == want_g
+    assert hubs.dtype == want_hubs.dtype and np.array_equal(hubs, want_hubs)
+    # the numpy count array generate_mixture passes builds the same forest
+    assert star_forest(np.asarray(sizes, dtype=np.int64), isolated_edges=np.int64(iso))[0] == g
+
+
 def test_inverse_of_single_clique():
     g = inverse_line_graph_disjoint(complete_graph(5))
     assert g.node_count == 6 and g.edge_count == 5

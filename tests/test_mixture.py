@@ -1,8 +1,10 @@
 """Mixture generation, joining rules, coupled sequences, and schedules."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from graphmix import (
@@ -135,6 +137,69 @@ def test_cross_pairs_beyond_free_capacity_raise_without_drawing(grid, excess):
     with pytest.raises(CapacityError, match=f"cannot place {free + excess} "):
         _sample_cross_pairs(n_d, n_s, free + excess, rng, taken)
     assert rng.bit_generator.state == state
+
+
+@st.composite
+def join_inputs(draw):
+    """A dense graph, a star forest and a multiplier c, with room for the cross edges."""
+    n_d = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(n_d) for b in range(a + 1, n_d)]
+    dense = Graph(n_d, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    sparse, _ = star_forest(draw(st.lists(st.integers(1, 6), max_size=4)), draw(st.integers(0, 3)))
+    assume(sparse.node_count > 0)
+    c = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    assume(math.floor(c * dense.edge_count + 0.5) <= n_d * sparse.node_count)
+    return dense, sparse, c
+
+
+@given(join_inputs(), st.integers(0, 2**32 - 1))
+def test_join_conserves_parts_and_adds_m_new_cross_edges(parts, seed):
+    g_d, g_s, c = parts
+    mix = join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=c), np.random.default_rng(seed))
+    n_d = g_d.node_count
+    assert mix.graph.node_count == n_d + g_s.node_count
+    assert mix.graph.edge_count == g_d.edge_count + g_s.edge_count + mix.m_new
+    assert mix.m_new == math.floor(c * g_d.edge_count + 0.5)
+    e = mix.graph.edges  # canonical rows: lo < hi
+    dense, sparse = e[e[:, 1] < n_d], e[e[:, 0] >= n_d]
+    cross = e[(e[:, 0] < n_d) & (e[:, 1] >= n_d)]
+    assert np.array_equal(dense, g_d.edges)
+    assert np.array_equal(sparse - n_d, g_s.edges)
+    assert cross.shape == (mix.m_new, 2)
+    assert len({tuple(r) for r in cross.tolist()}) == mix.m_new
+
+
+def sparse_star_sizes(mix):
+    """Sparse-side degree of every hub, by partition index."""
+    e = mix.graph.edges
+    sparse_deg = np.bincount(e[e[:, 0] >= mix.n_dense].ravel(), minlength=mix.graph.node_count)
+    return {j: int(sparse_deg[hub]) for j, hub in mix.hubs.items()}
+
+
+@st.composite
+def growing_sizes(draw):
+    steps = draw(st.integers(2, 3))
+    n_d = sorted(draw(st.lists(st.integers(1, 40), min_size=steps, max_size=steps)))
+    # m_s >= n_d leaves room for c * m_dense <= n_d^2 / 2 cross edges
+    m_s = sorted(draw(st.lists(st.integers(40, 150), min_size=steps, max_size=steps)))
+    return list(zip(n_d, m_s))
+
+
+@given(growing_sizes(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0]))
+def test_sequence_members_nest_property(sizes, seed, c):
+    seq = MixtureSequence(U23, W, sizes, cfg=JoinConfig(edge_multiplier_c=c), seed=seed)
+    members = list(seq)
+    for a, b in zip(members, members[1:]):
+        n = a.n_dense
+        ea, eb = a.graph.edges, b.graph.edges
+        # dense edges: member a's are exactly member b's among a's dense nodes
+        assert np.array_equal(ea[ea[:, 1] < n], eb[eb[:, 1] < n])
+        # clique labels are a prefix: realized cliques and their sizes only grow
+        size_a, size_b = sparse_star_sizes(a), sparse_star_sizes(b)
+        assert set(size_a) <= set(size_b)
+        assert all(size_a[j] <= size_b[j] for j in size_a)
+        isolated = [np.sum(x.node_origin == NodeOrigin.SPARSE_ISOLATED) for x in (a, b)]
+        assert isolated[0] <= isolated[1]
 
 
 def test_join_increment_per_dense_node():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from graphmix import (
     TemporalFormatError,
+    degree_spectrum,
     evaluation_run,
+    forecast_top_k,
     parse_edge_events,
     serialize_edge_events,
     snapshot_at,
@@ -291,3 +293,22 @@ def test_serialize_round_trips_and_snapshots_nest(fmt, data):
         assert prev_edges <= edges and prev_nodes <= g.node_count
         prev_edges, prev_nodes = edges, g.node_count
     assert prev_nodes == len(tel.node_ids)
+
+
+@given(data=st.data())
+def test_evaluation_forecasts_from_snapshot_spectra(data):
+    tel = parse_edge_events(data.draw(event_lines("whitespace3col")))
+    times = sorted(set(tel.edge_t.tolist()))
+    tt = data.draw(st.sampled_from(times))
+    te = data.draw(st.sampled_from([t for t in times if t >= tt]))
+    k = data.draw(st.integers(1, 4))
+    summary, detail = evaluation_run(tel, [tt], [te - tt], k)
+    g_train, g_test = snapshot_at(tel, tt), snapshot_at(tel, te)
+    if k > g_train.node_count:
+        assert summary == [] and detail == []
+        return
+    actual, prop, base = forecast_top_k(degree_spectrum(g_train), degree_spectrum(g_test), k)
+    assert (summary[0]["n_train"], summary[0]["n_test"]) == (g_train.node_count, g_test.node_count)
+    assert [r["actual"] for r in detail] == actual.tolist()
+    assert [r["predicted_proposed"] for r in detail] == prop.tolist()
+    assert [r["predicted_baseline"] for r in detail] == base.tolist()
