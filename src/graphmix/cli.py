@@ -41,15 +41,20 @@ import numpy as np
 from .estimators import (
     AUTO_GAP_THRESHOLD,
     SegmentFit,
-    SmallDegreePolicy,
     estimate_partition,
     mape,
     retained_log_points,
 )
-from .graph import GraphFormatError, degree_spectrum, read_edge_list, write_edge_list
-from .graphon import CapacityError, parse_graphon
+from .graph import (
+    GraphFormatError,
+    degree_spectrum,
+    edge_density,
+    read_edge_list,
+    write_edge_list,
+)
+from .graphon import parse_graphon
 from .masspartition import parse_mass_partition
-from .mixture import JoinConfig, MixtureSequence, RatioSchedule, edge_density
+from .mixture import CapacityError, JoinConfig, MixtureSequence, RatioSchedule
 from .experiments import build_temporal_fixture, run_suite
 from .temporal import (
     TemporalFormatError,
@@ -173,18 +178,23 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    truth = None
+    if args.truth:
+        try:
+            truth = parse_mass_partition(args.truth)
+        except ValueError as exc:
+            raise ConfigError(f"bad --truth: {exc}") from None
     try:
         g = read_edge_list(_load_lines(args.input))
     except GraphFormatError as exc:
         raise ConfigError(f"bad graph file {args.input}: {exc}") from None
     spec = degree_spectrum(g)
-    policy = SmallDegreePolicy(max_unique=args.max_unique, percentile=args.percentile)
     try:
         est = estimate_partition(
             spec,
             mode=args.mode,
-            policy=policy,
-            percentile_c=args.percentile,
+            max_unique=args.max_unique,
+            percentile=args.percentile,
             min_seg=args.min_seg,
             gap_threshold=args.gap_threshold,
         )
@@ -208,8 +218,7 @@ def cmd_estimate(args) -> int:
         }
     elif diag is not None:
         result["diagnostics"] = {"log_gaps": [float(x) for x in diag]}
-    if args.truth:
-        truth = parse_mass_partition(args.truth)
+    if truth is not None:
         k_eval = min(est.k_hat, len(truth))
         result["mape_vs_truth"] = mape(truth.weights[:k_eval], est.weights[:k_eval])
     if args.plot_data:

@@ -226,6 +226,8 @@ def run_suite(
     suite = _SUITES[name]
     if replicates is None:
         replicates = suite.replicates
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     rows, aggregates = [], []
     for exp in experiments:
         args, label = suite.plan(exp, scale)

@@ -248,10 +248,10 @@ def _bulk_edges(body: list[str]) -> np.ndarray | None:
     return arr if arr.shape[1] == 2 else None
 
 
-def _scan_edges(body: list[str]) -> list[tuple[int, int]]:
-    """Edge rows line by line; errors name the line (the header is line 1)."""
+def _scan_edges(body: list[str], first_lineno: int) -> list[tuple[int, int]]:
+    """Edge rows line by line; errors name the line (body[0] is first_lineno)."""
     edges = []
-    for lineno, raw in enumerate(body, start=2):
+    for lineno, raw in enumerate(body, start=first_lineno):
         parts = raw.split()
         if not parts:
             continue
@@ -273,7 +273,7 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
     """
     it = iter(lines)
     header = None
-    for raw in it:
+    for header_lineno, raw in enumerate(it, start=1):
         if raw.strip():
             header = raw.split()
             break
@@ -288,7 +288,7 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
     body = list(it)
     edges = _bulk_edges(body)
     if edges is None:
-        edges = _scan_edges(body)
+        edges = _scan_edges(body, header_lineno + 1)
     try:
         return Graph(n, edges)
     except ValueError as exc:

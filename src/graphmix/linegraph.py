@@ -18,11 +18,9 @@ from .graph import Graph, component_labels
 __all__ = [
     "StructureError",
     "line_graph",
-    "CliqueDecomposition",
     "decompose_disjoint_cliques",
     "star_forest",
     "inverse_line_graph_disjoint",
-    "SequenceEvidence",
     "classify_sequence",
 ]
 
@@ -51,14 +49,14 @@ def line_graph(g: Graph) -> Graph:
 
 
 @dataclass(frozen=True)
-class CliqueDecomposition:
+class _CliqueDecomposition:
     """Clique sizes (non-increasing, sizes >= 2) plus isolated vertices."""
 
     clique_sizes: tuple[int, ...]
     isolated_count: int
 
 
-def decompose_disjoint_cliques(h: Graph) -> CliqueDecomposition:
+def decompose_disjoint_cliques(h: Graph) -> _CliqueDecomposition:
     """Split h into cliques, or fail naming a non-clique component.
 
     The error names the smallest node of the non-clique component whose
@@ -77,7 +75,7 @@ def decompose_disjoint_cliques(h: Graph) -> CliqueDecomposition:
             f"{int(e[i])} edges, not a clique"
         )
     sizes = np.sort(c[c >= 2])[::-1]
-    return CliqueDecomposition(
+    return _CliqueDecomposition(
         clique_sizes=tuple(sizes.tolist()), isolated_count=int(np.sum(c == 1))
     )
 
@@ -115,14 +113,14 @@ def inverse_line_graph_disjoint(h: Graph) -> Graph:
 
 
 @dataclass(frozen=True)
-class SequenceEvidence:
+class _SequenceEvidence:
     """Trailing-window evidence that a graph sequence stays line-graph sparse."""
 
     square_degree_evidence: float
     max_degree_evidence: float
 
 
-def classify_sequence(stats) -> SequenceEvidence:
+def classify_sequence(stats) -> _SequenceEvidence:
     """Evidence from a sequence of (n, m, max_degree, sum_degree_squares).
 
     Membership in the sparse family is an asymptotic property, so this
@@ -141,4 +139,4 @@ def classify_sequence(stats) -> SequenceEvidence:
             raise ValueError("stats rows need m >= 1")
         sq = min(sq, min(1.0, float(sum_sq) / float(m) ** 2))
         mx = min(mx, float(d_max) / float(m))
-    return SequenceEvidence(square_degree_evidence=sq, max_degree_evidence=mx)
+    return _SequenceEvidence(square_degree_evidence=sq, max_degree_evidence=mx)

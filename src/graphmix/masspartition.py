@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .graph import Graph
 
 __all__ = [
     "MassPartition",
@@ -24,9 +21,7 @@ __all__ = [
     "parse_mass_partition",
     "sample_clique_labels",
     "clique_size_counts",
-    "sample_disjoint_clique_graph",
     "expected_hub_degree",
-    "tail_mass_bound",
 ]
 
 _DROP_BELOW = 1e-15
@@ -167,25 +162,6 @@ def clique_size_counts(p: MassPartition, labels: np.ndarray) -> tuple[np.ndarray
     return counts[: len(p)], int(counts[len(p)])
 
 
-def sample_disjoint_clique_graph(p: MassPartition, m: int, rng: np.random.Generator) -> Graph:
-    """Sample the m-node random graph whose kernel is disjoint cliques.
-
-    Vertices landing in interval j form a clique; leftover vertices stay
-    isolated.  Edge count is quadratic in clique sizes, so keep m modest
-    when materializing; use sample_clique_labels for size statistics.
-    """
-    labels = sample_clique_labels(p, m, rng)
-    chunks = []
-    for j in range(len(p)):
-        members = np.flatnonzero(labels == j)
-        c = members.size
-        if c >= 2:
-            a, b = np.triu_indices(c, k=1)
-            chunks.append(np.column_stack([members[a], members[b]]))
-    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    return Graph(m, edges)
-
-
 def expected_hub_degree(
     p_j: float, m_s: int, m_new: int, n_s: int, c: float = 1.0
 ) -> tuple[float, float]:
@@ -203,23 +179,3 @@ def expected_hub_degree(
     mean = m_s * p_j + m_new * hit
     var = m_s * p_j * (1.0 - p_j) + m_new * hit * (1.0 - hit)
     return mean, var
-
-
-def tail_mass_bound(alpha: float, k_hat: int) -> float:
-    """Upper bound on the mass past index k_hat for power-decay tails.
-
-    Valid when p_i < 1/(i+1)^(1+alpha) beyond k_hat.  The bound
-    1/(alpha * k_hat^alpha) is returned as-is; values above 1 are
-    uninformative and flagged with a warning rather than clamped.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if k_hat < 1:
-        raise ValueError("k_hat must be >= 1")
-    bound = 1.0 / (alpha * k_hat**alpha)
-    if bound > 1.0:
-        warnings.warn(
-            f"tail mass bound {bound:.3g} exceeds 1 and carries no information",
-            stacklevel=2,
-        )
-    return bound

@@ -24,11 +24,12 @@ from enum import IntEnum
 import numpy as np
 
 from .graph import Graph, _distinct_sorted, component_labels, edge_density
-from .graphon import CapacityError, Graphon, _graph_from_latents
+from .graphon import Graphon, _graph_from_latents, sample_w_random_graph
 from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
 
 __all__ = [
+    "CapacityError",
     "JoinConfig",
     "NodeOrigin",
     "MixtureGraph",
@@ -49,6 +50,10 @@ class NodeOrigin(IntEnum):
     SPARSE_HUB = 1
     SPARSE_LEAF = 2
     SPARSE_ISOLATED = 3
+
+
+class CapacityError(RuntimeError):
+    """Raised when a join cannot place the distinct cross pairs it asks for."""
 
 
 # cross-pair sampling gives up after this many draws per joining edge,
@@ -242,8 +247,6 @@ def generate_mixture(
         raise ValueError("n_dense and m_sparse must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
     cfg = cfg or JoinConfig()
-    from .graphon import sample_w_random_graph
-
     g_d = sample_w_random_graph(w, n_dense, rng)
     labels = sample_clique_labels(u, m_sparse, rng)
     g_s, origin, hubs = _sparse_part_from_labels(u, labels)

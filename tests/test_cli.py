@@ -121,6 +121,16 @@ def test_estimate_too_small_is_data_error(tmp_path, capsys):
     assert "estimation failed" in capsys.readouterr().err
 
 
+def test_estimate_bad_truth_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "three_star.edges"
+    write_graph_file(path, three_star_mixture().graph)
+    assert main(["estimate", "--input", str(path), "--truth", "bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad --truth: ")
+    assert err.count("\n") == 1
+
+
 def test_estimate_three_star_file(tmp_path, capsys):
     mix = three_star_mixture()
     path = tmp_path / "mix.edges"
@@ -293,6 +303,15 @@ def test_experiment_replicates_default_to_the_suite(capsys):
     assert main(["--scale", "0.02", "experiment", "--suite", "table1:infiniteU"]) == 0
     aggregates = json.loads(capsys.readouterr().out)
     assert [a["replicates"] for a in aggregates] == [5, 5, 5, 5]
+
+
+@pytest.mark.parametrize("replicates", ["0", "-1"])
+def test_experiment_rejects_fewer_than_one_replicate(replicates, capsys):
+    argv = ["--scale", "0.05", "experiment", "--suite", "table1:topk", "--replicates", replicates]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: replicates must be >= 1\n"
 
 
 def test_ingest_requires_data(capsys):

@@ -6,7 +6,6 @@ import pytest
 from graphmix import (
     DegreeSpectrum,
     PartitionEstimate,
-    SmallDegreePolicy,
     baseline_partition,
     baseline_sqrt_predict,
     degree_spectrum,
@@ -79,6 +78,17 @@ def test_k_finite_hand_case():
     assert k == 2
     assert gaps.size == 2
     assert gaps[1] == pytest.approx(np.log(50.0))
+
+
+def test_k_finite_retention_keywords():
+    spec = spec_of([1000, 500, 10, 9, 8, 7])
+    # percentile 0 keeps every unique value; max_unique=4 stops at 9
+    k, gaps = estimate_k_finite(spec, max_unique=4, percentile=0.0)
+    assert (k, gaps.size) == (2, 3)
+    est = estimate_partition(spec, mode="finite", max_unique=4, percentile=0.0)
+    np.testing.assert_array_equal(est.diagnostics, gaps)
+    with pytest.raises(ValueError, match="three distinct"):
+        estimate_k_finite(spec, max_unique=2)
 
 
 def test_k_finite_needs_three_distinct():

@@ -42,6 +42,12 @@ def test_suite_defaults_and_shape():
     assert "covered_mass_mean" in agg
 
 
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_suite_rejects_fewer_than_one_replicate(replicates):
+    with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
+        run_suite("table1:topk", replicates=replicates, scale=0.05)
+
+
 def test_suite_replicates_do_not_depend_on_selection():
     both = run_suite("table1:finiteU", replicates=2, seed=4, scale=0.03, experiments=(1, 2))
     second = run_suite("table1:finiteU", replicates=2, seed=4, scale=0.03, experiments=(2,))

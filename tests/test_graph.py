@@ -263,6 +263,12 @@ def test_read_edge_list_errors():
         read_edge_list(["n 2", "0 5"])
 
 
+def test_read_edge_list_error_names_line_after_leading_blanks():
+    # the body is numbered from the header's own line, not from line 2
+    with pytest.raises(GraphFormatError, match=r"^line 4: expected 'u v'$"):
+        read_edge_list(["", "", "n 3", "0 1 2"])
+
+
 def test_read_edge_list_rejects_integers_beyond_int64():
     big = "99999999999999999999"
     for lines in (["n 3", f"0 {big}"], [f"n {big}", "0 1"]):

@@ -1,4 +1,4 @@
-"""Graphon kinds, W-random sampling, degree function, and the cut-metric oracle."""
+"""Graphon kinds, pointwise and matrix evaluation, and W-random sampling."""
 
 import math
 
@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from graphmix import (
-    CapacityError,
-    Graph,
     Graphon,
-    brute_force_cut_distance,
-    degree_function,
     edge_density,
-    empirical_graphon,
     parse_graphon,
-    parse_mass_partition,
     sample_w_random_graph,
 )
 
@@ -64,21 +58,6 @@ def test_constant_edge_count_binomial():
     assert abs(np.mean(counts) - 7980.0) < 3 * se
 
 
-def test_empirical_graphon_grids():
-    g = empirical_graphon(Graph(2, [(0, 1)]))
-    assert g.kind == "step"
-    assert g.grid.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert empirical_graphon(Graph(3)).grid.tolist() == [[0.0] * 3] * 3
-    with pytest.raises(ValueError):
-        empirical_graphon(Graph(0))
-
-
-def test_step_boundary_maps_to_last_cell():
-    g = empirical_graphon(Graph(2, [(0, 1)]))
-    assert g(1.0, 0.0) == 1.0
-    assert g(1.0, 1.0) == 0.0
-
-
 def test_empirical_density_tracks_constant():
     c = 0.3
     w = parse_graphon("const:0.3")
@@ -86,17 +65,6 @@ def test_empirical_density_tracks_constant():
     for s in range(50):
         g = sample_w_random_graph(w, 400, np.random.default_rng(71000 + s))
         assert abs(edge_density(g) - c) <= 4 * sigma
-
-
-def test_degree_function_values():
-    assert degree_function(parse_graphon("const:0.1"), 0.37) == pytest.approx(0.1)
-    prod = Graphon.analytic(lambda x, y: np.asarray(x, dtype=np.float64) * y, "prod")
-    assert degree_function(prod, 0.8, quad_points=10000) == pytest.approx(0.4, abs=1e-6)
-    assert degree_function(parse_graphon("exp_sum"), 0.0) == pytest.approx(
-        1.0 - math.exp(-1.0), abs=1e-6
-    )
-    with pytest.raises(ValueError):
-        degree_function(prod, 0.5, quad_points=0)
 
 
 def test_disjoint_clique_graphon_eval():
@@ -123,7 +91,6 @@ def test_disjoint_clique_graphon_grid_symmetric_binary():
     [
         parse_graphon("const:0.3"),
         parse_graphon("exp_sum"),
-        Graphon.step([[0.9, 0.1, 0.0], [0.1, 0.5, 0.2], [0.0, 0.2, 0.7]]),
         parse_graphon("mass:[0.5,0.3]"),
     ],
     ids=lambda w: w.kind,
@@ -146,42 +113,3 @@ def test_sample_with_partition_graphon_matches_direct_sampler():
     g = sample_w_random_graph(w, 60, np.random.default_rng(31))
     dec = decompose_disjoint_cliques(g)
     assert sum(dec.clique_sizes) + dec.isolated_count == 60
-
-
-def test_cut_distance_identical_zero():
-    a = empirical_graphon(Graph(3, [(0, 1), (1, 2)]))
-    assert brute_force_cut_distance(a, a) == 0.0
-
-
-def test_cut_distance_isomorphic_zero():
-    a = empirical_graphon(Graph(3, [(0, 1), (1, 2)]))
-    b = empirical_graphon(Graph(3, [(0, 2), (1, 2)]))
-    assert brute_force_cut_distance(a, b) == 0.0
-
-
-def test_cut_distance_k2_vs_empty():
-    a = empirical_graphon(Graph(2, [(0, 1)]))
-    b = empirical_graphon(Graph(2))
-    assert brute_force_cut_distance(a, b) == pytest.approx(0.5)
-
-
-def test_cut_distance_pseudometric_on_trio():
-    g1 = empirical_graphon(Graph(3, [(0, 1)]))
-    g2 = empirical_graphon(Graph(3, [(0, 1), (1, 2)]))
-    g3 = empirical_graphon(Graph(3, [(0, 1), (1, 2), (0, 2)]))
-    d12 = brute_force_cut_distance(g1, g2)
-    d23 = brute_force_cut_distance(g2, g3)
-    d13 = brute_force_cut_distance(g1, g3)
-    assert min(d12, d23, d13) >= 0.0
-    assert d12 == pytest.approx(brute_force_cut_distance(g2, g1))
-    assert d13 <= d12 + d23 + 1e-12
-
-
-def test_cut_distance_capacity_and_domain():
-    big = empirical_graphon(Graph(11))
-    with pytest.raises(CapacityError):
-        brute_force_cut_distance(big, big)
-    with pytest.raises(ValueError):
-        brute_force_cut_distance(parse_graphon("const:0.5"), parse_graphon("const:0.5"))
-    with pytest.raises(ValueError):
-        brute_force_cut_distance(empirical_graphon(Graph(2)), empirical_graphon(Graph(3)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphmix import (
+    Graphon,
     MassPartition,
     clique_size_counts,
     decompose_disjoint_cliques,
@@ -13,8 +14,7 @@ from graphmix import (
     make_mass_partition,
     parse_mass_partition,
     sample_clique_labels,
-    sample_disjoint_clique_graph,
-    tail_mass_bound,
+    sample_w_random_graph,
 )
 
 
@@ -138,19 +138,20 @@ def test_component_fractions_converge():
 
 
 def test_sample_disjoint_clique_graph_full_mass():
-    p = make_mass_partition([1.0])
-    g = sample_disjoint_clique_graph(p, 5, np.random.default_rng(0))
+    w = Graphon.disjoint_clique(make_mass_partition([1.0]))
+    g = sample_w_random_graph(w, 5, np.random.default_rng(0))
     assert g.edge_count == 10  # K5
 
 
 def test_sample_then_decompose_never_errors():
+    # the W-random graph of a disjoint-clique kernel is disjoint cliques
     rng = np.random.default_rng(21)
     for _ in range(50):
         k = int(rng.integers(1, 6))
         w = np.sort(rng.random(k))[::-1]
         w = w / w.sum() * rng.uniform(0.5, 1.0)
         p = make_mass_partition(w)
-        g = sample_disjoint_clique_graph(p, int(rng.integers(1, 200)), rng)
+        g = sample_w_random_graph(Graphon.disjoint_clique(p), int(rng.integers(1, 200)), rng)
         dec = decompose_disjoint_cliques(g)
         assert sum(dec.clique_sizes) + dec.isolated_count == g.node_count
 
@@ -171,16 +172,3 @@ def test_expected_hub_degree_errors():
         expected_hub_degree(0.5, 0, 0, 10)
     with pytest.raises(ValueError):
         expected_hub_degree(0.5, 100, -1, 10)
-
-
-def test_tail_mass_bound():
-    assert tail_mass_bound(1.0, 10) == pytest.approx(0.1)
-    assert tail_mass_bound(1.0, 1) == pytest.approx(1.0)
-    with pytest.warns(UserWarning):
-        b = tail_mass_bound(0.2, 30)
-    assert b == pytest.approx(1.0 / (0.2 * 30 ** 0.2), rel=1e-9)
-    assert b > 1.0
-    with pytest.raises(ValueError):
-        tail_mass_bound(0.0, 10)
-    with pytest.raises(ValueError):
-        tail_mass_bound(1.0, 0)
