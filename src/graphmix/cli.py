@@ -38,13 +38,7 @@ import sys
 
 import numpy as np
 
-from .estimators import (
-    AUTO_GAP_THRESHOLD,
-    SegmentFit,
-    estimate_partition,
-    mape,
-    retained_log_points,
-)
+from .estimators import SegmentFit, estimate_partition, mape, retained_log_points
 from .graph import (
     GraphFormatError,
     degree_spectrum,
@@ -56,12 +50,7 @@ from .graphon import parse_graphon
 from .masspartition import parse_mass_partition
 from .mixture import CapacityError, JoinConfig, MixtureSequence, RatioSchedule
 from .experiments import build_temporal_fixture, run_suite
-from .temporal import (
-    TemporalFormatError,
-    evaluation_run,
-    parse_edge_events,
-    snapshot_at,
-)
+from .temporal import evaluation_run, parse_edge_events, snapshot_at
 
 log = logging.getLogger("graphmix")
 
@@ -71,11 +60,8 @@ EXIT_DATA = 3
 
 
 class ConfigError(ValueError):
-    """Bad flags or config content: exit code 2."""
-
-
-class DataError(ValueError):
-    """Input parsed but cannot be processed: exit code 3."""
+    """Bad flags or config content: exit code 2.  Any other ValueError
+    means the input parsed but cannot be processed: exit code 3."""
 
 
 def _int_list(text: str) -> list[int]:
@@ -178,6 +164,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if not 0.0 <= args.percentile <= 100.0:
+        raise ConfigError(f"--percentile must be in 0..100, got {args.percentile}")
+    if args.sparse_edges is not None and args.sparse_edges < 1:
+        raise ConfigError(f"--sparse-edges must be >= 1, got {args.sparse_edges}")
     truth = None
     if args.truth:
         try:
@@ -190,16 +180,9 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"bad graph file {args.input}: {exc}") from None
     spec = degree_spectrum(g)
     try:
-        est = estimate_partition(
-            spec,
-            mode=args.mode,
-            max_unique=args.max_unique,
-            percentile=args.percentile,
-            min_seg=args.min_seg,
-            gap_threshold=args.gap_threshold,
-        )
+        est = estimate_partition(spec, mode=args.mode, percentile=args.percentile)
     except ValueError as exc:
-        raise DataError(f"estimation failed: {exc}") from None
+        raise ValueError(f"estimation failed: {exc}") from None
     result = {
         "input": args.input,
         "mode": est.mode,
@@ -216,7 +199,7 @@ def cmd_estimate(args) -> int:
             "intercept2": diag.intercept2,
             "total_loss": diag.total_loss,
         }
-    elif diag is not None:
+    else:
         result["diagnostics"] = {"log_gaps": [float(x) for x in diag]}
     if truth is not None:
         k_eval = min(est.k_hat, len(truth))
@@ -235,7 +218,7 @@ def cmd_estimate(args) -> int:
                 [float(r), diag.slope2 * r + diag.intercept2]
                 for r in ranks[diag.cutoff :]
             ]
-        if args.sparse_edges:
+        if args.sparse_edges is not None:
             series["reference"] = [
                 [float(r), float(math.log(args.sparse_edges / r))] for r in ranks
             ]
@@ -250,12 +233,14 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format)
     summary, detail = evaluation_run(
         tel, _int_list(args.train_times), _int_list(args.horizons), args.k
     )
     if not summary:
-        raise DataError("no evaluable train/horizon pairs in range")
+        raise ValueError("no evaluable train/horizon pairs in range")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         ext = _table_ext(args.format)
@@ -341,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("auto", "finite", "infinite"), default="auto")
     p.add_argument("--percentile", type=float, default=50.0)
-    p.add_argument("--min-seg", type=int, default=3)
-    p.add_argument("--max-unique", type=int, default=64)
-    p.add_argument("--gap-threshold", type=float, default=AUTO_GAP_THRESHOLD)
     p.add_argument("--truth", default=None, help="partition literal for MAPE reporting")
     p.add_argument("--plot-data", action="store_true", help="emit segment-fit series")
     p.add_argument("--sparse-edges", type=int, default=None,
@@ -389,10 +371,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, TemporalFormatError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

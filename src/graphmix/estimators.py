@@ -47,6 +47,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 AUTO_GAP_THRESHOLD = math.log(10.0)
+# the gap scan reads at most this many of the largest unique degrees
+_MAX_UNIQUE = 64
+# fewest points on either side of the two-segment breakpoint
+_MIN_SEG = 3
 
 
 def _check_forecast_input(train_top, n_train: int, n_test: int) -> np.ndarray:
@@ -86,9 +90,7 @@ def forecast_top_k(
     )
 
 
-def _retained_degrees(
-    spectrum: DegreeSpectrum, max_unique: int, percentile: float
-) -> np.ndarray:
+def _retained_degrees(spectrum: DegreeSpectrum, percentile: float) -> np.ndarray:
     # dropping zeros and small degrees shields the gap scan from the huge
     # artificial gap between leaf degrees and dense-part degrees
     uniq = spectrum.unique_degrees
@@ -96,23 +98,23 @@ def _retained_degrees(
     if uniq.size == 0:
         raise ValueError("no positive degrees to scan")
     uniq = uniq[uniq >= np.percentile(uniq, percentile)]
-    floor = int(uniq[: min(max_unique, uniq.size)][-1])
+    floor = int(uniq[:_MAX_UNIQUE][-1])
     sd = spectrum.sorted_degrees
     return sd[sd >= floor]
 
 
 def estimate_k_finite(
-    spectrum: DegreeSpectrum, max_unique: int = 64, percentile: float = 50.0
+    spectrum: DegreeSpectrum, percentile: float = 50.0
 ) -> tuple[int, np.ndarray]:
     """Hub count for a finite partition: argmax log-gap position.
 
-    The scan runs over the degrees whose value is among the max_unique
-    largest unique values and at least the percentile-th percentile of
-    unique positive values; zeros never survive.  Returns (k_hat, gaps)
+    The scan runs over the degrees whose value is among the 64 largest
+    unique values and at least the percentile-th percentile of unique
+    positive values; zeros never survive.  Returns (k_hat, gaps)
     where gaps[l-1] = log d_(l) - log d_(l+1) over those degrees; k_hat
     is the 1-based position of the largest gap (first one wins ties).
     """
-    seq = _retained_degrees(spectrum, max_unique, percentile)
+    seq = _retained_degrees(spectrum, percentile)
     if np.unique(seq).size < 3:
         raise ValueError("need at least three distinct retained degrees")
     logs = np.log(seq.astype(np.float64))
@@ -121,12 +123,8 @@ def estimate_k_finite(
 
 
 def _ratio_partition(spectrum: DegreeSpectrum, k_hat: int) -> np.ndarray:
-    sd = spectrum.sorted_degrees
-    if k_hat < 1 or k_hat > sd.size:
-        raise ValueError(f"k_hat={k_hat} out of range")
-    top = sd[:k_hat].astype(np.float64)
-    if top[-1] <= 0:
-        raise ValueError("top-k degrees must be positive")
+    # both scans count only positive degrees, so the top k_hat are positive
+    top = top_k_degrees(spectrum, k_hat).astype(np.float64)
     return top / top.sum()
 
 
@@ -152,21 +150,11 @@ class PartitionEstimate:
 
 
 def estimate_partition_finite(
-    spectrum: DegreeSpectrum,
-    k_hat: int | None = None,
-    max_unique: int = 64,
-    percentile: float = 50.0,
+    spectrum: DegreeSpectrum, percentile: float = 50.0
 ) -> PartitionEstimate:
     """Weights = top-k degrees over their sum, k from the gap scan."""
-    gaps = None
-    if k_hat is None:
-        k_hat, gaps = estimate_k_finite(spectrum, max_unique, percentile)
-    return PartitionEstimate(
-        mode="finite",
-        k_hat=int(k_hat),
-        weights=_ratio_partition(spectrum, int(k_hat)),
-        diagnostics=gaps,
-    )
+    k_hat, gaps = estimate_k_finite(spectrum, percentile)
+    return PartitionEstimate("finite", k_hat, _ratio_partition(spectrum, k_hat), gaps)
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -202,21 +190,19 @@ class SegmentFit:
         return self.loss1 + self.loss2
 
 
-def fit_two_segments(x: np.ndarray, y: np.ndarray, min_seg: int = 3) -> SegmentFit:
+def fit_two_segments(x: np.ndarray, y: np.ndarray) -> SegmentFit:
     """Exhaustive scan of the breakpoint; ties go to the smallest cutoff.
 
     The first segment takes points [0, r), the second [r, N); both need
-    at least min_seg points.
+    at least 3 points.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.size
-    if min_seg < 2:
-        raise ValueError("min_seg must be >= 2")
-    if n < 2 * min_seg:
-        raise ValueError(f"need at least {2 * min_seg} points, got {n}")
+    if n < 2 * _MIN_SEG:
+        raise ValueError(f"need at least {2 * _MIN_SEG} points, got {n}")
     best = None
-    for r in range(min_seg, n - min_seg + 1):
+    for r in range(_MIN_SEG, n - _MIN_SEG + 1):
         s1, i1, l1 = ols_fit(x[:r], y[:r])
         s2, i2, l2 = ols_fit(x[r:], y[r:])
         if best is None or l1 + l2 < best.total_loss:
@@ -225,118 +211,88 @@ def fit_two_segments(x: np.ndarray, y: np.ndarray, min_seg: int = 3) -> SegmentF
 
 
 def retained_log_points(
-    spectrum: DegreeSpectrum, percentile_c: float = 50.0
+    spectrum: DegreeSpectrum, percentile: float = 50.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(rank, log degree) points for the two-segment fit.
 
     One point per unique positive degree strictly above the
-    percentile_c-th percentile of unique values.  The rank of a value
-    is the position of its first holder in the full descending degree
-    order, so a value shared by many nodes keeps its width on the rank
-    axis; that keeps the near-flat run of bulk degrees long enough to
-    anchor the second segment.
+    percentile-th percentile of unique positive values.  The rank of a
+    value is the 1-based position of its first holder in the full
+    descending degree order, so a value shared by many nodes keeps its
+    width on the rank axis; that keeps the near-flat run of bulk degrees
+    long enough to anchor the second segment.
     """
-    degs = spectrum.sorted_degrees
-    uniq_asc, counts_asc = np.unique(degs, return_counts=True)
-    uniq = uniq_asc[::-1].astype(np.float64)
-    counts = counts_asc[::-1]
-    ranks = 1.0 + np.concatenate([[0], np.cumsum(counts)[:-1]])
-    keep = uniq > 0
-    if not keep.any():
+    uniq = spectrum.unique_degrees.astype(np.float64)
+    uniq = uniq[uniq > 0]
+    if uniq.size == 0:
         raise ValueError("no positive degrees")
-    cutoff = np.percentile(uniq[keep], percentile_c)
-    keep &= uniq > cutoff
-    return ranks[keep], np.log(uniq[keep])
+    uniq = uniq[uniq > np.percentile(uniq, percentile)]
+    ranks = 1.0 + np.searchsorted(-spectrum.sorted_degrees, -uniq)
+    return ranks, np.log(uniq)
 
 
 def estimate_k_infinite(
-    spectrum: DegreeSpectrum,
-    percentile_c: float = 50.0,
-    min_seg: int = 3,
+    spectrum: DegreeSpectrum, percentile: float = 50.0
 ) -> tuple[int, SegmentFit]:
     """Hub count for power-like partitions via the two-segment fit.
 
-    Fits two lines to the retained (rank, log degree) points and
-    returns the number of points on the first segment as k_hat.
+    Fits two lines to the retained (rank, log degree) points, each
+    through at least 3 of them, and returns the number of points on the
+    first segment as k_hat.
     """
-    x, y = retained_log_points(spectrum, percentile_c)
-    if x.size < 2 * min_seg:
+    x, y = retained_log_points(spectrum, percentile)
+    if x.size < 2 * _MIN_SEG:
         raise ValueError(
             f"only {x.size} unique degrees above the percentile cutoff, "
-            f"need {2 * min_seg}"
+            f"need {2 * _MIN_SEG}"
         )
-    fit = fit_two_segments(x, y, min_seg=min_seg)
+    fit = fit_two_segments(x, y)
     return fit.cutoff, fit
 
 
 def estimate_partition_infinite(
-    spectrum: DegreeSpectrum,
-    k_hat: int | None = None,
-    percentile_c: float = 50.0,
-    min_seg: int = 3,
+    spectrum: DegreeSpectrum, percentile: float = 50.0
 ) -> PartitionEstimate:
     """Same ratio formula as the finite mode, k from the segment fit."""
-    fit = None
-    if k_hat is None:
-        k_hat, fit = estimate_k_infinite(spectrum, percentile_c, min_seg)
-    return PartitionEstimate(
-        mode="infinite",
-        k_hat=int(k_hat),
-        weights=_ratio_partition(spectrum, int(k_hat)),
-        diagnostics=fit,
-    )
+    k_hat, fit = estimate_k_infinite(spectrum, percentile)
+    return PartitionEstimate("infinite", k_hat, _ratio_partition(spectrum, k_hat), fit)
 
 
 def estimate_partition(
-    spectrum: DegreeSpectrum,
-    mode: str = "auto",
-    max_unique: int = 64,
-    percentile: float = 50.0,
-    min_seg: int = 3,
-    gap_threshold: float = AUTO_GAP_THRESHOLD,
+    spectrum: DegreeSpectrum, mode: str = "auto", percentile: float = 50.0
 ) -> PartitionEstimate:
     """Front door for the CLI: finite, infinite, or auto dispatch.
 
     percentile is the unique-degree cutoff of both the gap scan and the
     two-segment fit.  Auto mode runs the gap scan first and keeps the
-    finite answer only when a dominant gap (> gap_threshold in log scale)
-    exists; otherwise it falls back to the two-segment fit.
+    finite answer only when a dominant gap (> AUTO_GAP_THRESHOLD = ln 10
+    in log scale) exists; otherwise it falls back to the two-segment fit.
     """
     if mode == "finite":
-        return estimate_partition_finite(
-            spectrum, max_unique=max_unique, percentile=percentile
-        )
+        return estimate_partition_finite(spectrum, percentile)
     if mode == "infinite":
-        return estimate_partition_infinite(
-            spectrum, percentile_c=percentile, min_seg=min_seg
-        )
+        return estimate_partition_infinite(spectrum, percentile)
     if mode != "auto":
         raise ValueError(f"unknown mode {mode!r}")
     try:
-        est = estimate_partition_finite(
-            spectrum, max_unique=max_unique, percentile=percentile
-        )
-        if est.diagnostics.max() > gap_threshold:
+        est = estimate_partition_finite(spectrum, percentile)
+        if est.diagnostics.max() > AUTO_GAP_THRESHOLD:
             return est
     except ValueError:
         pass
     log.warning(
         "no dominant degree gap; treating the partition as infinite-type"
     )
-    return estimate_partition_infinite(
-        spectrum, percentile_c=percentile, min_seg=min_seg
-    )
+    return estimate_partition_infinite(spectrum, percentile)
 
 
 def baseline_partition(spectrum: DegreeSpectrum, k_hat: int) -> np.ndarray:
     """Naive weights: top-k degrees over the total degree mass."""
-    sd = spectrum.sorted_degrees
-    if k_hat < 1 or k_hat > sd.size:
-        raise ValueError(f"k_hat={k_hat} out of range")
-    total = float(sd.sum())
+    top = top_k_degrees(spectrum, k_hat).astype(np.float64)
+    total = float(spectrum.sorted_degrees.sum())
     if total <= 0:
         raise ValueError("graph has no edges")
-    return sd[:k_hat].astype(np.float64) / total
+    return top / total
 
 
 def mape(actual: np.ndarray, predicted: np.ndarray) -> float:

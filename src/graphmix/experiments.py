@@ -25,6 +25,7 @@ alone would sit near 4% MAPE.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
@@ -162,7 +163,7 @@ def _partition_replicate(args: tuple) -> dict:
     mix = generate_mixture(u, parse_graphon(GRAPHON_W), n_d, m_s, rng=np.random.default_rng(seed))
     spec = degree_spectrum(mix.graph)
     if infinite:
-        est = estimate_partition_infinite(spec, percentile_c=INFINITE_PERCENTILE)
+        est = estimate_partition_infinite(spec, percentile=INFINITE_PERCENTILE)
     else:
         est = estimate_partition_finite(spec)
     truth = u.weights[: min(est.k_hat, len(u))]
@@ -228,11 +229,15 @@ def run_suite(
         replicates = suite.replicates
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a positive finite number, got {scale}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     rows, aggregates = [], []
     for exp in experiments:
         args, label = suite.plan(exp, scale)
         arg_list = [(*args, s) for s in _replicate_seeds(seed + exp, replicates)]
-        if workers <= 1:
+        if workers == 1:
             results = [suite.replicate(a) for a in arg_list]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -163,19 +163,20 @@ def clique_size_counts(p: MassPartition, labels: np.ndarray) -> tuple[np.ndarray
 
 
 def expected_hub_degree(
-    p_j: float, m_s: int, m_new: int, n_s: int, c: float = 1.0
+    p_j: float, m_s: int, m_new: int, n_s: int
 ) -> tuple[float, float]:
     """Mean and variance of a hub degree after joining.
 
     The hub for clique j collects one edge per sparse vertex assigned to
     the clique plus a thinned share of the m_new joining edges, each of
-    which hits a given sparse node with probability c/n_s.
+    which hits a given sparse node with probability 1/n_s (the edge
+    multiplier c is already in m_new).
     """
     if not (0.0 < p_j <= 1.0):
         raise ValueError("p_j must be in (0, 1]")
     if m_s < 1 or n_s < 1 or m_new < 0:
         raise ValueError("m_s, n_s must be positive and m_new >= 0")
-    hit = c / n_s
+    hit = 1.0 / n_s
     mean = m_s * p_j + m_new * hit
     var = m_s * p_j * (1.0 - p_j) + m_new * hit * (1.0 - hit)
     return mean, var

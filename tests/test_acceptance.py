@@ -113,7 +113,7 @@ def test_criterion_4_hub_degree_means():
         for j in (0, 1):
             samples[j].append(deg[mix.hubs[j]])
             theory[j].append(
-                expected_hub_degree(U23[j], 30000, mix.m_new, mix.n_sparse, 1.0)[0]
+                expected_hub_degree(U23[j], 30000, mix.m_new, mix.n_sparse)[0]
             )
     ok, details = True, []
     for j in (0, 1):

@@ -314,6 +314,59 @@ def test_experiment_rejects_fewer_than_one_replicate(replicates, capsys):
     assert err == "error: replicates must be >= 1\n"
 
 
+_GRAPH = "{graph}"
+_PREDICT = ["predict", "--data", FIXTURE, "--train-times", "6", "--horizons", "2"]
+_FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--input", _GRAPH, "--percentile", "150"],
+        ["estimate", "--input", _GRAPH, "--percentile", "-1"],
+        ["estimate", "--input", _GRAPH, "--percentile", "nan"],
+        ["estimate", "--input", _GRAPH, "--plot-data", "--sparse-edges", "0"],
+        ["estimate", "--input", _GRAPH, "--plot-data", "--sparse-edges", "-5"],
+        _PREDICT + ["--k", "0"],
+        _PREDICT + ["--k", "-2"],
+        ["--scale", "-1"] + _FINITE_U,
+        ["--scale", "0"] + _FINITE_U,
+        ["--scale", "nan"] + _FINITE_U,
+        ["--scale", "inf"] + _FINITE_U,
+        ["--scale", "0.02"] + _FINITE_U + ["--workers", "0"],
+        ["--scale", "0.02"] + _FINITE_U + ["--workers", "-1"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a not in (_GRAPH, FIXTURE)),
+)
+def test_bad_flag_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "mix.edges"
+    write_graph_file(graph, three_star_mixture().graph)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [str(graph) if a == _GRAPH else a for a in argv]
+    assert main(["--out", str(tmp_path / "out")] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert os.listdir(work) == []
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--min-seg", "3"], ["--max-unique", "64"], ["--gap-threshold", "2"]],
+    ids=lambda flag: flag[0],
+)
+def test_removed_estimate_flags_are_usage_errors(flag, tmp_path, capsys):
+    graph = tmp_path / "mix.edges"
+    write_graph_file(graph, three_star_mixture().graph)
+    assert main(["estimate", "--input", str(graph)] + flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_ingest_requires_data(capsys):
     assert main(["ingest"]) == 2
     capsys.readouterr()

@@ -81,14 +81,18 @@ def test_k_finite_hand_case():
 
 
 def test_k_finite_retention_keywords():
-    spec = spec_of([1000, 500, 10, 9, 8, 7])
-    # percentile 0 keeps every unique value; max_unique=4 stops at 9
-    k, gaps = estimate_k_finite(spec, max_unique=4, percentile=0.0)
-    assert (k, gaps.size) == (2, 3)
-    est = estimate_partition(spec, mode="finite", max_unique=4, percentile=0.0)
+    # 72 unique values: 10000, 5000, then 200 down to 131; 139 is the
+    # 64th largest and has three holders
+    spec = spec_of([10000, 5000] + list(range(200, 130, -1)) + [139, 139])
+    # percentile 0 keeps every unique value; the 64-value cap stops the
+    # scan at 139, and every holder of a scanned value is scanned
+    k, gaps = estimate_k_finite(spec, percentile=0.0)
+    assert (k, gaps.size) == (2, 65)
+    assert gaps[-1] == 0.0 and gaps[-3] == pytest.approx(np.log(140 / 139))
+    est = estimate_partition(spec, mode="finite", percentile=0.0)
     np.testing.assert_array_equal(est.diagnostics, gaps)
     with pytest.raises(ValueError, match="three distinct"):
-        estimate_k_finite(spec, max_unique=2)
+        estimate_k_finite(spec, percentile=100.0)
 
 
 def test_k_finite_needs_three_distinct():
@@ -125,10 +129,12 @@ def test_k_finite_recovers_ten_uniform_blocks():
 
 
 def test_partition_finite_ratio_is_exact():
-    est = estimate_partition_finite(spec_of([300, 200, 100, 2, 1]), k_hat=3)
+    # the scan keeps [300, 200, 100, 5] and splits at the 100 -> 5 drop
+    est = estimate_partition_finite(spec_of([300, 200, 100, 5, 4, 3, 2, 1]))
     np.testing.assert_allclose(est.weights, [0.5, 1 / 3, 1 / 6])
     assert est.mode == "finite" and est.k_hat == 3
-    one = estimate_partition_finite(spec_of([300, 200, 100, 2, 1]), k_hat=1)
+    one = estimate_partition_finite(spec_of([300, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]))
+    assert one.k_hat == 1
     np.testing.assert_array_equal(one.weights, [1.0])
 
 
@@ -202,8 +208,6 @@ def test_two_segments_validation():
     x = np.arange(5.0)
     with pytest.raises(ValueError):
         fit_two_segments(x, x)  # 5 < 2 * 3 points
-    with pytest.raises(ValueError):
-        fit_two_segments(np.arange(8.0), np.arange(8.0), min_seg=1)
 
 
 def test_two_segments_never_worse_than_one_line():

@@ -161,7 +161,7 @@ def test_expected_hub_degree_formula():
     assert (mean, var) == (500.0, 250.0)
     mean, var = expected_hub_degree(1.0, 1000, 0, 10)
     assert var == 0.0
-    mean, _ = expected_hub_degree(2 / 3, 3000, 300, 3000, c=1.0)
+    mean, _ = expected_hub_degree(2 / 3, 3000, 300, 3000)
     assert mean == pytest.approx(2000.1)
 
 

@@ -253,24 +253,31 @@ def test_mixture_conservation_laws():
 
 
 def test_hub_degree_moments():
-    q = {0: [], 1: []}
-    exp_mean = {0: [], 1: []}
-    exp_var = {0: [], 1: []}
-    for s in range(300):
-        mix = generate_mixture(U23, W, 100, 5000, rng=np.random.default_rng(60000 + s))
-        deg = mix.graph.degrees()
+    # (n_d, m_s, c, replicates, first seed); with c = 3 the joins add
+    # ~54 edges to each hub, so counting c twice would miss by ~36
+    cases = ((100, 5000, 1.0, 300, 60000), (300, 3000, 3.0, 200, 70000))
+    for n_d, m_s, c, reps, seed0 in cases:
+        q = {0: [], 1: []}
+        exp_mean = {0: [], 1: []}
+        exp_var = {0: [], 1: []}
+        for s in range(reps):
+            mix = generate_mixture(
+                U23, W, n_d, m_s, JoinConfig(edge_multiplier_c=c),
+                np.random.default_rng(seed0 + s),
+            )
+            deg = mix.graph.degrees()
+            for j in (0, 1):
+                q[j].append(deg[mix.hubs[j]])
+                m, v = expected_hub_degree(U23[j], mix.m_sparse, mix.m_new, mix.n_sparse)
+                exp_mean[j].append(m)
+                exp_var[j].append(v)
         for j in (0, 1):
-            q[j].append(deg[mix.hubs[j]])
-            m, v = expected_hub_degree(U23[j], mix.m_sparse, mix.m_new, mix.n_sparse, 1.0)
-            exp_mean[j].append(m)
-            exp_var[j].append(v)
-    for j in (0, 1):
-        arr = np.asarray(q[j], dtype=np.float64)
-        se = arr.std(ddof=1) / np.sqrt(arr.size)
-        assert abs(arr.mean() - np.mean(exp_mean[j])) < 4 * se
-        sv = arr.var(ddof=1)
-        se_var = sv * np.sqrt(2.0 / (arr.size - 1))
-        assert abs(sv - np.mean(exp_var[j])) < 4 * se_var
+            arr = np.asarray(q[j], dtype=np.float64)
+            se = arr.std(ddof=1) / np.sqrt(arr.size)
+            assert abs(arr.mean() - np.mean(exp_mean[j])) < 4 * se
+            sv = arr.var(ddof=1)
+            se_var = sv * np.sqrt(2.0 / (arr.size - 1))
+            assert abs(sv - np.mean(exp_var[j])) < 4 * se_var
 
 
 def test_sequence_members_nest():
