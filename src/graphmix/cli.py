@@ -66,12 +66,17 @@ class ConfigError(ValueError):
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        values = []
+    if not values:
+        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
-def _write_rows(rows: list[dict], path: str, fmt: str) -> None:
+def _write_rows(rows: list[dict], stem: str, fmt: str) -> None:
+    """Write rows to stem.csv or stem.json."""
+    path = f"{stem}.{fmt}"
     if fmt == "csv":
         with open(path, "w", newline="") as f:
             if rows:
@@ -84,16 +89,23 @@ def _write_rows(rows: list[dict], path: str, fmt: str) -> None:
             f.write("\n")
 
 
-def _table_ext(fmt: str) -> str:
-    return "csv" if fmt == "csv" else "json"
-
-
 def _load_lines(path: str):
     try:
         with open(path) as f:
             return f.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+# top-level generate config keys; schedule keys are RatioSchedule's fields
+_GENERATE_KEYS = {"partition_u", "graphon_w", "schedule", "steps", "join", "seed"}
+
+
+def _config_int(cfg: dict, key: str, default: int, low: int) -> int:
+    value = cfg.get(key, default)
+    if type(value) is not int or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def cmd_generate(args) -> int:
@@ -104,25 +116,24 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("bad generate config: expected a JSON object")
     try:
+        join_cfg = dict(cfg.get("join", {}))
+        unknown = set(cfg) - _GENERATE_KEYS | {f"join.{key}" for key in set(join_cfg) - {"c"}}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         u = parse_mass_partition(cfg["partition_u"])
         w = parse_graphon(cfg["graphon_w"])
-        sched_cfg = cfg.get("schedule", {})
-        schedule = RatioSchedule(
-            kind=sched_cfg.get("kind", "constant"),
-            a=float(sched_cfg.get("a", 1.0)),
-            base_n_d=int(sched_cfg.get("base_n_d", 100)),
-        )
-        steps = int(cfg.get("steps", 1))
-        join = JoinConfig(edge_multiplier_c=float(cfg.get("join", {}).get("c", 1.0)))
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        schedule = RatioSchedule(**cfg.get("schedule", {}))
+        join = JoinConfig(*join_cfg.values())
+        steps = _config_int(cfg, "steps", 1, low=1)
+        seed = args.seed if args.seed is not None else _config_int(cfg, "seed", 0, low=0)
+        sizes = schedule.sizes_for(u, steps)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad generate config: {exc}") from None
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    sizes = schedule.sizes_for(u, steps)
     seq = MixtureSequence(u, w, sizes, cfg=join, seed=seed)
     density_rows = []
     for i in range(steps):
@@ -154,11 +165,7 @@ def cmd_generate(args) -> int:
                 "density": edge_density(mix.graph),
             }
         )
-    _write_rows(
-        density_rows,
-        os.path.join(out, f"densities.{_table_ext(args.format)}"),
-        args.format,
-    )
+    _write_rows(density_rows, os.path.join(out, "densities"), args.format)
     print(f"wrote {steps} graphs to {out}")
     return EXIT_OK
 
@@ -235,17 +242,17 @@ def cmd_estimate(args) -> int:
 def cmd_predict(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
+    train_times, horizons = _int_list(args.train_times), _int_list(args.horizons)
+    if min(horizons) < 0:
+        raise ConfigError(f"--horizons must be >= 0, got {args.horizons!r}")
     tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format)
-    summary, detail = evaluation_run(
-        tel, _int_list(args.train_times), _int_list(args.horizons), args.k
-    )
+    summary, detail = evaluation_run(tel, train_times, horizons, args.k)
     if not summary:
         raise ValueError("no evaluable train/horizon pairs in range")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        ext = _table_ext(args.format)
-        _write_rows(summary, os.path.join(args.out, f"prediction_summary.{ext}"), args.format)
-        _write_rows(detail, os.path.join(args.out, f"prediction_detail.{ext}"), args.format)
+        _write_rows(summary, os.path.join(args.out, "prediction_summary"), args.format)
+        _write_rows(detail, os.path.join(args.out, "prediction_detail"), args.format)
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 
@@ -263,10 +270,9 @@ def cmd_experiment(args) -> int:
         raise ConfigError(str(exc)) from None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        ext = _table_ext(args.format)
-        stem = args.suite.replace(":", "_")
-        _write_rows(result["aggregates"], os.path.join(args.out, f"{stem}_aggregates.{ext}"), args.format)
-        _write_rows(result["rows"], os.path.join(args.out, f"{stem}_rows.{ext}"), args.format)
+        stem = os.path.join(args.out, args.suite.replace(":", "_"))
+        _write_rows(result["aggregates"], f"{stem}_aggregates", args.format)
+        _write_rows(result["rows"], f"{stem}_rows", args.format)
     sys.stdout.write(json.dumps(result["aggregates"], indent=2) + "\n")
     return EXIT_OK
 

@@ -280,10 +280,9 @@ def estimate_partition(
             return est
     except ValueError:
         pass
-    log.warning(
-        "no dominant degree gap; treating the partition as infinite-type"
-    )
-    return estimate_partition_infinite(spectrum, percentile)
+    est = estimate_partition_infinite(spectrum, percentile)
+    log.warning("no dominant degree gap; treating the partition as infinite-type")
+    return est
 
 
 def baseline_partition(spectrum: DegreeSpectrum, k_hat: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Graphons: symmetric kernels on [0,1]^2 with values in [0,1].
 
-Three kinds cover everything the samplers and experiments need:
-constant, analytic (named vectorized evaluator), and disjoint-clique
-(driven by a mass partition).  Evaluation maps x=1.0 into the last
-interval so boundary probes behave like interior ones.
+A graphon is a name plus one vectorized evaluator; the constructor
+checks every evaluator on the same grid.  Built-in kernels: constant
+("const:p"), exp_sum (exp(-(x+y))) and the disjoint-clique kernel of a
+mass partition, which maps x=1.0 into the last interval so boundary
+probes behave like interior ones.
 """
 
 from __future__ import annotations
@@ -21,92 +22,68 @@ __all__ = [
     "sample_w_random_graph",
 ]
 
-_ONE_BELOW = np.nextafter(1.0, 0.0)
-
-
-def _check_symmetric_unit(fn, name):
-    grid = np.linspace(0.0, 1.0, 17)
-    vals = fn(grid[:, None], grid[None, :])
-    vals = np.asarray(vals, dtype=np.float64)
-    if vals.shape != (17, 17):
-        raise ValueError(f"evaluator {name!r} must broadcast over arrays")
-    if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
-        raise ValueError(f"evaluator {name!r} leaves [0,1] on the test grid")
-    if np.max(np.abs(vals - vals.T)) > 1e-9:
-        raise ValueError(f"evaluator {name!r} is not symmetric on the test grid")
-
 
 class Graphon:
-    """Symmetric measurable kernel W: [0,1]^2 -> [0,1]."""
+    """Symmetric measurable kernel W: [0,1]^2 -> [0,1].
 
-    __slots__ = ("kind", "name", "_fn", "_partition")
+    fn must broadcast over arrays; it is checked for range and symmetry
+    on a 17 x 17 grid.
+    """
 
-    def __init__(self, kind, name, fn=None, partition=None):
-        self.kind = kind
+    __slots__ = ("name", "_fn")
+
+    def __init__(self, name: str, fn: Callable):
+        grid = np.linspace(0.0, 1.0, 17)
+        vals = np.asarray(fn(grid[:, None], grid[None, :]), dtype=np.float64)
+        if vals.shape != (17, 17):
+            raise ValueError(f"evaluator {name!r} must broadcast over arrays")
+        if not np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12)):
+            raise ValueError(f"evaluator {name!r} leaves [0,1] on the test grid")
+        if np.max(np.abs(vals - vals.T)) > 1e-9:
+            raise ValueError(f"evaluator {name!r} is not symmetric on the test grid")
         self.name = name
         self._fn = fn
-        self._partition = partition
 
     @classmethod
     def constant(cls, value: float) -> "Graphon":
         value = float(value)
-        if not (0.0 <= value <= 1.0):
-            raise ValueError("constant graphon value must be in [0,1]")
-        return cls("constant", f"const:{value}", fn=value)
 
-    @classmethod
-    def analytic(cls, fn: Callable, name: str) -> "Graphon":
-        _check_symmetric_unit(fn, name)
-        return cls("analytic", name, fn=fn)
+        def fn(x, y):
+            return np.broadcast_to(value, np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+        return cls(f"const:{value}", fn)
 
     @classmethod
     def disjoint_clique(cls, partition: MassPartition) -> "Graphon":
-        return cls("disjoint_clique", f"cliques[{len(partition)}]", partition=partition)
+        k = len(partition)
 
-    def _intervals(self, x):
-        # first interval closed at 0, interiors half-open; x=1.0 snaps inward
-        xx = np.minimum(np.asarray(x, dtype=np.float64), _ONE_BELOW)
-        return np.searchsorted(self._partition.boundaries(), xx, side="right")
+        def fn(x, y):
+            ix, iy = partition.locate(x), partition.locate(y)
+            return ((ix == iy) & (ix < k)).astype(np.float64)
+
+        return cls(f"cliques[{k}]", fn)
 
     def __call__(self, x, y):
         """Pointwise evaluation; broadcasts over array arguments."""
-        if self.kind == "constant":
-            return np.broadcast_arrays(
-                np.full_like(np.asarray(x, dtype=np.float64), self._fn),
-                np.asarray(y, dtype=np.float64),
-            )[0]
-        if self.kind == "analytic":
-            return np.asarray(self._fn(x, y), dtype=np.float64)
-        ix, iy = self._intervals(x), self._intervals(y)
-        k = len(self._partition)
-        return ((ix == iy) & (ix < k)).astype(np.float64)
-
-    def prob_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Connection probabilities for all (x_i, y_j) pairs."""
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        return self(xs[:, None], ys[None, :])
+        return np.asarray(self._fn(x, y), dtype=np.float64)
 
     def __repr__(self):
         return f"Graphon({self.name})"
 
 
-# named analytic evaluators; each must broadcast over arrays
-_ANALYTIC: dict[str, Callable] = {
-    "exp_sum": lambda x, y: np.exp(-(np.asarray(x, dtype=np.float64) + y)),
-}
+def _exp_sum(x, y):
+    return np.exp(-(np.asarray(x, dtype=np.float64) + y))
 
 
 def parse_graphon(text: str) -> Graphon:
     """Parse a graphon config string.
 
-    Accepts "const:<v>", a named analytic kernel ("exp_sum") and
-    every mass-partition literal, which yields the disjoint-clique
-    graphon of that partition.
+    Accepts "const:<v>", "exp_sum" and every mass-partition literal,
+    which yields the disjoint-clique graphon of that partition.
     """
     text = text.strip()
-    if text in _ANALYTIC:
-        return Graphon.analytic(_ANALYTIC[text], text)
+    if text == "exp_sum":
+        return Graphon(text, _exp_sum)
     if text.startswith("const:"):
         try:
             return Graphon.constant(float(text.split(":", 1)[1]))
@@ -140,7 +117,7 @@ def _graph_from_latents(w: Graphon, xs: np.ndarray, rng: np.random.Generator) ->
     chunks = []
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        probs = w.prob_matrix(xs[start:stop], xs)
+        probs = w(xs[start:stop, None], xs[None, :])
         u = rng.random((stop - start, n))
         hit = u < probs
         rows = np.arange(start, stop)[:, None]

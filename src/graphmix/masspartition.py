@@ -26,6 +26,7 @@ __all__ = [
 
 _DROP_BELOW = 1e-15
 _TOTAL_TOL = 1e-12
+_ONE_BELOW = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ class MassPartition:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("mass partition needs at least one weight")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("weights must be finite and positive")
         if np.any(np.diff(w) > 0):
             raise ValueError("weights must be non-increasing")
         total = float(w.sum())
@@ -59,6 +60,14 @@ class MassPartition:
     def boundaries(self) -> np.ndarray:
         """Right endpoints of the consecutive intervals, cumulative sums."""
         return np.cumsum(self.weights)
+
+    def locate(self, x) -> np.ndarray:
+        """Interval index of each point of [0, 1]; len(self) is the leftover.
+
+        The first interval is closed at 0, the others half-open; x = 1.0
+        snaps into the last interval.
+        """
+        return np.searchsorted(self.boundaries(), np.minimum(x, _ONE_BELOW), side="right")
 
     @property
     def leftover(self) -> float:
@@ -118,25 +127,26 @@ def parse_mass_partition(text: str) -> MassPartition:
     text = text.strip()
     kind, _, rest = text.partition(":")
     try:
-        if kind == "mass":
-            vals = json.loads(rest)
-            if not isinstance(vals, list):
-                raise ValueError("mass literal must be a JSON list")
-            return make_mass_partition(vals, rescale=False)
-        if kind == "power":
-            a, jmin, jmax = rest.split(":")
-            return make_mass_partition(
-                _power_weights(float(a), int(jmin), int(jmax)), rescale=True
-            )
-        if kind == "geom":
-            r, jmin, jmax = rest.split(":")
-            return make_mass_partition(
-                _geom_weights(float(r), int(jmin), int(jmax)), rescale=True
-            )
-        if kind == "loglaw":
-            return make_mass_partition(_loglaw_weights(int(rest)), rescale=True)
-        if kind == "factorial":
-            return make_mass_partition(_factorial_weights(int(rest)), rescale=True)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if kind == "mass":
+                vals = json.loads(rest)
+                if not isinstance(vals, list):
+                    raise ValueError("mass literal must be a JSON list")
+                return make_mass_partition(vals, rescale=False)
+            if kind == "power":
+                a, jmin, jmax = rest.split(":")
+                return make_mass_partition(
+                    _power_weights(float(a), int(jmin), int(jmax)), rescale=True
+                )
+            if kind == "geom":
+                r, jmin, jmax = rest.split(":")
+                return make_mass_partition(
+                    _geom_weights(float(r), int(jmin), int(jmax)), rescale=True
+                )
+            if kind == "loglaw":
+                return make_mass_partition(_loglaw_weights(int(rest)), rescale=True)
+            if kind == "factorial":
+                return make_mass_partition(_factorial_weights(int(rest)), rescale=True)
     except ValueError:
         raise
     except Exception as exc:
@@ -152,8 +162,7 @@ def sample_clique_labels(p: MassPartition, m: int, rng: np.random.Generator) -> 
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    u = rng.random(m)
-    return np.searchsorted(p.boundaries(), u, side="right")
+    return p.locate(rng.random(m))
 
 
 def clique_size_counts(p: MassPartition, labels: np.ndarray) -> tuple[np.ndarray, int]:

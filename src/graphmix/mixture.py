@@ -68,8 +68,9 @@ class JoinConfig:
     edge_multiplier_c: float = 1.0
 
     def __post_init__(self):
-        if self.edge_multiplier_c < 0:
-            raise ValueError("edge_multiplier_c must be >= 0")
+        c = self.edge_multiplier_c
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"edge_multiplier_c must be finite and >= 0, got {c}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,6 @@ def generate_mixture(
     if n_dense < 1 or m_sparse < 1:
         raise ValueError("n_dense and m_sparse must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
-    cfg = cfg or JoinConfig()
     g_d = sample_w_random_graph(w, n_dense, rng)
     labels = sample_clique_labels(u, m_sparse, rng)
     g_s, origin, hubs = _sparse_part_from_labels(u, labels)
@@ -319,7 +319,14 @@ class MixtureSequence:
         return (self.member(i) for i in range(len(self.sizes)))
 
 
-_SCHEDULE_KINDS = ("constant", "sqrt_growth", "linear", "quadratic", "inverse_sqrt")
+# ratio(i) of each schedule kind, given its scale a
+_RATIOS = {
+    "constant": lambda a, i: a,
+    "sqrt_growth": lambda a, i: a * math.sqrt(i),
+    "linear": lambda a, i: a * i,
+    "quadratic": lambda a, i: a * i * i,
+    "inverse_sqrt": lambda a, i: a / math.sqrt(i),
+}
 
 
 @dataclass(frozen=True)
@@ -332,28 +339,22 @@ class RatioSchedule:
     linearly: n_d(i) = base_n_d * i.
     """
 
-    kind: str
+    kind: str = "constant"
     a: float = 1.0
     base_n_d: int = 100
 
     def __post_init__(self):
-        if self.kind not in _SCHEDULE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _RATIOS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.a <= 0 or self.base_n_d < 1:
-            raise ValueError("schedule parameters must be positive")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"schedule a must be finite and > 0, got {self.a}")
+        if not isinstance(self.base_n_d, (int, np.integer)) or self.base_n_d < 1:
+            raise ValueError(f"schedule base_n_d must be an integer >= 1, got {self.base_n_d}")
 
     def ratio(self, i: int) -> float:
         if i < 1:
             raise ValueError("sequence index starts at 1")
-        if self.kind == "constant":
-            return self.a
-        if self.kind == "sqrt_growth":
-            return self.a * math.sqrt(i)
-        if self.kind == "linear":
-            return self.a * i
-        if self.kind == "quadratic":
-            return self.a * i * i
-        return self.a / math.sqrt(i)
+        return _RATIOS[self.kind](self.a, i)
 
     def n_dense(self, i: int) -> int:
         return self.base_n_d * i

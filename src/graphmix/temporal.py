@@ -185,6 +185,8 @@ def evaluation_run(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if min(horizons, default=0) < 0:
+        raise ValueError("horizons must be >= 0")
     summary, detail = [], []
     for tt in train_times:
         for h in horizons:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,49 @@ def test_generate_bad_config(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 3
 
 
+_GOOD_CONFIG = (
+    '"partition_u": "mass:[0.5,0.3]", "graphon_w": "const:0.1", '
+    '"schedule": {"kind": "constant", "a": 1.0, "base_n_d": 20}'
+)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        '"join": {"c": Infinity}',
+        '"join": {"c": NaN}',
+        '"join": {"c": -1}',
+        '"join": {"d": 1.0}',
+        '"join": [1]',
+        '"schedule": {"a": Infinity}',
+        '"schedule": {"a": NaN}',
+        '"schedule": {"base_n_d": 20.7}',
+        '"schedule": {"base_nd": 20}',
+        '"schedule": {"a": 1e308}',
+        '"steps": 1.9',
+        '"steps": 0',
+        '"stepz": 3',
+        '"seed": "7"',
+        '"seed": -1',
+        '"partition_u": "power:1.2:0:5"',
+        '"partition_u": "geom:0:2:5"',
+    ],
+    ids=lambda extra: extra.replace('"', ""),
+)
+def test_generate_rejects_bad_config_values(extra, tmp_path, capsys):
+    # a later duplicate key overrides the good value
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{" + _GOOD_CONFIG + ", " + extra + "}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["--out", str(tmp_path / "o"), "generate", "--config", str(cfg)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and caught == []
+    assert err.startswith("error: bad generate config: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_generate_is_deterministic(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(
@@ -119,6 +163,18 @@ def test_estimate_too_small_is_data_error(tmp_path, capsys):
     path.write_text("n 2\n0 1\n")
     assert main(["estimate", "--input", str(path)]) == 3
     assert "estimation failed" in capsys.readouterr().err
+
+
+def test_estimate_auto_failure_is_one_line(tmp_path, capsys, caplog):
+    # no unique degree survives --percentile 100: both rules fail, and the
+    # auto-mode fallback warning must not precede the error
+    path = tmp_path / "mix.edges"
+    write_graph_file(path, three_star_mixture().graph)
+    assert main(["estimate", "--input", str(path), "--percentile", "100"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: estimation failed: ") and err.count("\n") == 1
+    assert caplog.records == []
 
 
 def test_estimate_bad_truth_is_usage_error(tmp_path, capsys):
@@ -329,6 +385,9 @@ _FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
         ["estimate", "--input", _GRAPH, "--plot-data", "--sparse-edges", "-5"],
         _PREDICT + ["--k", "0"],
         _PREDICT + ["--k", "-2"],
+        ["predict", "--data", FIXTURE, "--train-times", "6", "--horizons", "-3"],
+        ["predict", "--data", FIXTURE, "--train-times", "", "--horizons", "2"],
+        ["predict", "--data", FIXTURE, "--train-times", "6", "--horizons", ""],
         ["--scale", "-1"] + _FINITE_U,
         ["--scale", "0"] + _FINITE_U,
         ["--scale", "nan"] + _FINITE_U,

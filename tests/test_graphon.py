@@ -1,4 +1,5 @@
-"""Graphon kinds, pointwise and matrix evaluation, and W-random sampling."""
+"""Graphon kernels: the constructor check, pointwise and broadcast
+evaluation, literal parsing, and W-random sampling."""
 
 import math
 
@@ -14,20 +15,29 @@ from graphmix import (
 
 
 def test_parse_graphon_kinds():
-    assert parse_graphon("exp_sum").kind == "analytic"
-    assert parse_graphon("const:0.1").kind == "constant"
-    assert parse_graphon("mass:[0.5,0.3]").kind == "disjoint_clique"
-    with pytest.raises(ValueError):
-        parse_graphon("const:1.5")
-    with pytest.raises(ValueError):
-        parse_graphon("wavelet")
+    # each literal family maps to the right kernel values
+    x = np.array([0.1, 0.5, 0.9])
+    np.testing.assert_array_equal(parse_graphon("exp_sum")(x, x[::-1]), np.exp(-1.0))
+    np.testing.assert_array_equal(parse_graphon("const:0.1")(x, 0.2), [0.1, 0.1, 0.1])
+    np.testing.assert_array_equal(parse_graphon("mass:[0.5,0.3]")(x, [0.2, 0.6, 0.1]), [1, 1, 0])
+    assert parse_graphon(" const:0.25 ").name == "const:0.25"
+    for bad in ("const:1.5", "const:-0.1", "const:nan", "const:x", "wavelet", "power:1.2:0:5"):
+        with pytest.raises(ValueError, match="graphon literal"):
+            parse_graphon(bad)
 
 
 def test_analytic_validation():
+    # every kernel, built-in or not, passes the same constructor check
     with pytest.raises(ValueError, match="symmetric"):
-        Graphon.analytic(lambda x, y: np.asarray(x, dtype=np.float64) * 0 + np.asarray(y) * 0.5, "asym")
-    with pytest.raises(ValueError):
-        Graphon.analytic(lambda x, y: np.asarray(x, dtype=np.float64) + y, "overflow")
+        Graphon("asym", lambda x, y: np.asarray(x, dtype=np.float64) * 0 + np.asarray(y) * 0.5)
+    with pytest.raises(ValueError, match="leaves"):
+        Graphon("overflow", lambda x, y: np.asarray(x, dtype=np.float64) + y)
+    with pytest.raises(ValueError, match="leaves"):
+        Graphon("nan", lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.nan))
+    with pytest.raises(ValueError, match="broadcast"):
+        Graphon("scalar", lambda x, y: 0.5)
+    w = Graphon("product", lambda x, y: np.asarray(x, dtype=np.float64) * y)
+    assert w(0.5, 0.5) == 0.25 and repr(w) == "Graphon(product)"
 
 
 def test_exp_sum_symmetry():
@@ -81,7 +91,7 @@ def test_disjoint_clique_graphon_eval():
 def test_disjoint_clique_graphon_grid_symmetric_binary():
     w = parse_graphon("mass:[0.5,0.3]")
     xs = np.linspace(0.0, 1.0, 41)
-    mat = w.prob_matrix(xs, xs)
+    mat = w(xs[:, None], xs[None, :])
     assert np.array_equal(mat, mat.T)
     assert set(np.unique(mat)) <= {0.0, 1.0}
 
@@ -89,17 +99,17 @@ def test_disjoint_clique_graphon_grid_symmetric_binary():
 @pytest.mark.parametrize(
     "w",
     [
-        parse_graphon("const:0.3"),
-        parse_graphon("exp_sum"),
-        parse_graphon("mass:[0.5,0.3]"),
+        pytest.param(parse_graphon("const:0.3"), id="constant"),
+        pytest.param(parse_graphon("exp_sum"), id="analytic"),
+        pytest.param(parse_graphon("mass:[0.5,0.3]"), id="disjoint_clique"),
     ],
-    ids=lambda w: w.kind,
 )
 def test_prob_matrix_matches_pointwise_evaluation(w):
+    # the broadcast (x_i, y_j) matrix the sampler uses equals pointwise values
     xs = np.concatenate([[0.0, 1.0], np.random.default_rng(2).random(9)])
     ys = np.concatenate([[1.0, 0.5], np.random.default_rng(3).random(6)])
-    mat = w.prob_matrix(xs, ys)
-    assert mat.shape == (xs.size, ys.size)
+    mat = w(xs[:, None], ys[None, :])
+    assert mat.shape == (xs.size, ys.size) and mat.dtype == np.float64
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             assert mat[i, j] == float(w(x, y))

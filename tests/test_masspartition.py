@@ -1,6 +1,7 @@
 """Mass partitions, clique sampling, and hub-degree moment formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,9 @@ def test_make_mass_partition_errors():
         make_mass_partition([0.5, -0.1])
     with pytest.raises(ValueError):
         MassPartition(weights=np.array([0.2, 0.3]))
+    for weights in ([np.nan, 0.2], [0.5, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            MassPartition(weights=np.array(weights))
 
 
 def test_parse_power_literal():
@@ -92,9 +96,27 @@ def test_parse_mass_literal_used_as_given():
 
 
 def test_parse_bad_literals():
-    for text in ("power:1.2:2", "mass:{}", "mass:[2.0]", "nope:3", "", "geom:a:2:5"):
-        with pytest.raises(ValueError):
-            parse_mass_partition(text)
+    # each bad literal raises one ValueError and no numpy RuntimeWarning
+    degenerate = ("power:1.2:0:5", "geom:0:2:5", "geom:0.5:1:5000", "power:-500:1:1000",
+                  "mass:[1e308,1e308]")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for text in ("power:1.2:2", "mass:{}", "mass:[2.0]", "nope:3", "", "geom:a:2:5") + degenerate:
+            with pytest.raises(ValueError):
+                parse_mass_partition(text)
+    assert caught == []
+
+
+def test_locate_intervals_and_boundary_snap():
+    p = make_mass_partition([0.5, 0.25])
+    x = np.array([0.0, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0])
+    assert p.locate(x).tolist() == [0, 0, 1, 1, 2, 2, 2]
+    full = make_mass_partition([0.5, 0.5])
+    assert full.locate(1.0) == 1  # x = 1.0 snaps into the last interval
+    # uniforms are < 1, so the snap leaves sampled labels unchanged
+    u = np.random.default_rng(5).random(1000)
+    labels = sample_clique_labels(full, 1000, np.random.default_rng(5))
+    np.testing.assert_array_equal(labels, np.searchsorted(full.boundaries(), u, side="right"))
 
 
 def test_boundaries_cumulative():

@@ -39,8 +39,9 @@ def fixed_dense(n=50, m=100, seed=0):
 
 
 def test_join_config_validation():
-    with pytest.raises(ValueError):
-        JoinConfig(edge_multiplier_c=-0.1)
+    for c in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            JoinConfig(edge_multiplier_c=c)
 
 
 def test_join_zero_c_is_disjoint_union():
@@ -316,10 +317,13 @@ def test_ratio_schedule_values():
     assert RatioSchedule("quadratic", a=1.0).ratio(3) == pytest.approx(9.0)
     assert RatioSchedule("inverse_sqrt", a=2.0).ratio(4) == pytest.approx(1.0)
     assert s.n_dense(3) == 30
-    with pytest.raises(ValueError):
-        RatioSchedule("cubic")
-    with pytest.raises(ValueError):
-        RatioSchedule("constant", a=0.0)
+    assert RatioSchedule() == RatioSchedule("constant", a=1.0, base_n_d=100)
+    assert RatioSchedule(base_n_d=np.int64(20)).n_dense(2) == 40
+    bad = ({"kind": "cubic"}, {"kind": ["linear"]}, {"a": 0.0}, {"a": math.inf}, {"a": math.nan},
+           {"base_n_d": 20.7}, {"base_n_d": 20.0}, {"base_n_d": 0})
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            RatioSchedule(**kwargs)
     with pytest.raises(ValueError):
         s.ratio(0)
 

@@ -181,6 +181,12 @@ def test_evaluation_rejects_bad_k():
         evaluation_run(tel, [1], [0], k=0)
 
 
+def test_evaluation_rejects_negative_horizon():
+    tel = parse_edge_events(STAR_LINES)
+    with pytest.raises(ValueError, match="horizons must be >= 0"):
+        evaluation_run(tel, [2], [1, -1], k=1)
+
+
 # ---------------------------------------------------------------------------
 # properties against a row-by-row reference of the parse_edge_events rules
 
