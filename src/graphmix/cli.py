@@ -11,11 +11,15 @@ ingest      clean a temporal edge list and materialize snapshots
 
 Every command is deterministic under --seed: reruns produce
 byte-identical output files.  Exit codes: 0 success, 2 usage or config
-error, 3 data error or output that cannot be written.
+error, 3 data error, exhausted memory, or output that cannot be written.
+Every failure prints one "error: ..." line on stderr.  The parser checks
+every flag value, so a usage error (unknown command or flag, bad value)
+writes no files.
 
 Global flags (--seed, --out, --scale, --format) go before the command.
 generate and ingest write into --out (default: the working directory);
 estimate, predict and experiment write files only when --out is given.
+ingest takes exactly one of --data and --make-fixture.
 
 Examples
 --------
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -40,19 +45,13 @@ import numpy as np
 
 from .estimators import SegmentFit, estimate_partition, mape, retained_log_points
 from .graph import (
-    GraphFormatError,
-    degree_spectrum,
-    edge_density,
-    read_edge_list,
-    write_edge_list,
+    GraphFormatError, degree_spectrum, edge_density, read_edge_list, write_edge_list,
 )
 from .graphon import parse_graphon
 from .masspartition import parse_mass_partition
 from .mixture import CapacityError, JoinConfig, MixtureSequence, RatioSchedule
 from .experiments import build_temporal_fixture, run_suite
 from .temporal import evaluation_run, parse_edge_events, snapshot_at
-
-log = logging.getLogger("graphmix")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,29 +63,61 @@ class ConfigError(ValueError):
     means the input parsed but cannot be processed: exit code 3."""
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        values = []
-    if not values:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}")
-    return values
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so main reports them in one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def _write_rows(rows: list[dict], stem: str, fmt: str) -> None:
-    """Write rows to stem.csv or stem.json."""
-    path = f"{stem}.{fmt}"
-    if fmt == "csv":
-        with open(path, "w", newline="") as f:
-            if rows:
-                writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
-    else:
-        with open(path, "w") as f:
-            json.dump(rows, f, indent=2)
-            f.write("\n")
+def _checked(convert, ok, expected: str):
+    """An argparse type: convert(text) must succeed and satisfy ok."""
+
+    def parse(text: str):
+        try:
+            if ok(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_PERCENTILE = _checked(float, lambda v: 0.0 <= v <= 100.0, "a number in 0..100")
+_INT_LIST = _checked(_ints, bool, "comma-separated integers")
+_HORIZONS = _checked(_ints, lambda v: v and min(v) >= 0, "comma-separated integers >= 0")
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _create(out: str, name: str):
+    """Open out/name for writing, creating out first."""
+    os.makedirs(out, exist_ok=True)
+    return open(os.path.join(out, name), "w", newline="")
+
+
+def _save(out: str, name: str, text: str) -> None:
+    with _create(out, name) as f:
+        f.write(text)
+
+
+def _save_rows(out: str, stem: str, rows: list[dict], fmt: str) -> None:
+    """Save rows as out/stem.json or out/stem.csv."""
+    buf = io.StringIO()
+    if fmt == "csv" and rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    _save(out, f"{stem}.{fmt}", _json(rows) if fmt == "json" else buf.getvalue())
 
 
 def _load_lines(path: str):
@@ -133,12 +164,11 @@ def cmd_generate(args) -> int:
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad generate config: {exc}") from None
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     seq = MixtureSequence(u, w, sizes, cfg=join, seed=seed)
     density_rows = []
     for i in range(steps):
         mix = seq.member(i)
-        with open(os.path.join(out, f"graph_{i + 1:04d}.edges"), "w") as f:
+        with _create(out, f"graph_{i + 1:04d}.edges") as f:
             write_edge_list(mix.graph, f)
         origin = mix.node_origin
         starts = np.flatnonzero(np.diff(origin, prepend=-1))
@@ -154,9 +184,7 @@ def cmd_generate(args) -> int:
             "hubs": {str(j): int(v) for j, v in sorted(mix.hubs.items())},
             "origin_rle": rle,
         }
-        with open(os.path.join(out, f"provenance_{i + 1:04d}.json"), "w") as f:
-            json.dump(prov, f, indent=2)
-            f.write("\n")
+        _save(out, f"provenance_{i + 1:04d}.json", _json(prov))
         density_rows.append(
             {
                 "index": i + 1,
@@ -165,16 +193,12 @@ def cmd_generate(args) -> int:
                 "density": edge_density(mix.graph),
             }
         )
-    _write_rows(density_rows, os.path.join(out, "densities"), args.format)
+    _save_rows(out, "densities", density_rows, args.format)
     print(f"wrote {steps} graphs to {out}")
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    if not 0.0 <= args.percentile <= 100.0:
-        raise ConfigError(f"--percentile must be in 0..100, got {args.percentile}")
-    if args.sparse_edges is not None and args.sparse_edges < 1:
-        raise ConfigError(f"--sparse-edges must be >= 1, got {args.sparse_edges}")
     truth = None
     if args.truth:
         try:
@@ -213,9 +237,7 @@ def cmd_estimate(args) -> int:
         result["mape_vs_truth"] = mape(truth.weights[:k_eval], est.weights[:k_eval])
     if args.plot_data:
         ranks, logvals = retained_log_points(spec, args.percentile)
-        series = {
-            "observed": [[float(r), float(v)] for r, v in zip(ranks, logvals)],
-        }
+        series = {"observed": [[float(r), float(v)] for r, v in zip(ranks, logvals)]}
         if isinstance(diag, SegmentFit):
             series["segment1"] = [
                 [float(r), diag.slope1 * r + diag.intercept1]
@@ -230,50 +252,37 @@ def cmd_estimate(args) -> int:
                 [float(r), float(math.log(args.sparse_edges / r))] for r in ranks
             ]
         result["plot_data"] = series
-    text = json.dumps(result, indent=2) + "\n"
+    text = _json(result)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "estimate.json"), "w") as f:
-            f.write(text)
+        _save(args.out, "estimate.json", text)
     sys.stdout.write(text)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
-    train_times, horizons = _int_list(args.train_times), _int_list(args.horizons)
-    if min(horizons) < 0:
-        raise ConfigError(f"--horizons must be >= 0, got {args.horizons!r}")
     tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format)
-    summary, detail = evaluation_run(tel, train_times, horizons, args.k)
+    summary, detail = evaluation_run(tel, args.train_times, args.horizons, args.k)
     if not summary:
         raise ValueError("no evaluable train/horizon pairs in range")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_rows(summary, os.path.join(args.out, "prediction_summary"), args.format)
-        _write_rows(detail, os.path.join(args.out, "prediction_detail"), args.format)
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+        _save_rows(args.out, "prediction_summary", summary, args.format)
+        _save_rows(args.out, "prediction_detail", detail, args.format)
+    sys.stdout.write(_json(summary))
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
+    seed = args.seed if args.seed is not None else 0
     try:
-        result = run_suite(
-            args.suite,
-            replicates=args.replicates,
-            seed=args.seed if args.seed is not None else 0,
-            scale=args.scale,
-            workers=args.workers,
-        )
+        result = run_suite(args.suite, replicates=args.replicates, seed=seed,
+                           scale=args.scale, workers=args.workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        stem = os.path.join(args.out, args.suite.replace(":", "_"))
-        _write_rows(result["aggregates"], f"{stem}_aggregates", args.format)
-        _write_rows(result["rows"], f"{stem}_rows", args.format)
-    sys.stdout.write(json.dumps(result["aggregates"], indent=2) + "\n")
+        stem = args.suite.replace(":", "_")
+        _save_rows(args.out, f"{stem}_aggregates", result["aggregates"], args.format)
+        _save_rows(args.out, f"{stem}_rows", result["rows"], args.format)
+    sys.stdout.write(_json(result["aggregates"]))
     return EXIT_OK
 
 
@@ -281,17 +290,10 @@ def cmd_ingest(args) -> int:
     out = args.out or "."
     if args.make_fixture:
         events = build_temporal_fixture(seed=args.seed if args.seed is not None else 0)
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "synthetic_growth.events")
-        with open(path, "w") as f:
-            for u, v, t in events:
-                f.write(f"{u} {v} {t}\n")
-        print(f"wrote fixture {path}")
+        _save(out, "synthetic_growth.events", "".join(f"{u} {v} {t}\n" for u, v, t in events))
+        print(f"wrote fixture {os.path.join(out, 'synthetic_growth.events')}")
         return EXIT_OK
-    if not args.data:
-        raise ConfigError("ingest needs --data (or --make-fixture)")
     tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format)
-    os.makedirs(out, exist_ok=True)
     report = {
         "events": tel.edge_t.size,
         "nodes": len(tel.node_ids),
@@ -299,26 +301,23 @@ def cmd_ingest(args) -> int:
         "t_max": tel.t_max,
         "rejected": len(tel.rejects),
         "reject_lines": [[ln, reason] for ln, reason in tel.rejects],
+        "snapshots": args.snapshot_times or [],
     }
-    snaps = _int_list(args.snapshot_times) if args.snapshot_times else []
-    for t in snaps:
-        g = snapshot_at(tel, t)
-        with open(os.path.join(out, f"snapshot_{t}.edges"), "w") as f:
-            write_edge_list(g, f)
-    report["snapshots"] = snaps
-    with open(os.path.join(out, "ingest_report.json"), "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    for t in report["snapshots"]:
+        with _create(out, f"snapshot_{t}.edges") as f:
+            write_edge_list(snapshot_at(tel, t), f)
+    text = _json(report)
+    _save(out, "ingest_report.json", text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphmix",
         description="Generate sparse/dense mixture graphs and estimate their sparse part.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="global RNG seed")
+    parser.add_argument("--seed", type=_NON_NEGATIVE, default=None, help="global RNG seed")
     parser.add_argument("--out", default=None, help="output directory (generate/ingest: '.')")
     parser.add_argument("--scale", type=float, default=1.0, help="size multiplier for suites")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -331,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate the sparse partition of one graph")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("auto", "finite", "infinite"), default="auto")
-    p.add_argument("--percentile", type=float, default=50.0)
+    p.add_argument("--percentile", type=_PERCENTILE, default=50.0)
     p.add_argument("--truth", default=None, help="partition literal for MAPE reporting")
     p.add_argument("--plot-data", action="store_true", help="emit segment-fit series")
-    p.add_argument("--sparse-edges", type=int, default=None,
+    p.add_argument("--sparse-edges", type=_POSITIVE, default=None,
                    help="sparse edge count for the log(m/j) reference series")
     p.set_defaults(fn=cmd_estimate)
 
@@ -342,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--data-format", choices=("whitespace3col", "csv3col"),
                    default="whitespace3col")
-    p.add_argument("--train-times", required=True)
-    p.add_argument("--horizons", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--train-times", type=_INT_LIST, required=True)
+    p.add_argument("--horizons", type=_HORIZONS, required=True)
+    p.add_argument("--k", type=_POSITIVE, default=10)
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("experiment", help="run a named reference suite")
@@ -355,34 +354,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("ingest", help="clean a temporal edge list, write snapshots")
-    p.add_argument("--data", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", default=None)
+    source.add_argument("--make-fixture", action="store_true",
+                        help="write the bundled synthetic growth fixture instead")
     p.add_argument("--data-format", choices=("whitespace3col", "csv3col"),
                    default="whitespace3col")
-    p.add_argument("--snapshot-times", default=None)
-    p.add_argument("--make-fixture", action="store_true",
-                   help="write the bundled synthetic growth fixture instead")
+    p.add_argument("--snapshot-times", type=_INT_LIST, default=None)
     p.set_defaults(fn=cmd_ingest)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # only --help exits the parser
+        return EXIT_OK
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message, code = str(exc), EXIT_USAGE
     except (ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        message, code = str(exc), EXIT_DATA
+    except MemoryError as exc:
+        message, code = f"out of memory: {exc}", EXIT_DATA
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        message, code = f"cannot write output: {exc}", EXIT_DATA
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -188,7 +188,12 @@ def join_graphs(
         raise ValueError("both parts need at least one node")
     cfg = cfg or JoinConfig()
     n_d, n_s = g_d.node_count, g_s.node_count
-    m_new = _round_half_up(cfg.edge_multiplier_c * g_d.edge_count)
+    want = cfg.edge_multiplier_c * g_d.edge_count  # inf when c * m_dense overflows
+    if want + 0.5 >= n_d * n_s + 1:  # round(want) exceeds the pair grid
+        raise CapacityError(
+            f"cannot place {want:.6g} distinct cross edges between {n_d} x {n_s} nodes"
+        )
+    m_new = _round_half_up(want)
     if m_new > 0 and rng is None:
         raise ValueError("joining edges require an rng")
     cross = _sample_cross_pairs(n_d, n_s, m_new, rng)

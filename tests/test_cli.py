@@ -44,6 +44,7 @@ def test_help_exits_zero(capsys):
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+    assert [line[:7] for line in capsys.readouterr().err.splitlines()] == ["error: "] * 2
 
 
 def test_unknown_suite_is_usage_error(tmp_path, capsys):
@@ -148,6 +149,33 @@ def test_generate_is_deterministic(tmp_path, capsys):
         decoded = np.repeat(values, runs)
         np.testing.assert_array_equal(decoded, seq.member(i).node_origin)
     capsys.readouterr()
+
+
+def test_huge_join_multiplier_is_capacity_error(tmp_path, capsys):
+    # c * m_dense overflows to inf; the join must refuse it before rounding
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{" + _GOOD_CONFIG + ', "join": {"c": 1e308}}')
+    assert main(["--out", str(tmp_path / "o"), "generate", "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot place inf distinct cross edges") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_allocation_failures_are_one_line(tmp_path, capsys):
+    # 2**59 nodes ask numpy for 4 EiB, which fails at once on any 64-bit machine
+    huge = 2**59
+    graph = tmp_path / "huge.edges"
+    graph.write_text(f"n {huge}\n0 1\n1 2\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{" + _GOOD_CONFIG + f', "schedule": {{"base_n_d": {huge}}}}}')
+    assert main(["estimate", "--input", str(graph)]) == 3
+    assert main(["--out", str(tmp_path / "o"), "generate", "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: out of memory: ") for line in lines)
+    assert "Traceback" not in err
 
 
 def test_estimate_input_errors(tmp_path, capsys):
@@ -371,6 +399,7 @@ def test_experiment_rejects_fewer_than_one_replicate(replicates, capsys):
 
 
 _GRAPH = "{graph}"
+_CONFIG = "{config}"
 _PREDICT = ["predict", "--data", FIXTURE, "--train-times", "6", "--horizons", "2"]
 _FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
 
@@ -394,16 +423,23 @@ _FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
         ["--scale", "inf"] + _FINITE_U,
         ["--scale", "0.02"] + _FINITE_U + ["--workers", "0"],
         ["--scale", "0.02"] + _FINITE_U + ["--workers", "-1"],
+        ["--seed", "-1", "generate", "--config", _CONFIG],
+        ["ingest", "--data", FIXTURE, "--snapshot-times", "six"],
+        ["ingest", "--data", FIXTURE, "--make-fixture"],
+        ["estimate", "--input", _GRAPH, "--percentile", "abc"],
+        ["frobnicate"],
     ],
-    ids=lambda argv: " ".join(a for a in argv if a not in (_GRAPH, FIXTURE)),
+    ids=lambda argv: " ".join(a for a in argv if a not in (_GRAPH, _CONFIG, FIXTURE)),
 )
 def test_bad_flag_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     graph = tmp_path / "mix.edges"
     write_graph_file(graph, three_star_mixture().graph)
+    config = tmp_path / "c.json"
+    config.write_text("{" + _GOOD_CONFIG + "}")
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    argv = [str(graph) if a == _GRAPH else a for a in argv]
+    argv = [{_GRAPH: str(graph), _CONFIG: str(config)}.get(a, a) for a in argv]
     assert main(["--out", str(tmp_path / "out")] + argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -424,6 +460,7 @@ def test_removed_estimate_flags_are_usage_errors(flag, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_ingest_requires_data(capsys):

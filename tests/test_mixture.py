@@ -100,6 +100,22 @@ def test_join_capacity_error():
         join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=10.0), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("c, fits", [(4.4, True), (4.5, False), (1e308, False)])
+def test_join_capacity_follows_the_rounded_count(c, fits):
+    # 2 x 2 pair grid: round(4.4) = 4 fits, round(4.5) = 5 does not, and
+    # c * m_dense = inf is refused before rounding, without a draw
+    g_d = Graph(2, [(0, 1)])
+    g_s, _ = star_forest([1])
+    rng = np.random.default_rng(0)
+    if fits:
+        assert join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=c), rng).m_new == 4
+        return
+    state = rng.bit_generator.state
+    with pytest.raises(CapacityError, match="between 2 x 2 nodes"):
+        join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=c), rng)
+    assert rng.bit_generator.state == state
+
+
 @st.composite
 def grids_with_taken(draw):
     """(n_d, n_s, taken pairs, free pairs) for a partly filled pair grid."""
