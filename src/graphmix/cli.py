@@ -13,8 +13,8 @@ Every command is deterministic under --seed: reruns produce
 byte-identical output files.  Exit codes: 0 success, 2 usage or config
 error, 3 data error, exhausted memory, or output that cannot be written.
 Every failure prints one "error: ..." line on stderr.  The parser checks
-every flag value, so a usage error (unknown command or flag, bad value)
-writes no files.
+every flag value, so a usage error (unknown command or flag, bad value,
+a flag that the chosen mode ignores) writes no files.
 
 Global flags (--seed, --out, --scale, --format) go before the command.
 generate and ingest write into --out (default: the working directory);
@@ -199,6 +199,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.sparse_edges is not None and not args.plot_data:
+        raise ConfigError("--sparse-edges needs --plot-data")
     truth = None
     if args.truth:
         try:
@@ -289,11 +291,13 @@ def cmd_experiment(args) -> int:
 def cmd_ingest(args) -> int:
     out = args.out or "."
     if args.make_fixture:
+        if args.data_format or args.snapshot_times:
+            raise ConfigError("--data-format and --snapshot-times need --data")
         events = build_temporal_fixture(seed=args.seed if args.seed is not None else 0)
         _save(out, "synthetic_growth.events", "".join(f"{u} {v} {t}\n" for u, v, t in events))
         print(f"wrote fixture {os.path.join(out, 'synthetic_growth.events')}")
         return EXIT_OK
-    tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format)
+    tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format or "whitespace3col")
     report = {
         "events": tel.edge_t.size,
         "nodes": len(tel.node_ids),
@@ -358,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--data", default=None)
     source.add_argument("--make-fixture", action="store_true",
                         help="write the bundled synthetic growth fixture instead")
-    p.add_argument("--data-format", choices=("whitespace3col", "csv3col"),
-                   default="whitespace3col")
+    p.add_argument("--data-format", choices=("whitespace3col", "csv3col"), default=None,
+                   help="default: whitespace3col")
     p.add_argument("--snapshot-times", type=_INT_LIST, default=None)
     p.set_defaults(fn=cmd_ingest)
     return parser

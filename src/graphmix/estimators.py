@@ -130,17 +130,14 @@ def _ratio_partition(spectrum: DegreeSpectrum, k_hat: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionEstimate:
-    """k_hat weights summing to 1, with the mode and fit diagnostics."""
+    """Weights summing to 1 (k_hat of them), with the mode and fit diagnostics."""
 
     mode: str
-    k_hat: int
     weights: np.ndarray
     diagnostics: object = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.size != self.k_hat:
-            raise ValueError("weights length must equal k_hat")
         if np.any(w <= 0) or np.any(np.diff(w) > 0):
             raise ValueError("weights must be positive and non-increasing")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -148,13 +145,17 @@ class PartitionEstimate:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
+    @property
+    def k_hat(self) -> int:
+        return self.weights.size
+
 
 def estimate_partition_finite(
     spectrum: DegreeSpectrum, percentile: float = 50.0
 ) -> PartitionEstimate:
     """Weights = top-k degrees over their sum, k from the gap scan."""
     k_hat, gaps = estimate_k_finite(spectrum, percentile)
-    return PartitionEstimate("finite", k_hat, _ratio_partition(spectrum, k_hat), gaps)
+    return PartitionEstimate("finite", _ratio_partition(spectrum, k_hat), gaps)
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -255,7 +256,7 @@ def estimate_partition_infinite(
 ) -> PartitionEstimate:
     """Same ratio formula as the finite mode, k from the segment fit."""
     k_hat, fit = estimate_k_infinite(spectrum, percentile)
-    return PartitionEstimate("infinite", k_hat, _ratio_partition(spectrum, k_hat), fit)
+    return PartitionEstimate("infinite", _ratio_partition(spectrum, k_hat), fit)
 
 
 def estimate_partition(

@@ -5,12 +5,12 @@ int64 array with every row stored as (min, max) and rows sorted
 lexicographically, so equality, hashing of files, and iteration order are
 reproducible across runs.  Node labels are 0..node_count-1; isolated
 nodes are allowed and matter (they enter node counts and densities).
+Node counts and degrees must be integers, or ValueError is raised.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -90,6 +90,8 @@ class Graph:
     __slots__ = ("node_count", "edges", "_degrees")
 
     def __init__(self, node_count: int, edges=()):
+        if not isinstance(node_count, (int, np.integer)):
+            raise ValueError(f"node_count must be an integer, got {node_count!r}")
         node_count = int(node_count)
         if not 0 <= node_count < 2**63:
             raise ValueError("node_count out of range 0..2**63-1")
@@ -152,28 +154,30 @@ def component_labels(g: Graph) -> np.ndarray:
             parent = jumped
 
 
-@dataclass(frozen=True)
 class DegreeSpectrum:
     """Sorted degree views consumed by every estimator.
 
-    sorted_degrees keeps multiplicity (non-increasing); unique_degrees is
-    strictly decreasing.
+    Derived from node degrees given in any order: sorted_degrees keeps
+    multiplicity (non-increasing); unique_degrees is strictly decreasing.
     """
 
-    sorted_degrees: np.ndarray
-    unique_degrees: np.ndarray
+    __slots__ = ("sorted_degrees", "unique_degrees")
 
-    def __post_init__(self):
-        sd = np.asarray(self.sorted_degrees, dtype=np.int64)
-        ud = np.asarray(self.unique_degrees, dtype=np.int64)
-        if sd.size and np.any(np.diff(sd) > 0):
-            raise ValueError("sorted_degrees must be non-increasing")
-        if ud.size and np.any(np.diff(ud) >= 0):
-            raise ValueError("unique_degrees must be strictly decreasing")
+    def __init__(self, degrees):
+        deg = np.asarray(degrees)
+        if deg.ndim != 1 or (deg.size and deg.dtype.kind not in "iu"):
+            raise ValueError("degrees must be a 1-D array of integers")
+        sd = np.sort(deg.astype(np.int64, copy=False))[::-1]
+        if sd.size and sd[-1] < 0:
+            raise ValueError("degrees must be non-negative")
+        ud = _distinct_sorted(sd)
         sd.setflags(write=False)
         ud.setflags(write=False)
         object.__setattr__(self, "sorted_degrees", sd)
         object.__setattr__(self, "unique_degrees", ud)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DegreeSpectrum is immutable")
 
     @property
     def node_count(self) -> int:
@@ -187,13 +191,8 @@ def _distinct_sorted(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _spectrum_from_degrees(deg: np.ndarray) -> DegreeSpectrum:
-    sd = np.sort(deg)[::-1]
-    return DegreeSpectrum(sorted_degrees=sd, unique_degrees=_distinct_sorted(sd))
-
-
 def degree_spectrum(g: Graph) -> DegreeSpectrum:
-    return _spectrum_from_degrees(g.degrees())
+    return DegreeSpectrum(g.degrees())
 
 
 def edge_density(g: Graph) -> float:

@@ -4,7 +4,8 @@ The inverse line graph is only taken on graphs whose components are all
 cliques; clique K_c maps back to the star K_{1,c} and an isolated vertex
 maps to a single disconnected edge.  The triangle is genuinely ambiguous
 (K_3 is the line graph of both K_3 and K_{1,3}); the star preimage is
-chosen so the output is always a star forest.
+chosen so the output is always a star forest.  classify_sequence reads
+each graph's evidence from the degree ratios that graph defines.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, component_labels
+from .graph import Graph, component_labels, max_degree_ratio, square_degree_ratio
 
 __all__ = [
     "StructureError",
@@ -87,11 +88,12 @@ def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]
     star is hub first then its leaves; each isolated edge appends two
     fresh nodes.
     """
-    sizes = np.asarray(star_sizes, dtype=np.int64)
-    if np.any(sizes < 1):
-        raise ValueError("star sizes must be >= 1")
-    if isolated_edges < 0:
-        raise ValueError("isolated_edges must be >= 0")
+    sizes = np.asarray(star_sizes)
+    if sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 1):
+        raise ValueError("star sizes must be integers >= 1")
+    sizes = sizes.astype(np.int64)
+    if not isinstance(isolated_edges, (int, np.integer)) or isolated_edges < 0:
+        raise ValueError(f"isolated_edges must be an integer >= 0, got {isolated_edges!r}")
     hubs = np.cumsum(sizes + 1) - (sizes + 1)
     # leaf slots 0..sum(sizes)-1 skip one hub node per star started so far
     leaves = np.arange(sizes.sum()) + np.repeat(np.arange(1, sizes.size + 1), sizes)
@@ -120,23 +122,20 @@ class _SequenceEvidence:
     max_degree_evidence: float
 
 
-def classify_sequence(stats) -> _SequenceEvidence:
-    """Evidence from a sequence of (n, m, max_degree, sum_degree_squares).
+def classify_sequence(graphs) -> _SequenceEvidence:
+    """Evidence that a graph sequence stays line-graph sparse.
 
     Membership in the sparse family is an asymptotic property, so this
     reports evidence in [0, 1], never a verdict: the minimum over the
-    trailing half of the sequence of sum(d^2)/m^2 (clipped to 1; star
-    sequences saturate it) and of max_degree/m.
+    trailing half of the sequence of 4 * square_degree_ratio = sum(d^2)/m^2
+    (clipped to 1; star sequences saturate it) and of max_degree_ratio =
+    max_degree/m.  An edgeless graph there raises ValueError.
     """
-    rows = list(stats)
-    if not rows:
-        raise ValueError("need at least one stats row")
-    tail = rows[len(rows) - (len(rows) + 1) // 2 :]
-    sq = 1.0
-    mx = 1.0
-    for n, m, d_max, sum_sq in tail:
-        if m <= 0:
-            raise ValueError("stats rows need m >= 1")
-        sq = min(sq, min(1.0, float(sum_sq) / float(m) ** 2))
-        mx = min(mx, float(d_max) / float(m))
-    return _SequenceEvidence(square_degree_evidence=sq, max_degree_evidence=mx)
+    gs = list(graphs)
+    if not gs:
+        raise ValueError("need at least one graph")
+    tail = gs[len(gs) - (len(gs) + 1) // 2 :]
+    return _SequenceEvidence(
+        square_degree_evidence=min(1.0, *(4.0 * square_degree_ratio(g) for g in tail)),
+        max_degree_evidence=min(1.0, *(max_degree_ratio(g) for g in tail)),
+    )

@@ -226,13 +226,9 @@ def _sparse_part_from_labels(
     realized = np.flatnonzero(counts)
     g_s, hub_nodes = star_forest(counts[realized], isolated_edges=isolated)
     origin = np.full(g_s.node_count, NodeOrigin.SPARSE_LEAF, dtype=np.int8)
-    hubs: dict[int, int] = {}
-    for hub, j in zip(hub_nodes, realized):
-        origin[hub] = NodeOrigin.SPARSE_HUB
-        hubs[int(j)] = int(hub)
-    tail = int(counts[realized].sum()) + realized.size
-    origin[tail:] = NodeOrigin.SPARSE_ISOLATED
-    return g_s, origin, hubs
+    origin[hub_nodes] = NodeOrigin.SPARSE_HUB
+    origin[g_s.node_count - 2 * isolated :] = NodeOrigin.SPARSE_ISOLATED
+    return g_s, origin, dict(zip(realized.tolist(), hub_nodes.tolist()))
 
 
 def generate_mixture(

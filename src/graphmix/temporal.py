@@ -19,7 +19,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .graph import Graph, _spectrum_from_degrees
+from .graph import DegreeSpectrum, Graph
 from .estimators import forecast_top_k, mape
 
 __all__ = [
@@ -197,8 +197,8 @@ def evaluation_run(
                     tt, h, tel.t_min, tel.t_max,
                 )
                 continue
-            spec_train = _spectrum_from_degrees(_degrees_at(tel, tt))
-            spec_test = _spectrum_from_degrees(_degrees_at(tel, te))
+            spec_train = DegreeSpectrum(_degrees_at(tel, tt))
+            spec_test = DegreeSpectrum(_degrees_at(tel, te))
             if k > spec_train.node_count or k > spec_test.node_count:
                 log.warning(
                     "skipping train_t=%s horizon=%s: fewer than k=%d nodes", tt, h, k

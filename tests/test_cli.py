@@ -426,6 +426,9 @@ _FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
         ["--seed", "-1", "generate", "--config", _CONFIG],
         ["ingest", "--data", FIXTURE, "--snapshot-times", "six"],
         ["ingest", "--data", FIXTURE, "--make-fixture"],
+        ["ingest", "--make-fixture", "--snapshot-times", "2,4"],
+        ["ingest", "--make-fixture", "--data-format", "csv3col"],
+        ["estimate", "--input", _GRAPH, "--sparse-edges", "20000"],
         ["estimate", "--input", _GRAPH, "--percentile", "abc"],
         ["frobnicate"],
     ],

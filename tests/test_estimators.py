@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from graphmix import (
     DegreeSpectrum,
+    Graph,
     PartitionEstimate,
     baseline_partition,
     baseline_sqrt_predict,
@@ -17,12 +20,14 @@ from graphmix import (
     fit_two_segments,
     forecast_top_k,
     generate_mixture,
+    join_graphs,
     mape,
     ols_fit,
     parse_graphon,
     parse_mass_partition,
     predict_top_k,
     retained_log_points,
+    star_forest,
 )
 from graphmix.graphon import sample_w_random_graph
 
@@ -30,8 +35,7 @@ W = parse_graphon("exp_sum")
 
 
 def spec_of(degs):
-    d = np.asarray(degs, dtype=np.int64)
-    return DegreeSpectrum(np.sort(d)[::-1], np.unique(d)[::-1])
+    return DegreeSpectrum(degs)
 
 
 def test_predict_top_k_scales_linearly():
@@ -146,13 +150,11 @@ def test_partition_finite_reports_gaps():
 
 def test_partition_estimate_invariants():
     with pytest.raises(ValueError):
-        PartitionEstimate("finite", 2, np.array([0.3, 0.3]))  # sum != 1
+        PartitionEstimate("finite", np.array([0.3, 0.3]))  # sum != 1
     with pytest.raises(ValueError):
-        PartitionEstimate("finite", 2, np.array([0.4, 0.6]))  # increasing
+        PartitionEstimate("finite", np.array([0.4, 0.6]))  # increasing
     with pytest.raises(ValueError):
-        PartitionEstimate("finite", 3, np.array([0.7, 0.3]))  # wrong length
-    with pytest.raises(ValueError):
-        PartitionEstimate("finite", 2, np.array([1.2, -0.2]))  # nonpositive
+        PartitionEstimate("finite", np.array([1.2, -0.2]))  # nonpositive
 
 
 def test_estimates_sum_to_one():
@@ -325,3 +327,54 @@ def test_leading_weight_converges_with_sparse_size():
         gaps.append(abs(float(np.mean(p1s)) - 2.0 / 3.0))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.005
+
+
+MODES = ("auto", "finite", "infinite")
+
+
+def estimate_outcome(g, mode):
+    """Everything an estimate reports, or the error message."""
+    try:
+        est = estimate_partition(degree_spectrum(g), mode=mode)
+    except ValueError as exc:
+        return str(exc)
+    diag = est.diagnostics
+    diag = diag.tolist() if isinstance(diag, np.ndarray) else diag
+    return est.mode, est.k_hat, est.weights.tolist(), diag
+
+
+@st.composite
+def star_mixtures(draw):
+    """A G(n, p) dense part joined to a drawn star forest, with its seed."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_d = draw(st.integers(2, 40))
+    upper = np.triu(rng.random((n_d, n_d)) < draw(st.sampled_from([0.1, 0.5])), 1)
+    dense = Graph(n_d, np.argwhere(upper))
+    sizes = draw(st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    sparse, _ = star_forest(sizes, draw(st.integers(0, 30)))
+    assume(dense.edge_count <= n_d * sparse.node_count)  # room for the cross edges
+    return join_graphs(dense, sparse, rng=rng).graph, rng
+
+
+@given(star_mixtures(), st.integers(1, 20))
+def test_estimates_ignore_node_labels_and_isolated_nodes(case, extra):
+    g, rng = case
+    relabeled = Graph(g.node_count, rng.permutation(g.node_count)[g.edges])
+    padded = Graph(g.node_count + extra, g.edges)
+    for mode in MODES:
+        want = estimate_outcome(g, mode)
+        assert estimate_outcome(relabeled, mode) == want
+        assert estimate_outcome(padded, mode) == want
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=12, max_size=120), st.sampled_from(MODES))
+def test_successful_estimates_are_partitions(degs, mode):
+    try:
+        est = estimate_partition(DegreeSpectrum(degs), mode=mode)
+    except ValueError:
+        return
+    w = est.weights
+    assert est.k_hat == w.size >= 1
+    assert np.all(w > 0) and np.all(np.diff(w) <= 0)
+    assert abs(w.sum() - 1.0) <= 1e-9

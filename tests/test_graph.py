@@ -19,6 +19,7 @@ from graphmix import (
     max_degree_ratio,
     read_edge_list,
     square_degree_ratio,
+    star_forest,
     top_k_degrees,
     write_edge_list,
 )
@@ -167,10 +168,57 @@ def test_degree_spectrum_empty():
 
 
 def test_degree_spectrum_validation():
+    spec = DegreeSpectrum([1, 3, 0, 3, 20])  # any order
+    assert spec.sorted_degrees.tolist() == [20, 3, 3, 1, 0]
+    assert spec.unique_degrees.tolist() == [20, 3, 1, 0]
+    assert spec.node_count == 5
+    for bad in ([2.7, 1.0], [3, -1], [[2, 1]], ["2", "1"]):
+        with pytest.raises(ValueError):
+            DegreeSpectrum(bad)
+    with pytest.raises(AttributeError):
+        spec.sorted_degrees = np.array([1])
     with pytest.raises(ValueError):
-        DegreeSpectrum(sorted_degrees=[1, 2], unique_degrees=[2, 1])
-    with pytest.raises(ValueError):
-        DegreeSpectrum(sorted_degrees=[2, 1], unique_degrees=[1, 2])
+        spec.sorted_degrees[0] = 0
+
+
+DEGREE_LISTS = st.lists(st.integers(0, 60), max_size=30)
+
+
+@given(DEGREE_LISTS, st.data())
+def test_degree_spectrum_ignores_order_and_zeros(degs, data):
+    spec = DegreeSpectrum(np.array(degs, dtype=np.int64))
+    assert spec.sorted_degrees.tolist() == sorted(degs, reverse=True)
+    assert spec.unique_degrees.tolist() == sorted(set(degs), reverse=True)
+    shuffled = DegreeSpectrum(data.draw(st.permutations(degs)))
+    assert np.array_equal(shuffled.sorted_degrees, spec.sorted_degrees)
+    assert np.array_equal(shuffled.unique_degrees, spec.unique_degrees)
+    zeros = data.draw(st.integers(1, 5))
+    padded = DegreeSpectrum(degs + [0] * zeros)
+    assert padded.sorted_degrees.tolist() == spec.sorted_degrees.tolist() + [0] * zeros
+    positive = padded.unique_degrees[padded.unique_degrees > 0]
+    assert np.array_equal(positive, spec.unique_degrees[spec.unique_degrees > 0])
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_degree_spectrum_of_a_graph_is_its_degrees(seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng)
+    spec, want = DegreeSpectrum(rng.permutation(g.degrees())), degree_spectrum(g)
+    assert np.array_equal(spec.sorted_degrees, want.sorted_degrees)
+    assert np.array_equal(spec.unique_degrees, want.unique_degrees)
+
+
+def test_size_arguments_must_be_integers():
+    for build in (
+        lambda: Graph(2.9, [(0, 1)]),
+        lambda: Graph("3", [(0, 1)]),
+        lambda: star_forest([2.5]),
+        lambda: star_forest([2], isolated_edges=1.5),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            build()
+    assert Graph(np.int64(2), [(0, 1)]) == Graph(2, [(0, 1)])
+    assert star_forest(np.array([2]), np.int64(1))[0] == star_forest([2], 1)[0]
 
 
 def test_edge_density_values():
@@ -198,9 +246,7 @@ def test_max_degree_ratio_values():
 
 
 def test_top_k_degrees():
-    spec = DegreeSpectrum(
-        sorted_degrees=[300, 200, 100, 5, 5], unique_degrees=[300, 200, 100, 5]
-    )
+    spec = DegreeSpectrum([5, 300, 100, 5, 200])
     assert top_k_degrees(spec, 3).tolist() == [300, 200, 100]
     assert top_k_degrees(spec, 5).tolist() == [300, 200, 100, 5, 5]
     assert top_k_degrees(degree_spectrum(complete_graph(4)), 1).tolist() == [3]

@@ -257,34 +257,24 @@ def test_round_trip_random_star_forests():
 
 
 def test_classify_growing_stars_saturates():
-    stats = []
-    for i in range(2, 51):
-        # K_{1,i}: m=i, d_max=i, sum d^2 = i^2 + i
-        stats.append((i + 1, i, i, i * i + i))
-    ev = classify_sequence(stats)
+    # K_{1,i}: m=i, d_max=i, sum d^2 = i^2 + i
+    ev = classify_sequence(star_forest([i])[0] for i in range(2, 51))
     assert ev.square_degree_evidence == 1.0
     assert ev.max_degree_evidence == 1.0
 
 
 def test_classify_dense_sequence_vanishes():
     w = parse_graphon("const:0.5")
-    stats = []
-    for n in range(20, 201, 20):
-        g = sample_w_random_graph(w, n, np.random.default_rng(n))
-        deg = g.degrees()
-        stats.append((n, g.edge_count, int(deg.max()), int((deg.astype(np.int64) ** 2).sum())))
-    ev = classify_sequence(stats)
+    graphs = [sample_w_random_graph(w, n, np.random.default_rng(n)) for n in range(20, 201, 20)]
+    ev = classify_sequence(graphs)
     assert ev.square_degree_evidence < 0.1
     assert ev.max_degree_evidence < 0.1
 
 
 def test_classify_paths_scale_like_4_over_n():
-    stats = []
-    for n in range(10, 101, 10):
-        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
-        deg = g.degrees()
-        stats.append((n, g.edge_count, int(deg.max()), int((deg ** 2).sum())))
-    ev = classify_sequence(stats)
+    ev = classify_sequence(
+        Graph(n, [(i, i + 1) for i in range(n - 1)]) for n in range(10, 101, 10)
+    )
     assert ev.square_degree_evidence == pytest.approx(4.0 / 100.0, rel=0.2)
 
 
@@ -292,4 +282,31 @@ def test_classify_needs_rows():
     with pytest.raises(ValueError):
         classify_sequence([])
     with pytest.raises(ValueError):
-        classify_sequence([(3, 0, 0, 0)])
+        classify_sequence([Graph(3)])
+
+
+def classify_rows_reference(rows):
+    """The row formula over (n, m, max_degree, sum_degree_squares) that
+    classify_sequence replaced."""
+    tail = rows[len(rows) - (len(rows) + 1) // 2 :]
+    sq = mx = 1.0
+    for n, m, d_max, sum_sq in tail:
+        sq = min(sq, min(1.0, float(sum_sq) / float(m) ** 2))
+        mx = min(mx, float(d_max) / float(m))
+    return sq, mx
+
+
+SEQUENCE_GRAPHS = st.one_of(
+    graphs().filter(lambda g: g.edge_count > 0),
+    st.lists(st.integers(1, 30), min_size=1, max_size=4).map(lambda s: star_forest(s)[0]),
+)
+
+
+@given(st.lists(SEQUENCE_GRAPHS, min_size=1, max_size=6))
+def test_classify_matches_the_row_formula(seq):
+    rows = [
+        (g.node_count, g.edge_count, int(g.degrees().max()), int((g.degrees() ** 2).sum()))
+        for g in seq
+    ]
+    ev = classify_sequence(seq)
+    assert (ev.square_degree_evidence, ev.max_degree_evidence) == classify_rows_reference(rows)

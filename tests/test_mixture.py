@@ -22,7 +22,8 @@ from graphmix import (
     parse_mass_partition,
     star_forest,
 )
-from graphmix.mixture import _sample_cross_pairs
+from graphmix.masspartition import clique_size_counts
+from graphmix.mixture import _sample_cross_pairs, _sparse_part_from_labels
 
 U23 = parse_mass_partition("mass:[0.6666666666666666,0.3333333333333333]")
 W = parse_graphon("exp_sum")
@@ -217,6 +218,35 @@ def test_sequence_members_nest_property(sizes, seed, c):
         assert all(size_a[j] <= size_b[j] for j in size_a)
         isolated = [np.sum(x.node_origin == NodeOrigin.SPARSE_ISOLATED) for x in (a, b)]
         assert isolated[0] <= isolated[1]
+
+
+def sparse_part_by_loops(u, labels):
+    """The per-clique loop _sparse_part_from_labels replaced."""
+    counts, isolated = clique_size_counts(u, labels)
+    realized = np.flatnonzero(counts)
+    g_s, hub_nodes = star_forest(counts[realized], isolated_edges=isolated)
+    origin = np.full(g_s.node_count, NodeOrigin.SPARSE_LEAF, dtype=np.int8)
+    hubs = {}
+    for hub, j in zip(hub_nodes, realized):
+        origin[hub] = NodeOrigin.SPARSE_HUB
+        hubs[int(j)] = int(hub)
+    tail = int(counts[realized].sum()) + realized.size
+    origin[tail:] = NodeOrigin.SPARSE_ISOLATED
+    return g_s, origin, hubs
+
+
+U4 = parse_mass_partition("mass:[0.4,0.3,0.2,0.05]")
+
+
+@given(st.lists(st.integers(0, len(U4)), min_size=1, max_size=60))
+def test_sparse_part_matches_loop_construction(labels):
+    labels = np.array(labels)
+    g_s, origin, hubs = _sparse_part_from_labels(U4, labels)
+    want_g, want_origin, want_hubs = sparse_part_by_loops(U4, labels)
+    assert g_s == want_g
+    assert origin.dtype == want_origin.dtype and np.array_equal(origin, want_origin)
+    assert hubs == want_hubs and list(hubs) == list(want_hubs)
+    assert all(type(k) is int and type(v) is int for k, v in hubs.items())
 
 
 def test_join_increment_per_dense_node():

@@ -1,6 +1,8 @@
 """The package's public surface: one declaration per name."""
 
+import ast
 import itertools
+import pathlib
 
 import graphmix
 
@@ -28,3 +30,30 @@ def test_package_exports_every_module_name():
     for m in MODULES:
         for name in m.__all__:
             assert getattr(graphmix, name) is getattr(m, name)
+
+
+# every import of a _-prefixed name from another graphmix module; a new
+# one is added here on purpose, naming the one module that owns the name
+PRIVATE_IMPORTS = {
+    ("mixture", "graph", "_distinct_sorted"),
+    ("mixture", "graphon", "_graph_from_latents"),
+    ("experiments", "mixture", "_round_half_up"),
+    ("experiments", "mixture", "_sample_cross_pairs"),
+    ("experiments", "mixture", "_sequence_latents"),
+}
+
+
+def test_private_names_cross_modules_only_by_allowlist():
+    found = set()
+    for path in pathlib.Path(graphmix.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("graphmix")
+            ):
+                source = (node.module or "").rpartition(".")[2]
+                found |= {
+                    (path.stem, source, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                }
+    assert found == PRIVATE_IMPORTS
