@@ -90,7 +90,7 @@ class Graph:
     __slots__ = ("node_count", "edges", "_degrees")
 
     def __init__(self, node_count: int, edges=()):
-        if not isinstance(node_count, (int, np.integer)):
+        if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)):
             raise ValueError(f"node_count must be an integer, got {node_count!r}")
         node_count = int(node_count)
         if not 0 <= node_count < 2**63:

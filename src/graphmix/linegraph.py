@@ -88,11 +88,20 @@ def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]
     star is hub first then its leaves; each isolated edge appends two
     fresh nodes.
     """
-    sizes = np.asarray(star_sizes)
+    try:
+        sizes = np.asarray(star_sizes)
+    except ValueError:  # ragged nesting
+        sizes = None
+    if sizes is None or sizes.ndim != 1:
+        raise ValueError("star sizes must be a flat (1-D) sequence of integers")
     if sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 1):
         raise ValueError("star sizes must be integers >= 1")
     sizes = sizes.astype(np.int64)
-    if not isinstance(isolated_edges, (int, np.integer)) or isolated_edges < 0:
+    if (
+        isinstance(isolated_edges, bool)
+        or not isinstance(isolated_edges, (int, np.integer))
+        or isolated_edges < 0
+    ):
         raise ValueError(f"isolated_edges must be an integer >= 0, got {isolated_edges!r}")
     hubs = np.cumsum(sizes + 1) - (sizes + 1)
     # leaf slots 0..sum(sizes)-1 skip one hub node per star started so far

@@ -378,3 +378,15 @@ def test_successful_estimates_are_partitions(degs, mode):
     assert est.k_hat == w.size >= 1
     assert np.all(w > 0) and np.all(np.diff(w) <= 0)
     assert abs(w.sum() - 1.0) <= 1e-9
+
+
+@given(st.data())
+def test_forecast_with_unchanged_node_count_returns_train_top_k(data):
+    n = data.draw(st.integers(1, 40))
+    degrees = st.lists(st.integers(0, 10**6), min_size=n, max_size=n)
+    train, test, k = data.draw(degrees), data.draw(degrees), data.draw(st.integers(1, n))
+    actual, prop, base = forecast_top_k(DegreeSpectrum(train), DegreeSpectrum(test), k)
+    want = sorted(train, reverse=True)[:k]
+    assert prop.tolist() == want and base.tolist() == want
+    assert actual.tolist() == sorted(test, reverse=True)[:k]
+

@@ -221,6 +221,17 @@ def test_size_arguments_must_be_integers():
     assert star_forest(np.array([2]), np.int64(1))[0] == star_forest([2], 1)[0]
 
 
+def test_bool_sizes_are_not_integers():
+    # bool subclasses int, so it would otherwise pass as 1 or 0
+    for build in (
+        lambda: Graph(True),
+        lambda: Graph(np.True_),
+        lambda: star_forest([3, 2], isolated_edges=True),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            build()
+
+
 def test_edge_density_values():
     assert edge_density(complete_graph(4)) == 0.75
     assert edge_density(Graph(7)) == 0.0

@@ -197,6 +197,12 @@ def test_star_forest_layout():
         star_forest([2], isolated_edges=-1)
 
 
+def test_star_sizes_must_be_flat():
+    for sizes in ([[3], [2]], [[3], [2, 1]], 3, np.ones((2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="star sizes"):
+            star_forest(sizes)
+
+
 def star_forest_by_loops(star_sizes, isolated_edges):
     """Star forest built one star and one isolated edge at a time, the reference."""
     hubs, edges, node = [], [], 0

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphmix import (
     Graphon,
@@ -194,3 +196,18 @@ def test_expected_hub_degree_errors():
         expected_hub_degree(0.5, 0, 0, 10)
     with pytest.raises(ValueError):
         expected_hub_degree(0.5, 100, -1, 10)
+
+
+@given(
+    st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+    st.floats(0.05, 1.0),
+    st.integers(1, 5000),
+    st.integers(0, 2**32 - 1),
+)
+def test_clique_counts_conserve_m(raw, mass, m, seed):
+    w = np.sort(raw)[::-1]
+    p = MassPartition(w / w.sum() * mass)
+    sizes, isolated = clique_size_counts(p, sample_clique_labels(p, m, np.random.default_rng(seed)))
+    assert sizes.shape == (len(p),) and sizes.min() >= 0 and isolated >= 0
+    assert int(sizes.sum()) + isolated == m
+

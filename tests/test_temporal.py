@@ -1,12 +1,17 @@
 """Temporal edge-list parsing, snapshots, and forecast evaluation."""
 
+import hashlib
 import io
+import os
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphmix import temporal
 from graphmix import (
     TemporalFormatError,
     degree_spectrum,
@@ -17,6 +22,7 @@ from graphmix import (
     snapshot_at,
 )
 
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "synthetic_growth.events")
 GOOD_LINES = ["1 2 5", "2 3 6"]
 
 # a hub "h" gaining spokes over three steps, plus side edges
@@ -147,6 +153,75 @@ def test_serialize_round_trip():
     assert again.node_ids == tel.node_ids
 
 
+def test_fixture_parse_and_serialize_are_pinned():
+    # digests taken before parsing and writing worked in blocks of rows;
+    # they pin the byte identity of both
+    with open(FIXTURE) as f:
+        tel = parse_edge_events(f)
+    buf = io.StringIO()
+    serialize_edge_events(tel, buf)
+    digests = {
+        "text": buf.getvalue().encode(),
+        "node_ids": "\n".join(tel.node_ids).encode(),
+        "edge_t": tel.edge_t.astype("<i8").tobytes(),
+        "node_first_t": tel.node_first_t.astype("<i8").tobytes(),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == {
+        "text": "9370897db2edb045786ff7ccd10cf36e5082e5ecbde5cd6c1925368424206dfe",
+        "node_ids": "3d66561e6400e06b215d1fbeff563fec5eb14b9213bc646a0f9369308138eff1",
+        "edge_t": "736c5233a36be43bff4223f5b644ac09491ae682a1c932acd7bbf1d0166ea040",
+        "node_first_t": "549366b767cc4d71e733a3cc28f04d0173859ed949e6677cb38e860b94e943ab",
+    }
+    with open(FIXTURE) as f:
+        assert parse_edge_events(f.read().splitlines()).events == tel.events
+
+
+def test_parsed_arrays_are_contiguous():
+    for tel in (
+        parse_edge_events(STAR_LINES),
+        parse_edge_events(["u,v,t", "a,b,2", "b,c,1"], fmt="csv3col"),
+    ):
+        for name in ("edge_u", "edge_v", "edge_t", "node_first_t"):
+            assert getattr(tel, name).flags.c_contiguous, name
+
+
+def test_parse_rows_that_are_not_str():
+    # bytes rows cannot be joined into one text; the row loop splits them
+    tel = parse_edge_events([b"a b 2", b"b c 1"])
+    assert tel.events == ((b"b", b"c", 1), (b"a", b"b", 2))
+
+
+def test_long_ids_parse_in_bulk():
+    # ids of any length are split and classed with numpy, not the row loop
+    long_ids = ["h" * 200, "h" * 199 + "i", "0123456789abcdef" * 2 + "01234567"]
+    lines = [f"{u} {v} {t}" for t, (u, v) in enumerate([long_ids[:2], long_ids[1:], long_ids[::2]])]
+    with mock.patch.object(temporal, "_scan_rows", side_effect=AssertionError("row loop")):
+        tel = parse_edge_events(lines)
+    assert tel.node_ids == tuple(long_ids)
+    assert tel.edge_u.tolist() == [0, 1, 0] and tel.edge_v.tolist() == [1, 2, 2]
+
+
+def test_id_hash_collisions_are_told_apart():
+    # with the multiplier at 0 the hash of an id is its last 8-byte word, so
+    # these ids collide; checking each id against its class's row splits them
+    ids = ["aaaaaaaa1", "bbbbbbbb1", "cccccccc1"]
+    lines = [f"{ids[0]} {ids[1]} 1", f"{ids[1]} {ids[2]} 2", f"{ids[0]} {ids[1]} 3"]
+    with mock.patch.object(temporal, "_MIX", np.uint64(0)):
+        tel = parse_edge_events(lines)
+    assert tel.node_ids == tuple(ids)
+    assert tel.events == ((ids[0], ids[1], 1), (ids[1], ids[2], 2))
+    assert tel.rejects == ()
+
+
+def test_bulk_tokenizer_splits_like_str_split():
+    # the byte classes the bulk parse splits at, and the characters that
+    # send a block to the row loop, are exactly str.split's whitespace
+    seps = np.flatnonzero(temporal._SEPARATOR).tolist()
+    assert seps == [0] + [c for c in range(128) if chr(c).isspace()]
+    wide = map(chr, range(128, sys.maxunicode + 1))
+    assert temporal._WIDE_SPACE == "".join(filter(str.isspace, wide))
+
+
 def test_evaluation_horizon_zero_is_exact():
     tel = parse_edge_events(STAR_LINES)
     summary, detail = evaluation_run(tel, [1, 2], [0, 1], k=1)
@@ -192,7 +267,25 @@ def test_evaluation_rejects_negative_horizon():
 
 FORMATS = ["whitespace3col", "csv3col"]
 IDS = ["a", "b", "c", "d", "10", "2"]
+# ids of 8 to 41 bytes sharing their first 8, so they span up to six 8-byte
+# words, hex hashes differing only in their last byte, and non-ASCII ids
+HASH = "0123456789abcdef0123456789abcdef0123456"
+WIDE_IDS = [
+    "abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefghijklmnopqrst", "abcdefgh" * 5 + "i",
+    HASH + "7", HASH + "8", "é", "日本語",
+]
+# an id the bulk parse leaves to the row loop, because it holds a NUL
+ROW_LOOP_ID = "nul\0id"
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# integer timestamps int() accepts in other spellings; the 19-digit ones
+# and the non-ASCII digit take the int() path of the bulk parse
+STAMP_TEXTS = [
+    "+4", "007", "1_0", "-0", "٣", "999999999999999999", "1000000000000000000",
+    str(INT64_MIN), str(INT64_MAX), "00009223372036854775807",
+]
+# one separator per example: the ASCII ones, an embedded newline, and
+# non-ASCII spaces that send the block to the row loop
+SEPARATORS = [" ", "\t", "   ", "\x1c", "\n", "\xa0", "\u3000"]
 
 
 def reference_parse(lines, fmt):
@@ -236,16 +329,21 @@ def reference_parse(lines, fmt):
 @st.composite
 def event_lines(draw, fmt):
     """Rows over a small id alphabet, rejects kept under the 10% cap."""
-    node = st.sampled_from(IDS)
-    stamp = st.one_of(st.integers(-3, 8), st.sampled_from([INT64_MIN, INT64_MAX]))
+    node = st.sampled_from(IDS + draw(st.sampled_from([[], WIDE_IDS])))
+    stamp = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(STAMP_TEXTS))
     good = draw(
         st.lists(
-            st.tuples(node, node, stamp.map(str)).filter(lambda r: r[0] != r[1]),
+            st.tuples(node, node, stamp).filter(lambda r: r[0] != r[1]),
             min_size=9,  # room for at least one reject
             max_size=40,
         )
     )
-    bad_stamp = st.sampled_from(["soon", "1.5", str(INT64_MAX + 1), str(INT64_MIN - 1)])
+    if fmt == "whitespace3col" and draw(st.booleans()):
+        at = draw(st.integers(0, len(good) - 1))
+        good[at] = (ROW_LOOP_ID, *good[at][1:])
+    bad_stamp = st.sampled_from(
+        ["soon", "1.5", "+", "1__0", str(INT64_MAX + 1), str(INT64_MIN - 1)]
+    )
     bad = st.one_of(
         node.map(lambda u: (u, u, "1")),
         st.lists(node, min_size=1, max_size=2).map(tuple),
@@ -257,7 +355,7 @@ def event_lines(draw, fmt):
     rows = draw(st.permutations(rows))
     if fmt == "csv3col":
         return ["u,v,t"] + [",".join(r) for r in rows]
-    sep = draw(st.sampled_from([" ", "\t", "   "]))
+    sep = draw(st.sampled_from(SEPARATORS))
     return [sep.join(r) + draw(st.sampled_from(["", "\n", "  "])) for r in rows]
 
 
@@ -265,7 +363,10 @@ def event_lines(draw, fmt):
 @given(data=st.data())
 def test_parse_matches_reference(fmt, data):
     lines = data.draw(event_lines(fmt))
-    tel = parse_edge_events(lines, fmt=fmt)
+    # small blocks put block boundaries, and ids seen in earlier blocks, in reach
+    block_rows = data.draw(st.sampled_from([3, 16, temporal._BLOCK_ROWS]))
+    with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows):
+        tel = parse_edge_events(lines, fmt=fmt)
     events, node_ids, first_t, rejects = reference_parse(lines, fmt)
     assert tel.events == tuple(events)
     assert tel.node_ids == tuple(node_ids)
