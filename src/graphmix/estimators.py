@@ -8,7 +8,7 @@ top of the spectrum and scale linearly with the sparse edge count.
 * infinite partitions: no single gap exists, so (rank, log degree) is
   split into two least-squares lines and k is the fitted breakpoint
   (the sparse segment falls faster than log(m/j), the dense one
-  slower).
+  slower); one prefix-sum pass gives the loss of every breakpoint.
 
 Either way the partition weights are the top-k degrees normalized by
 their own sum; the naive baseline normalizes by the total degree mass,
@@ -191,11 +191,68 @@ class SegmentFit:
         return self.loss1 + self.loss2
 
 
+def _prefix_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares line through the first r points, r = 1..n: its loss,
+    and |slope| * max|x| + |intercept|, the size of the terms ols_fit rounds.
+
+    Running sums are taken about the first point, so no loss subtracts
+    one large running total from another; NaN where x[:r] is constant.
+    Floating-point warnings are the caller's to silence.
+    """
+    a, b = x - x[0], y - y[0]
+    r = np.arange(1, x.size + 1)
+    sa, sb = np.cumsum(a), np.cumsum(b)
+    saa = np.cumsum(a * a) - sa * sa / r
+    sab = np.cumsum(a * b) - sa * sb / r
+    sbb = np.cumsum(b * b) - sb * sb / r
+    slope = np.where(saa > 0, sab / saa, np.nan)
+    intercept = y[0] + sb / r - slope * (x[0] + sa / r)
+    return sbb - slope * sab, np.abs(slope) * np.abs(x).max() + np.abs(intercept)
+
+
+def _breakpoint_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cutoffs r whose two-segment loss may be the smallest under ols_fit.
+
+    One prefix-sum pass over each end gives every cutoff's loss.  Each
+    running sum is within n + 1 times its segment's own centred sum, so
+    these losses are off by O(n^2 * eps) of the total sum of squares ss.
+    ols_fit's losses are off by its rounding of each residual, at most
+    delta = 4 * eps * (|slope| * max|x| + |intercept| + max|y|), which
+    moves a loss by at most 2 * sqrt(n * ss) * delta + n * delta^2.  A
+    cutoff farther above the smallest prefix loss than twice both bounds
+    (the first at least 1e-9 * max(1, ss), a margin for their constants)
+    loses in the exact fit too.  Cutoffs whose prefix loss is not finite
+    (constant x, overflow) stay candidates.
+    """
+    n = x.size
+    cutoffs = np.arange(_MIN_SEG, n - _MIN_SEG + 1)
+    if x.ndim != 1 or y.shape != x.shape or not np.isfinite(x).all() or not np.isfinite(y).all():
+        return cutoffs  # every cutoff: ols_fit raises or warns as it always did
+    with np.errstate(all="ignore"):
+        left, left_size = (v[cutoffs - 1] for v in _prefix_fits(x, y))
+        right, right_size = (v[n - cutoffs - 1] for v in _prefix_fits(x[::-1], y[::-1]))
+        total = left + right
+        ss = float(((y - y.mean()) ** 2).sum())
+        finite = np.isfinite(total)
+        if not finite.any():
+            return cutoffs
+        eps = np.finfo(np.float64).eps
+        delta = 4 * eps * (np.maximum(left_size, right_size)[finite].max() + np.abs(y).max())
+        tol = 2 * (
+            max(1e-9, 8 * n * n * eps) * max(1.0, ss)
+            + 2 * math.sqrt(n * ss) * delta
+            + n * delta * delta
+        )
+        return cutoffs[~finite | (total <= total[finite].min() + tol)]
+
+
 def fit_two_segments(x: np.ndarray, y: np.ndarray) -> SegmentFit:
-    """Exhaustive scan of the breakpoint; ties go to the smallest cutoff.
+    """Scan of the breakpoint; ties go to the smallest cutoff.
 
     The first segment takes points [0, r), the second [r, N); both need
-    at least 3 points.
+    at least 3 points.  One prefix-sum pass gives every cutoff's loss;
+    ols_fit then refits only the cutoffs within rounding of the smallest,
+    so the result equals fitting every cutoff with ols_fit.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -203,7 +260,7 @@ def fit_two_segments(x: np.ndarray, y: np.ndarray) -> SegmentFit:
     if n < 2 * _MIN_SEG:
         raise ValueError(f"need at least {2 * _MIN_SEG} points, got {n}")
     best = None
-    for r in range(_MIN_SEG, n - _MIN_SEG + 1):
+    for r in _breakpoint_candidates(x, y).tolist():
         s1, i1, l1 = ols_fit(x[:r], y[:r])
         s2, i2, l2 = ols_fit(x[r:], y[r:])
         if best is None or l1 + l2 < best.total_loss:

@@ -3,8 +3,10 @@
 Graphs are immutable once built.  The edge table is a read-only (m, 2)
 int64 array with every row stored as (min, max) and rows sorted
 lexicographically, so equality, hashing of files, and iteration order are
-reproducible across runs.  Node labels are 0..node_count-1; isolated
-nodes are allowed and matter (they enter node counts and densities).
+reproducible across runs.  Rows given in that canonical order skip the
+sort and are only checked and copied.  Node labels are
+0..node_count-1; isolated nodes are allowed and matter (they enter node
+counts and densities).
 Node counts and degrees must be integers, or ValueError is raised.
 """
 
@@ -57,22 +59,31 @@ def _endpoint_array(raw: np.ndarray) -> np.ndarray:
 
 
 def _canonical_edges(node_count: int, edges) -> np.ndarray:
-    """Rows (min, max), sorted and distinct, as one sorted int64 key per edge."""
+    """Rows (min, max), sorted and distinct, as one sorted int64 key per edge.
+
+    Rows that are already canonical (u < v on every row, keys strictly
+    increasing) skip the sort and come back as a C-contiguous copy.
+    """
     raw = np.asarray(edges)
     if raw.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     arr = _endpoint_array(raw)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be an iterable of (u, v) pairs")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
+    lo, hi = arr[:, 0], arr[:, 1]
+    oriented = bool(np.all(lo < hi))
+    if not oriented:
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     if lo.min() < 0 or hi.max() >= node_count:
         raise ValueError("edge endpoint out of range 0..node_count-1")
-    if np.any(lo == hi):
+    if not oriented and np.any(lo == hi):
         raise ValueError("self loops are not allowed")
     if node_count <= _KEY_NODE_LIMIT:
         # key order is lexicographic (lo, hi) order
-        key = np.sort(lo * node_count + hi)
+        key = lo * node_count + hi
+        if oriented and np.all(key[1:] > key[:-1]):
+            return arr.copy()  # never the caller's array: Graph freezes it
+        key = np.sort(key)
         lo, hi = np.divmod(key, node_count)
     else:
         order = np.lexsort((hi, lo))

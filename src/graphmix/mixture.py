@@ -169,6 +169,28 @@ def _derive_sparse_meta(g_s: Graph) -> tuple[np.ndarray, dict[int, int]]:
     return origin, {rank: int(hub) for rank, hub in enumerate(hub_nodes)}
 
 
+def _joined_edges(
+    dense: np.ndarray, sparse: np.ndarray, cross: np.ndarray, n_d: int, n_s: int
+) -> np.ndarray:
+    """Canonical rows of the union, from three blocks that are each sorted.
+
+    Dense and cross rows both start at a dense node, so they interleave:
+    their keys lo * n + hi merge in one stable sort (two sorted runs).
+    Shifted sparse rows start at n_d or later and follow both.
+    """
+    n = n_d + n_s
+    if n * n >= 2**63:  # keys would overflow; Graph sorts the blocks instead
+        return np.concatenate([dense, cross + (0, n_d), sparse + n_d])
+    key = np.sort(
+        np.concatenate([dense[:, 0] * n + dense[:, 1], cross[:, 0] * n + (cross[:, 1] + n_d)]),
+        kind="stable",
+    )
+    rows = np.empty((key.size + sparse.shape[0], 2), dtype=np.int64)
+    rows[: key.size, 0], rows[: key.size, 1] = np.divmod(key, n)
+    rows[key.size :] = sparse + n_d
+    return rows
+
+
 def join_graphs(
     g_d: Graph,
     g_s: Graph,
@@ -197,7 +219,7 @@ def join_graphs(
     if m_new > 0 and rng is None:
         raise ValueError("joining edges require an rng")
     cross = _sample_cross_pairs(n_d, n_s, m_new, rng)
-    graph = Graph(n_d + n_s, np.concatenate([g_d.edges, g_s.edges + n_d, cross + (0, n_d)]))
+    graph = Graph(n_d + n_s, _joined_edges(g_d.edges, g_s.edges, cross, n_d, n_s))
     if sparse_meta is None:
         sparse_origin, sparse_hubs = _derive_sparse_meta(g_s)
     else:
@@ -311,7 +333,7 @@ class MixtureSequence:
     def member(self, i: int) -> MixtureGraph:
         n_d, m_s = self.sizes[i]
         e = self._dense_full.edges
-        g_d = Graph(n_d, e[(e[:, 0] < n_d) & (e[:, 1] < n_d)])
+        g_d = Graph(n_d, e[e[:, 1] < n_d])  # rows are (lo, hi)
         g_s, origin, hubs = _sparse_part_from_labels(self.u, self._labels[:m_s])
         rng = np.random.default_rng(self._join_streams[i])
         return join_graphs(g_d, g_s, self.cfg, rng, sparse_meta=(origin, hubs))

@@ -92,7 +92,8 @@ def parse_edge_events(lines: Iterable[str], fmt: str = "whitespace3col") -> Temp
     inside int64, or u == v.  Among the rest, sorted stably by time, the
     first row of each unordered pair is kept.  whitespace3col rows are
     split in blocks of _BLOCK_ROWS rows with numpy; the result does not
-    depend on the block size.
+    depend on the block size.  A reject names the line its row starts
+    on; a csv3col record with a quoted newline spans several lines.
 
     Raises TemporalFormatError when more than 10% of data rows are
     unusable, and ValueError when nothing usable remains at all.
@@ -103,13 +104,13 @@ def parse_edge_events(lines: Iterable[str], fmt: str = "whitespace3col") -> Temp
         header = next(reader, None)
         if header is not None and [h.strip().lower() for h in header] != ["u", "v", "t"]:
             raise TemporalFormatError("csv3col needs a 'u,v,t' header")
-        blocks = [_scan_rows(([c.strip() for c in row] for row in reader), 2, index)]
+        blocks = [_scan_rows(_csv_records(reader), index)]
     elif fmt == "whitespace3col":
         blocks, rows, first_line = [], iter(lines), 1
         while block := list(islice(rows, _BLOCK_ROWS)):
             blocks.append(
                 _bulk_rows(block, first_line, index)
-                or _scan_rows((raw.split() for raw in block), first_line, index)
+                or _scan_rows(enumerate((raw.split() for raw in block), first_line), index)
             )
             first_line += len(block)
     else:
@@ -147,11 +148,23 @@ def _check_stamp(t_text: str) -> int | str:
     return t
 
 
-def _scan_rows(rows: Iterable[list], first_line: int, index: dict) -> _Rows:
-    """Split rows checked one at a time (rows[0] is line first_line)."""
+def _csv_records(reader) -> Iterable[tuple[int, list]]:
+    """(line the record starts on, stripped cells) per CSV record.
+
+    A quoted field may hold newlines, so a record can span lines;
+    reader.line_num counts the lines read so far.
+    """
+    start = reader.line_num + 1
+    for row in reader:
+        yield start, [c.strip() for c in row]
+        start = reader.line_num + 1
+
+
+def _scan_rows(rows: Iterable[tuple[int, list]], index: dict) -> _Rows:
+    """Split rows, each with its line number, checked one at a time."""
     eu, ev, et, rejects = [], [], [], []
     seen = 0
-    for lineno, row in enumerate(rows, start=first_line):
+    for lineno, row in rows:
         if not any(row):
             continue
         seen += 1
@@ -174,7 +187,7 @@ def _scan_rows(rows: Iterable[list], first_line: int, index: dict) -> _Rows:
 
 
 def _bulk_rows(block: list, first_line: int, index: dict) -> _Rows | None:
-    """_scan_rows(raw.split() for raw in block) with numpy over the bytes.
+    """_scan_rows over raw.split() of each row of block, with numpy over the bytes.
 
     The rows are joined with NUL, encoded as UTF-8 and split at the bytes
     str.split treats as whitespace.  Returns None, before touching index,

@@ -1,5 +1,7 @@
 """Hub-count and partition estimators, segment fits, and forecasts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -9,6 +11,7 @@ from graphmix import (
     DegreeSpectrum,
     Graph,
     PartitionEstimate,
+    SegmentFit,
     baseline_partition,
     baseline_sqrt_predict,
     degree_spectrum,
@@ -29,6 +32,7 @@ from graphmix import (
     retained_log_points,
     star_forest,
 )
+from graphmix import estimators
 from graphmix.graphon import sample_w_random_graph
 
 W = parse_graphon("exp_sum")
@@ -221,6 +225,77 @@ def test_two_segments_never_worse_than_one_line():
         fit = fit_two_segments(x, y)
         _, _, single = ols_fit(x, y)
         assert fit.total_loss <= single + 1e-12
+
+
+def exhaustive_two_segments(x, y):
+    """fit_two_segments before the prefix-sum scan, kept as the reference."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    best = None
+    for r in range(3, x.size - 3 + 1):
+        s1, i1, l1 = ols_fit(x[:r], y[:r])
+        s2, i2, l2 = ols_fit(x[r:], y[r:])
+        if best is None or l1 + l2 < best.total_loss:
+            best = SegmentFit(r, s1, i1, l1, s2, i2, l2)
+    return best
+
+
+@st.composite
+def segment_points(draw):
+    """x with ties (sorted or not) and y with exact ties and constant runs, at several scales."""
+    n = draw(st.integers(6, 40))
+    x = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        x = sorted(x)
+    x = np.array(x, dtype=np.float64) * draw(st.sampled_from([0.125, 1.0, 1000.0]))
+    y = np.array(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)), dtype=np.float64)
+    y *= draw(st.sampled_from([1e-3, 0.1, 1.0, 1e3]))
+    lo = draw(st.integers(0, n))
+    y[lo : draw(st.integers(lo, n))] = y[lo - 1] if lo else 1.5  # a constant run
+    if draw(st.booleans()):
+        y += draw(st.sampled_from([0.1, 10.0, 1e4]))  # an offset far from zero
+    return x, y
+
+
+def fit_outcome(fit, x, y):
+    try:
+        return fit(x, y)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(segment_points())
+def test_two_segments_equal_the_exhaustive_scan(points):
+    x, y = points
+    assert fit_outcome(fit_two_segments, x, y) == fit_outcome(exhaustive_two_segments, x, y)
+
+
+@given(segment_points())
+def test_prefix_losses_match_ols_fit(points):
+    # to 1e-9 of the segment's centred sum of squares (the loss of a flat
+    # line), or within ols_fit's rounding of residuals of size eps * max|y|
+    x, y = points
+    eps = np.finfo(np.float64).eps
+    for xs, ys in ((x, y), (x[::-1], y[::-1])):
+        with np.errstate(all="ignore"):  # constant prefixes divide by zero
+            losses, _ = estimators._prefix_fits(xs, ys)
+        for r in range(2, xs.size + 1):
+            if np.all(xs[:r] == xs[0]):
+                assert np.isnan(losses[r - 1])
+                continue
+            _, _, loss = ols_fit(xs[:r], ys[:r])
+            flat = float(((ys[:r] - ys[:r].mean()) ** 2).sum())
+            noise = r * (4 * eps * np.abs(ys[:r]).max()) ** 2
+            assert abs(losses[r - 1] - loss) <= 1e-9 * flat + noise
+
+
+def test_two_segments_refit_only_near_the_smallest_loss():
+    x = np.arange(40.0)
+    y = np.where(x < 12, 30.0 - 2.0 * x, 6.5 - 0.1 * x) + np.sin(x) * 0.01
+    with mock.patch.object(estimators, "ols_fit", wraps=ols_fit) as refit:
+        fit = fit_two_segments(x, y)
+    assert fit == exhaustive_two_segments(x, y) and fit.cutoff == 12
+    assert refit.call_count == 2
 
 
 def test_retained_log_points_hand_case():

@@ -141,6 +141,81 @@ def test_graph_beyond_int64_pair_keys():
         Graph(n, [(3_999_999_999, 1), (0, 5), (1, 3_999_999_999)])
 
 
+def reference_canonical_edges(node_count, edges):
+    """Graph's canonicalization before canonical rows skipped the sort, kept as the reference."""
+    raw = np.asarray(edges)
+    if raw.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    arr = graph_module._endpoint_array(raw)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("edges must be an iterable of (u, v) pairs")
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    if lo.min() < 0 or hi.max() >= node_count:
+        raise ValueError("edge endpoint out of range 0..node_count-1")
+    if np.any(lo == hi):
+        raise ValueError("self loops are not allowed")
+    if node_count <= _KEY_NODE_LIMIT:
+        key = np.sort(lo * node_count + hi)
+        lo, hi = np.divmod(key, node_count)
+    else:
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+    dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if dup.any():
+        i = int(dup.argmax()) + 1
+        raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
+    return np.column_stack([lo, hi])
+
+
+def canonical_outcome(build, n, rows):
+    """build(n, rows) as a list of rows, or the type and message of its error."""
+    try:
+        return build(n, rows).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(distinct_edge_sets())
+def test_canonical_rows_give_the_graph_of_any_row_order(case):
+    n, want, rows = case
+    g = Graph(n, np.array(want, dtype=np.int64).reshape(-1, 2))
+    assert g == Graph(n, rows)
+    assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+
+
+@given(distinct_edge_sets(min_size=1), st.data())
+def test_canonical_looking_bad_rows_fail_as_before(case, data):
+    n, want, _ = case
+    rows = [list(p) for p in want]
+    i = data.draw(st.sampled_from([0, len(rows) - 1, data.draw(st.integers(0, len(rows) - 1))]))
+    fault = data.draw(st.sampled_from(["low", "high", "far", "duplicate"]))
+    if fault == "low":  # still u < v on every row
+        rows[i][0] = -1
+    elif fault == "high":
+        rows[i][1] = n
+    elif fault == "far":
+        rows[i][1] = min(n + data.draw(st.integers(1, 2**62)), 2**63 - 1)
+    else:
+        rows.insert(i + 1, list(rows[i]))
+    arr = np.array(rows, dtype=np.int64)
+    got = canonical_outcome(lambda n, rows: Graph(n, rows).edges, n, arr)
+    assert isinstance(got, tuple)
+    assert got == canonical_outcome(reference_canonical_edges, n, arr)
+
+
+def test_canonical_rows_are_copied():
+    for n, rows in ((5, [(0, 1), (1, 4), (2, 3)]), (_KEY_NODE_LIMIT + 1, [(0, 7), (3, 4)])):
+        a = np.array(rows)
+        g = Graph(n, a)
+        assert a.flags.writeable and not np.shares_memory(a, g.edges)
+        a[0, 1] = 2
+        assert g.edges.tolist() == [list(r) for r in rows]
+    strided = np.array([[0, 1], [9, 9], [1, 2]])[::2]
+    g = Graph(3, strided)
+    assert g.edges.flags.c_contiguous and not np.shares_memory(strided, g.edges)
+
+
 def test_graph_is_immutable():
     g = Graph(2, [(0, 1)])
     with pytest.raises(AttributeError):

@@ -23,7 +23,7 @@ from graphmix import (
     star_forest,
 )
 from graphmix.masspartition import clique_size_counts
-from graphmix.mixture import _sample_cross_pairs, _sparse_part_from_labels
+from graphmix.mixture import _joined_edges, _sample_cross_pairs, _sparse_part_from_labels
 
 U23 = parse_mass_partition("mass:[0.6666666666666666,0.3333333333333333]")
 W = parse_graphon("exp_sum")
@@ -185,6 +185,29 @@ def test_join_conserves_parts_and_adds_m_new_cross_edges(parts, seed):
     assert np.array_equal(sparse - n_d, g_s.edges)
     assert cross.shape == (mix.m_new, 2)
     assert len({tuple(r) for r in cross.tolist()}) == mix.m_new
+
+
+@given(join_inputs(), st.integers(0, 2**32 - 1))
+def test_join_edges_match_concatenate_then_canonicalize(parts, seed):
+    g_d, g_s, c = parts
+    mix = join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=c), np.random.default_rng(seed))
+    # the construction before the join merged sorted blocks, kept as the reference
+    n_d, n_s = g_d.node_count, g_s.node_count
+    cross = _sample_cross_pairs(n_d, n_s, mix.m_new, np.random.default_rng(seed))
+    want = Graph(n_d + n_s, np.concatenate([g_d.edges, g_s.edges + n_d, cross + (0, n_d)]))
+    assert np.array_equal(mix.graph.edges, want.edges)
+
+
+def test_joined_edges_beyond_int64_pair_keys():
+    # n * n overflows int64, and so would the key of the last dense edge; a
+    # whole join this size would tag 3.1e9 nodes, so the edge merge is tested
+    n_d = 3_100_000_000
+    dense = np.array([[5, 6], [3_099_999_998, 3_099_999_999]])
+    sparse = star_forest([2])[0].edges
+    cross = _sample_cross_pairs(n_d, 3, 2, np.random.default_rng(1))
+    rows = _joined_edges(dense, sparse, cross, n_d, 3)
+    want = Graph(n_d + 3, np.concatenate([dense, sparse + n_d, cross + (0, n_d)]))
+    assert Graph(n_d + 3, rows) == want
 
 
 def sparse_star_sizes(mix):

@@ -106,6 +106,16 @@ def test_parse_csv_format():
         parse_edge_events(GOOD_LINES, fmt="tsv")
 
 
+def test_csv_rejects_name_the_line_a_record_starts_on():
+    # lines 2-3 hold one record (a quoted id with a newline), line 16 a self loop
+    lines = ["u,v,t\n", '"a\n', 'b",c,1\n'] + [f"x{i},y{i},2\n" for i in range(12)]
+    lines += ["p,p,3\n", '"q\n', "\n", 'r",q,4\n', "s,s,5\n"]
+    lines += [f"z{i},w{i},6\n" for i in range(10)]
+    tel = parse_edge_events(lines, fmt="csv3col")
+    assert tel.node_ids[0] == "a\nb"
+    assert tel.rejects == ((16, "self loop at node 'p'"), (20, "self loop at node 's'"))
+
+
 def test_snapshot_cumulative():
     tel = parse_edge_events(STAR_LINES)
     g1 = snapshot_at(tel, 1)
