@@ -17,6 +17,8 @@ every flag value, so a usage error (unknown command or flag, bad value,
 a flag that the chosen mode ignores) writes no files.
 
 Global flags (--seed, --out, --scale, --format) go before the command.
+--scale applies only to experiment; --format (json or csv tables)
+applies to generate, predict and experiment.
 generate and ingest write into --out (default: the working directory);
 estimate, predict and experiment write files only when --out is given.
 ingest takes exactly one of --data and --make-fixture.
@@ -91,6 +93,7 @@ def _ints(text: str) -> list[int]:
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _PERCENTILE = _checked(float, lambda v: 0.0 <= v <= 100.0, "a number in 0..100")
+_SCALE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
 _INT_LIST = _checked(_ints, bool, "comma-separated integers")
 _HORIZONS = _checked(_ints, lambda v: v and min(v) >= 0, "comma-separated integers >= 0")
 
@@ -110,8 +113,9 @@ def _save(out: str, name: str, text: str) -> None:
         f.write(text)
 
 
-def _save_rows(out: str, stem: str, rows: list[dict], fmt: str) -> None:
-    """Save rows as out/stem.json or out/stem.csv."""
+def _save_rows(out: str, stem: str, rows: list[dict], fmt: str | None) -> None:
+    """Save rows as out/stem.json or out/stem.csv (fmt None: json)."""
+    fmt = fmt or "json"
     buf = io.StringIO()
     if fmt == "csv" and rows:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -277,7 +281,7 @@ def cmd_experiment(args) -> int:
     seed = args.seed if args.seed is not None else 0
     try:
         result = run_suite(args.suite, replicates=args.replicates, seed=seed,
-                           scale=args.scale, workers=args.workers)
+                           scale=args.scale or 1.0, workers=args.workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.out:
@@ -323,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=_NON_NEGATIVE, default=None, help="global RNG seed")
     parser.add_argument("--out", default=None, help="output directory (generate/ingest: '.')")
-    parser.add_argument("--scale", type=float, default=1.0, help="size multiplier for suites")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--scale", type=_SCALE, default=None,
+                        help="size multiplier for experiment suites (default: 1)")
+    parser.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="table format of generate, predict and experiment (default: json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample a mixture sequence from a JSON config")
@@ -352,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named reference suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--replicates", type=int, default=None,
+    p.add_argument("--replicates", type=_POSITIVE, default=None,
                    help="default: the suite's own count")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_POSITIVE, default=1)
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("ingest", help="clean a temporal edge list, write snapshots")
@@ -369,10 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# global flags that only some commands read
+_GLOBAL_FLAG_COMMANDS = {
+    "scale": {"experiment"},
+    "format": {"generate", "predict", "experiment"},
+}
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
         args = build_parser().parse_args(argv)
+        for flag, commands in _GLOBAL_FLAG_COMMANDS.items():
+            if getattr(args, flag) is not None and args.command not in commands:
+                raise ConfigError(f"--{flag} does not apply to {args.command}")
         return args.fn(args)
     except SystemExit:  # only --help exits the parser
         return EXIT_OK

@@ -1,4 +1,4 @@
-"""Reference experiment suites and synthetic temporal fixtures.
+"""Reference experiment suites and the synthetic temporal fixture.
 
 Three suites mirror the headline comparison tables; run_suite runs any
 of them from one table (_SUITES) of per-experiment plans and replicate
@@ -42,13 +42,7 @@ from .estimators import (
 from .graph import degree_spectrum
 from .graphon import parse_graphon
 from .masspartition import MassPartition, parse_mass_partition
-from .mixture import (
-    MixtureSequence,
-    _round_half_up,
-    _sample_cross_pairs,
-    _sequence_latents,
-    generate_mixture,
-)
+from .mixture import JoinConfig, MixtureSequence, _round_half_up, generate_mixture
 
 __all__ = ["run_suite", "build_temporal_fixture"]
 
@@ -249,58 +243,13 @@ def run_suite(
     return {"suite": name, "rows": rows, "aggregates": aggregates}
 
 
-def build_temporal_fixture(
-    u_text: str = "power:1.2:2:50",
-    w_text: str = "exp_sum",
-    sizes=None,
-    c: float = 0.3,
-    seed: int = 0,
-) -> list[tuple[str, str, int]]:
-    """Timestamped events of one growing mixture, with stable node ids.
+def build_temporal_fixture(seed: int = 0) -> list[tuple[str, str, int]]:
+    """Events of the bundled synthetic growth fixture at this seed.
 
-    sizes is a non-decreasing list of (n_dense, m_sparse) per step; each
-    edge is stamped with the first step at which it exists.  Dense nodes
-    are d<i>, hubs h<j>, sparse leaves s<i> (one per clique-sample
-    vertex).  The dense part and clique labels are those of
-    MixtureSequence(u, w, sizes, seed=seed).  Joins come from the same
-    sampler as join_graphs but accumulate: step t adds cross pairs
-    d<a> s<i> (never a hub) until round(c * m_dense(t)) exist, so
-    snapshots of the event list reproduce the growing graphs.  Raises
-    CapacityError when a step's joins do not fit.
+    The MixtureSequence.events() of partition power:1.2:2:50 and graphon
+    exp_sum over 12 steps, step i of 15 i dense nodes and int(90 i^1.5)
+    sparse edges, joined with c = 0.3.
     """
-    u = parse_mass_partition(u_text)
-    w = parse_graphon(w_text)
-    if sizes is None:
-        sizes = [(15 * i, int(90 * i ** 1.5)) for i in range(1, 13)]
-    sizes = [(int(a), int(b)) for a, b in sizes]
-    nd_steps = np.asarray([a for a, _ in sizes])
-    ms_steps = np.asarray([b for _, b in sizes])
-    if np.any(np.diff(nd_steps) < 0) or np.any(np.diff(ms_steps) < 0):
-        raise ValueError("fixture sizes must be non-decreasing")
-    dense, labels, (join_stream,) = _sequence_latents(
-        u, w, int(nd_steps[-1]), int(ms_steps[-1]), 1, seed
-    )
-    join_rng = np.random.default_rng(join_stream)
-
-    events: list[tuple[str, str, int]] = []
-    # dense edge exists once both endpoints are inside the dense prefix
-    edge_step = np.searchsorted(nd_steps, dense.edges.max(axis=1), side="right")
-    for (a, b), t in zip(dense.edges, edge_step):
-        events.append((f"d{a}", f"d{b}", int(t) + 1))
-    # sparse vertex i contributes one star (or isolated) edge
-    k = len(u)
-    vert_step = np.searchsorted(ms_steps, np.arange(ms_steps[-1]), side="right")
-    for i, (j, t) in enumerate(zip(labels, vert_step)):
-        if j < k:
-            events.append((f"h{j}", f"s{i}", int(t) + 1))
-        else:
-            events.append((f"s{i}", f"s{i}b", int(t) + 1))
-    dense_edge_count_at = np.cumsum(np.bincount(edge_step, minlength=len(sizes)))
-    placed = np.empty((0, 2), dtype=np.int64)
-    for t_idx, (n_d, m_s) in enumerate(sizes):
-        target = _round_half_up(c * int(dense_edge_count_at[t_idx]))
-        new = _sample_cross_pairs(n_d, m_s, target - len(placed), join_rng, placed)
-        placed = np.concatenate([placed, new])
-        events.extend((f"d{a}", f"s{i}", t_idx + 1) for a, i in new.tolist())
-    events.sort(key=lambda e: e[2])
-    return events
+    sizes = [(15 * i, int(90 * i ** 1.5)) for i in range(1, 13)]
+    u, w = parse_mass_partition("power:1.2:2:50"), parse_graphon("exp_sum")
+    return MixtureSequence(u, w, sizes, JoinConfig(0.3), seed).events()

@@ -69,7 +69,7 @@ class JoinConfig:
 
     def __post_init__(self):
         c = self.edge_multiplier_c
-        if not (math.isfinite(c) and c >= 0):
+        if isinstance(c, bool) or not (math.isfinite(c) and c >= 0):
             raise ValueError(f"edge_multiplier_c must be finite and >= 0, got {c}")
 
 
@@ -276,24 +276,6 @@ def generate_mixture(
     return join_graphs(g_d, g_s, cfg, rng, sparse_meta=(origin, hubs))
 
 
-def _sequence_latents(
-    u: MassPartition, w: Graphon, n_max: int, m_max: int, joins: int, seed
-) -> tuple[Graph, np.ndarray, list[np.random.SeedSequence]]:
-    """Dense graph, clique labels and join streams of a growing sequence.
-
-    seed (int, None or SeedSequence) spawns 3 + joins children in a fixed
-    order: positions, dense edges, labels, then one stream per join.  A
-    child does not depend on how many are spawned, so callers that differ
-    only in joins share the dense part and labels.
-    """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = ss.spawn(3 + joins)
-    xs = np.random.default_rng(streams[0]).random(n_max)
-    dense = _graph_from_latents(w, xs, np.random.default_rng(streams[1]))
-    labels = sample_clique_labels(u, m_max, np.random.default_rng(streams[2]))
-    return dense, labels, streams[3:]
-
-
 class MixtureSequence:
     """Coupled growing mixtures over a list of (n_dense, m_sparse) sizes.
 
@@ -319,13 +301,17 @@ class MixtureSequence:
             if n_d < 1 or m_s < 1:
                 raise ValueError("sizes must be positive")
         self.u = u
-        self.w = w
         self.cfg = cfg or JoinConfig()
         n_max = max(n for n, _ in self.sizes)
         m_max = max(m for _, m in self.sizes)
-        self._dense_full, self._labels, self._join_streams = _sequence_latents(
-            u, w, n_max, m_max, len(self.sizes), seed
-        )
+        # seed (int, None or SeedSequence) spawns 3 + len(sizes) children in
+        # a fixed order: positions, dense edges, labels, then one join stream
+        # per member.  A child does not depend on how many are spawned.
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        positions, dense, labels, *self._join_streams = ss.spawn(3 + len(self.sizes))
+        xs = np.random.default_rng(positions).random(n_max)
+        self._dense_full = _graph_from_latents(w, xs, np.random.default_rng(dense))
+        self._labels = sample_clique_labels(u, m_max, np.random.default_rng(labels))
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -340,6 +326,49 @@ class MixtureSequence:
 
     def __iter__(self):
         return (self.member(i) for i in range(len(self.sizes)))
+
+    def events(self) -> list[tuple[str, str, int]]:
+        """Timestamped events of the growing mixture, with stable node ids.
+
+        Sizes must be non-decreasing; each edge is stamped with the first
+        step (1-based) at which it exists.  Dense nodes are d<i>, hubs h<j>,
+        sparse leaves s<i> (one per clique-sample vertex).  Dense edges and
+        clique labels are the members' own.  Joins come from the sampler of
+        join_graphs, drawing on member 0's join stream, but accumulate: step
+        t adds cross pairs d<a> s<i> (never a hub) until round(c * m_dense(t))
+        exist, so snapshots of the event list reproduce the growing graphs.
+        Raises CapacityError when a step's joins do not fit.
+        """
+        nd_steps = np.asarray([a for a, _ in self.sizes])
+        ms_steps = np.asarray([b for _, b in self.sizes])
+        if np.any(np.diff(nd_steps) < 0) or np.any(np.diff(ms_steps) < 0):
+            raise ValueError("event sizes must be non-decreasing")
+        join_rng = np.random.default_rng(self._join_streams[0])
+        edges = self._dense_full.edges
+
+        events: list[tuple[str, str, int]] = []
+        # dense edge exists once both endpoints are inside the dense prefix;
+        # rows are (lo, hi), so that is once hi is
+        edge_step = np.searchsorted(nd_steps, edges[:, 1], side="right")
+        for (a, b), t in zip(edges, edge_step):
+            events.append((f"d{a}", f"d{b}", int(t) + 1))
+        # sparse vertex i contributes one star (or isolated) edge
+        k = len(self.u)
+        vert_step = np.searchsorted(ms_steps, np.arange(ms_steps[-1]), side="right")
+        for i, (j, t) in enumerate(zip(self._labels, vert_step)):
+            if j < k:
+                events.append((f"h{j}", f"s{i}", int(t) + 1))
+            else:
+                events.append((f"s{i}", f"s{i}b", int(t) + 1))
+        dense_edge_count_at = np.cumsum(np.bincount(edge_step, minlength=len(self.sizes)))
+        placed = np.empty((0, 2), dtype=np.int64)
+        for t_idx, (n_d, m_s) in enumerate(self.sizes):
+            target = _round_half_up(self.cfg.edge_multiplier_c * int(dense_edge_count_at[t_idx]))
+            new = _sample_cross_pairs(n_d, m_s, target - len(placed), join_rng, placed)
+            placed = np.concatenate([placed, new])
+            events.extend((f"d{a}", f"s{i}", t_idx + 1) for a, i in new.tolist())
+        events.sort(key=lambda e: e[2])
+        return events
 
 
 # ratio(i) of each schedule kind, given its scale a
@@ -369,10 +398,11 @@ class RatioSchedule:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _RATIOS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (math.isfinite(self.a) and self.a > 0):
+        if isinstance(self.a, bool) or not (math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"schedule a must be finite and > 0, got {self.a}")
-        if not isinstance(self.base_n_d, (int, np.integer)) or self.base_n_d < 1:
-            raise ValueError(f"schedule base_n_d must be an integer >= 1, got {self.base_n_d}")
+        n = self.base_n_d
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"schedule base_n_d must be an integer >= 1, got {n}")
 
     def ratio(self, i: int) -> float:
         if i < 1:

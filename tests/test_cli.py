@@ -77,6 +77,9 @@ _GOOD_CONFIG = (
         '"join": {"c": NaN}',
         '"join": {"c": -1}',
         '"join": {"d": 1.0}',
+        '"join": {"c": true}',
+        '"schedule": {"a": true}',
+        '"schedule": {"base_n_d": true}',
         '"join": [1]',
         '"schedule": {"a": Infinity}',
         '"schedule": {"a": NaN}',
@@ -395,7 +398,7 @@ def test_experiment_rejects_fewer_than_one_replicate(replicates, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: replicates must be >= 1\n"
+    assert err == f"error: argument --replicates: expected an integer >= 1, got '{replicates}'\n"
 
 
 _GRAPH = "{graph}"
@@ -423,6 +426,18 @@ _FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
         ["--scale", "inf"] + _FINITE_U,
         ["--scale", "0.02"] + _FINITE_U + ["--workers", "0"],
         ["--scale", "0.02"] + _FINITE_U + ["--workers", "-1"],
+        ["--scale", "0.02"] + _FINITE_U + ["--workers", "two"],
+        ["--scale", "0.02"] + _FINITE_U[:-1] + ["0"],
+        ["--scale", "0.02"] + _FINITE_U[:-1] + ["1.5"],
+        ["--scale", "-3", "generate", "--config", _CONFIG],
+        ["--scale", "2", "generate", "--config", _CONFIG],
+        ["--scale", "1", "estimate", "--input", _GRAPH],
+        ["--scale", "0.5"] + _PREDICT,
+        ["--scale", "0.5", "ingest", "--make-fixture"],
+        ["--format", "csv", "estimate", "--input", _GRAPH],
+        ["--format", "json", "estimate", "--input", _GRAPH],
+        ["--format", "csv", "ingest", "--make-fixture"],
+        ["--format", "json", "ingest", "--data", FIXTURE, "--snapshot-times", "2"],
         ["--seed", "-1", "generate", "--config", _CONFIG],
         ["ingest", "--data", FIXTURE, "--snapshot-times", "six"],
         ["ingest", "--data", FIXTURE, "--make-fixture"],

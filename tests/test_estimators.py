@@ -241,8 +241,11 @@ def exhaustive_two_segments(x, y):
 
 
 @st.composite
-def segment_points(draw):
-    """x with ties (sorted or not) and y with exact ties and constant runs, at several scales."""
+def segment_points(draw, non_finite=False):
+    """x with ties (sorted or not) and y with exact ties and constant runs, at several scales.
+
+    With non_finite, x or y sometimes holds NaN, +-inf or 1e308.
+    """
     n = draw(st.integers(6, 40))
     x = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -254,17 +257,21 @@ def segment_points(draw):
     y[lo : draw(st.integers(lo, n))] = y[lo - 1] if lo else 1.5  # a constant run
     if draw(st.booleans()):
         y += draw(st.sampled_from([0.1, 10.0, 1e4]))  # an offset far from zero
+    if non_finite and draw(st.booleans()):
+        v = x if draw(st.booleans()) else y
+        v[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e308]))
     return x, y
 
 
 def fit_outcome(fit, x, y):
+    """repr of the fit (NaN fields compare equal), or of the error or warning."""
     try:
-        return fit(x, y)
-    except ValueError as exc:
-        return str(exc)
+        return repr(fit(x, y))
+    except (ValueError, RuntimeWarning) as exc:
+        return repr(exc)
 
 
-@given(segment_points())
+@given(segment_points(non_finite=True))
 def test_two_segments_equal_the_exhaustive_scan(points):
     x, y = points
     assert fit_outcome(fit_two_segments, x, y) == fit_outcome(exhaustive_two_segments, x, y)

@@ -8,8 +8,8 @@ import pytest
 
 from graphmix import (
     CapacityError,
+    JoinConfig,
     MixtureSequence,
-    build_temporal_fixture,
     parse_graphon,
     parse_mass_partition,
     run_suite,
@@ -55,17 +55,32 @@ def test_suite_replicates_do_not_depend_on_selection():
     assert both["aggregates"][1:] == second["aggregates"]
 
 
+def test_suite_workers_do_not_change_results():
+    # workers > 1 runs replicates in a process pool
+    kwargs = dict(replicates=2, seed=0, scale=0.02, experiments=(1, 2))
+    assert run_suite("table1:finiteU", workers=2, **kwargs) == run_suite(
+        "table1:finiteU", workers=1, **kwargs
+    )
+
+
+def growth(u_text, sizes, c, seed):
+    return MixtureSequence(
+        parse_mass_partition(u_text), parse_graphon("exp_sum"), sizes, JoinConfig(c), seed
+    )
+
+
 def test_fixture_raises_when_joins_cannot_fit():
     # 12 dense x 1 sparse node give 12 cross pairs; c=1 asks for 30
+    seq = growth("power:1.2:2:50", [(12, 1)], 1.0, 0)
     with pytest.raises(CapacityError, match="cannot place 30 distinct cross edges between 12 x 1"):
-        build_temporal_fixture(sizes=[(12, 1)], c=1.0)
+        seq.events()
 
 
 # the second case has no dense edges at all, so it places no joins
 @pytest.mark.parametrize("sizes", [[(10, 20), (10, 30), (25, 60), (40, 60)], [(1, 5), (1, 10)]])
 def test_fixture_joins_accumulate_to_target(sizes):
     c = 0.7
-    events = build_temporal_fixture("mass:[0.5,0.3]", "exp_sum", sizes, c=c, seed=5)
+    events = growth("mass:[0.5,0.3]", sizes, c, 5).events()
     dense = [t for a, b, t in events if a[0] == b[0] == "d"]
     joins = [(a, b, t) for a, b, t in events if a[0] == "d" and b[0] != "d"]
     for step, (n_d, m_s) in enumerate(sizes, start=1):
@@ -80,12 +95,10 @@ def test_fixture_joins_accumulate_to_target(sizes):
 
 
 def test_fixture_shares_latents_with_sequence():
-    u_text, w_text, seed = "mass:[0.5,0.3]", "exp_sum", 9
     sizes = [(10, 40), (20, 80), (30, 120)]
-    events = build_temporal_fixture(u_text, w_text, sizes, c=0.5, seed=seed)
-    mix = MixtureSequence(
-        parse_mass_partition(u_text), parse_graphon(w_text), sizes, seed=seed
-    ).member(len(sizes) - 1)
+    seq = growth("mass:[0.5,0.3]", sizes, 0.5, 9)
+    events = seq.events()
+    mix = seq.member(len(sizes) - 1)
     n_d = mix.n_dense
 
     dense = sorted(

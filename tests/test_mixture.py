@@ -40,7 +40,7 @@ def fixed_dense(n=50, m=100, seed=0):
 
 
 def test_join_config_validation():
-    for c in (-0.1, math.inf, math.nan):
+    for c in (-0.1, math.inf, math.nan, True, False):
         with pytest.raises(ValueError, match="finite and >= 0"):
             JoinConfig(edge_multiplier_c=c)
 
@@ -155,6 +155,20 @@ def test_cross_pairs_beyond_free_capacity_raise_without_drawing(grid, excess):
     with pytest.raises(CapacityError, match=f"cannot place {free + excess} "):
         _sample_cross_pairs(n_d, n_s, free + excess, rng, taken)
     assert rng.bit_generator.state == state
+
+
+class ZeroRng:
+    """Draws 0 every time, so only the pair (0, 0) is ever placed."""
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+
+def test_cross_pairs_give_up_when_draws_keep_colliding():
+    # budget 100 * m_new * grid / (free - m_new + 1) = 100 * 2 * 4 // 3
+    msg = r"^cross-edge sampling exhausted 266 draws with 1/2 placed$"
+    with pytest.raises(CapacityError, match=msg):
+        _sample_cross_pairs(2, 2, 2, ZeroRng())
 
 
 @st.composite
@@ -378,6 +392,12 @@ def test_sequence_validation():
         MixtureSequence(U23, W, [(0, 5)])
 
 
+@pytest.mark.parametrize("sizes", [[(20, 50), (10, 60)], [(20, 50), (20, 40)]])
+def test_sequence_events_reject_decreasing_sizes(sizes):
+    with pytest.raises(ValueError, match="^event sizes must be non-decreasing$"):
+        MixtureSequence(U23, W, sizes, seed=0).events()
+
+
 def test_ratio_schedule_values():
     s = RatioSchedule("constant", a=2.0, base_n_d=10)
     assert s.ratio(1) == 2.0 and s.ratio(9) == 2.0
@@ -389,7 +409,8 @@ def test_ratio_schedule_values():
     assert RatioSchedule() == RatioSchedule("constant", a=1.0, base_n_d=100)
     assert RatioSchedule(base_n_d=np.int64(20)).n_dense(2) == 40
     bad = ({"kind": "cubic"}, {"kind": ["linear"]}, {"a": 0.0}, {"a": math.inf}, {"a": math.nan},
-           {"base_n_d": 20.7}, {"base_n_d": 20.0}, {"base_n_d": 0})
+           {"base_n_d": 20.7}, {"base_n_d": 20.0}, {"base_n_d": 0}, {"a": True},
+           {"base_n_d": True})
     for kwargs in bad:
         with pytest.raises(ValueError):
             RatioSchedule(**kwargs)

@@ -38,8 +38,6 @@ PRIVATE_IMPORTS = {
     ("mixture", "graph", "_distinct_sorted"),
     ("mixture", "graphon", "_graph_from_latents"),
     ("experiments", "mixture", "_round_half_up"),
-    ("experiments", "mixture", "_sample_cross_pairs"),
-    ("experiments", "mixture", "_sequence_latents"),
 }
 
 
