@@ -18,7 +18,8 @@ a flag that the chosen mode ignores) writes no files.
 
 Global flags (--seed, --out, --scale, --format) go before the command.
 --scale applies only to experiment; --format (json or csv tables)
-applies to generate, predict and experiment.
+applies to generate, predict and experiment; --seed to generate,
+experiment and ingest --make-fixture.
 generate and ingest write into --out (default: the working directory);
 estimate, predict and experiment write files only when --out is given.
 ingest takes exactly one of --data and --make-fixture.
@@ -212,7 +213,10 @@ def cmd_estimate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --truth: {exc}") from None
     try:
-        g = read_edge_list(_load_lines(args.input))
+        with open(args.input) as f:
+            g = read_edge_list(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {args.input}: {exc}") from None
     except GraphFormatError as exc:
         raise ConfigError(f"bad graph file {args.input}: {exc}") from None
     spec = degree_spectrum(g)
@@ -301,6 +305,8 @@ def cmd_ingest(args) -> int:
         _save(out, "synthetic_growth.events", "".join(f"{u} {v} {t}\n" for u, v, t in events))
         print(f"wrote fixture {os.path.join(out, 'synthetic_growth.events')}")
         return EXIT_OK
+    if args.seed is not None:
+        raise ConfigError("--seed needs --make-fixture")
     tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format or "whitespace3col")
     report = {
         "events": tel.edge_t.size,
@@ -379,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 _GLOBAL_FLAG_COMMANDS = {
     "scale": {"experiment"},
     "format": {"generate", "predict", "experiment"},
+    "seed": {"generate", "experiment", "ingest"},
 }
 
 

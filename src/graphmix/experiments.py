@@ -182,6 +182,9 @@ class _Suite(NamedTuple):
 
 _KEYS = ("k_hat", "mape_proposed", "mape_baseline")
 
+# every suite's experiments, the keys of its *_EXPERIMENTS table
+_EXPERIMENT_IDS = (1, 2, 3, 4)
+
 _SUITES = {
     "table1:topk": _Suite(_topk_plan, _topk_replicate, 10, _KEYS),
     "table1:finiteU": _Suite(
@@ -206,7 +209,7 @@ def run_suite(
     replicates: int | None = None,
     seed: int = 0,
     scale: float = 1.0,
-    experiments=(1, 2, 3, 4),
+    experiments=_EXPERIMENT_IDS,
     workers: int = 1,
 ) -> dict:
     """Run the named suite; replicates defaults to 10 (5 for infiniteU).
@@ -227,6 +230,11 @@ def run_suite(
         raise ValueError(f"scale must be a positive finite number, got {scale}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    unknown = [exp for exp in experiments if exp not in _EXPERIMENT_IDS]
+    if unknown:
+        raise ValueError(
+            f"unknown experiment ids {unknown}; choose from {', '.join(map(str, _EXPERIMENT_IDS))}"
+        )
     rows, aggregates = [], []
     for exp in experiments:
         args, label = suite.plan(exp, scale)

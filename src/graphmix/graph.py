@@ -12,8 +12,7 @@ Node counts and degrees must be integers, or ValueError is raised.
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -235,27 +234,89 @@ def top_k_degrees(spectrum: DegreeSpectrum, k: int) -> np.ndarray:
     return spectrum.sorted_degrees[:k].copy()
 
 
-# edge rows formatted per write call; bounds the temporary text and ints
+# edge rows rendered per write call; bounds the temporary arrays and text
 _WRITE_ROWS = 1 << 16
+# edge-list body characters checked and parsed per block, rounded up to a line end
+_READ_CHARS = 1 << 16
 
 
 def write_edge_list(g: Graph, fobj: TextIO) -> None:
     """Text format: header line "n <node_count>", then one "u v" per edge."""
     fobj.write(f"n {g.node_count}\n")
+    width = len(str(g.node_count - 1))
     for start in range(0, g.edge_count, _WRITE_ROWS):
-        rows = g.edges[start : start + _WRITE_ROWS]
-        fobj.write("%d %d\n" * len(rows) % tuple(rows.ravel().tolist()))
+        fobj.write(_edge_text(g.edges[start : start + _WRITE_ROWS], width))
 
 
-def _bulk_edges(body: list[str]) -> np.ndarray | None:
-    """All edge rows parsed at once, or None if any line needs the line scan."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # e.g. "input contained no data"
-            arr = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
-    except (ValueError, OverflowError, Warning):
+def _edge_text(rows: np.ndarray, width: int) -> str:
+    """rows as "u v" lines, every value at most width decimal digits.
+
+    Each value is rendered right-aligned into a width-byte field of a
+    uint8 matrix followed by its space or newline byte; leading-zero
+    bytes are left as NUL and deleted from the text in one pass.
+    """
+    value = rows.astype(np.uint64).ravel()
+    text = np.empty((value.size, width + 1), dtype=np.uint8)
+    text[0::2, width] = ord(" ")
+    text[1::2, width] = ord("\n")
+    for col in range(width - 1, -1, -1):
+        digit = value.astype(np.uint8)  # value mod 256
+        leading = value == 0  # no digits left: a leading zero
+        np.floor_divide(value, 10, out=value)
+        digit -= 10 * value.astype(np.uint8)  # value mod 10, exact modulo 256
+        digit += ord("0")
+        if col < width - 1:
+            digit[leading] = 0
+        text[:, col] = digit
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _bulk_edges(body: str) -> np.ndarray | None:
+    """All edge rows parsed in blocks, or None if any line needs the line scan.
+
+    np.fromstring loses row structure ("1 2 3\n4" gives two pairs) and
+    clamps values beyond int64, so it only sees blocks of ASCII digits and
+    blanks whose every line holds no digit run or exactly two, of at most
+    18 digits each.
+    """
+    if not body.isascii():
         return None
-    return arr if arr.shape[1] == 2 else None
+    values = []
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _READ_CHARS) + 1 or len(body)
+        block = _block_values(body[start:end].encode("ascii"))
+        if block is None:
+            return None
+        values.append(block)
+        start = end
+    return np.concatenate(values or [np.empty(0, np.int64)]).reshape(-1, 2)
+
+
+def _block_values(raw: bytes) -> np.ndarray | None:
+    """The integers in raw (whole lines), or None unless every line is blank or "u v"."""
+    a = np.frombuffer(raw, dtype=np.uint8)
+    digit = (a - ord("0")) < 10  # bytes below '0' wrap past 9
+    if not np.all(digit | ((a - ord("\t")) < 5) | (a == ord(" "))):  # \t \n \v \f \r
+        return None
+    run = digit  # run[i]: bytes i.. are digits, for 2, 4, 8, 16 and 19 bytes
+    for shift in (1, 2, 4, 8, 3):
+        run = run[:-shift] & run[shift:]
+    if run.any():
+        return None
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    # run starts and newlines in order, the block's ends counting as
+    # newlines: lines of none or two runs are exactly those sequences in
+    # which every run start's two neighbours differ
+    events = np.flatnonzero(first | (a == ord("\n")))
+    is_run = np.zeros(events.size + 2, dtype=bool)
+    is_run[1:-1] = first[events]
+    if np.any(is_run[1:-1] & (is_run[:-2] == is_run[2:])):
+        return None
+    if not is_run.any():  # fromstring reads a blank text as [0]
+        return np.empty(0, dtype=np.int64)
+    return np.fromstring(raw, dtype=np.int64, sep=" ")
 
 
 def _scan_edges(body: list[str], first_lineno: int) -> list[tuple[int, int]]:
@@ -274,16 +335,16 @@ def _scan_edges(body: list[str], first_lineno: int) -> list[tuple[int, int]]:
     return edges
 
 
-def read_edge_list(lines: Iterable[str]) -> Graph:
-    """Parse the write_edge_list format.
+def read_edge_list(fobj: TextIO) -> Graph:
+    """Parse the write_edge_list format from an open text file.
 
-    The body is parsed in bulk; any line the bulk parse cannot take
-    (extra columns, non-integers, values beyond int64) sends the whole
-    body through the line scan, so format errors still name their line.
+    Lines up to the first non-blank one, the header, are read one by one;
+    the rest is read at once and parsed in bulk.  A body the bulk parse
+    cannot take (extra columns, non-integers, values beyond 18 digits)
+    goes through the line scan, so format errors still name their line.
     """
-    it = iter(lines)
     header = None
-    for header_lineno, raw in enumerate(it, start=1):
+    for header_lineno, raw in enumerate(iter(fobj.readline, ""), start=1):
         if raw.strip():
             header = raw.split()
             break
@@ -295,10 +356,10 @@ def read_edge_list(lines: Iterable[str]) -> Graph:
         n = int(header[1])
     except ValueError:
         raise GraphFormatError(f"bad node count {header[1]!r}") from None
-    body = list(it)
+    body = fobj.read()
     edges = _bulk_edges(body)
     if edges is None:
-        edges = _scan_edges(body, header_lineno + 1)
+        edges = _scan_edges(body.split("\n"), header_lineno + 1)
     try:
         return Graph(n, edges)
     except ValueError as exc:

@@ -327,8 +327,11 @@ def _index_events(rows: _Rows, ids: list) -> TemporalEdgeList:
         raise TemporalFormatError(
             f"{len(rejects)} of {seen} rows rejected, above the 10% limit"
         )
-    for lineno, reason in rejects:
-        log.warning("rejected line %d: %s", lineno, reason)
+    if rejects:
+        lineno, reason = rejects[0]
+        log.warning(
+            "rejected %d of %d rows; first: line %d: %s", len(rejects), seen, lineno, reason
+        )
 
     order = np.argsort(et, kind="stable")  # input order preserved within t
     # the first event of each unordered pair, in that order

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, files written, determinism."""
 
+import io
 import json
 import os
 import warnings
@@ -133,7 +134,7 @@ def test_generate_is_deterministic(tmp_path, capsys):
     for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     prov = json.loads((d1 / "provenance_0001.json").read_text())
-    g = read_edge_list((d1 / "graph_0001.edges").read_text().splitlines())
+    g = read_edge_list(io.StringIO((d1 / "graph_0001.edges").read_text()))
     assert g.node_count == prov["n_dense"] + prov["n_sparse"]
     assert g.edge_count == prov["m_dense"] + prov["m_sparse"] + prov["m_new"]
     assert sum(run for _, run in prov["origin_rle"]) == g.node_count
@@ -439,6 +440,9 @@ _FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
         ["--format", "csv", "ingest", "--make-fixture"],
         ["--format", "json", "ingest", "--data", FIXTURE, "--snapshot-times", "2"],
         ["--seed", "-1", "generate", "--config", _CONFIG],
+        ["--seed", "5", "estimate", "--input", _GRAPH],
+        ["--seed", "5"] + _PREDICT,
+        ["--seed", "5", "ingest", "--data", FIXTURE],
         ["ingest", "--data", FIXTURE, "--snapshot-times", "six"],
         ["ingest", "--data", FIXTURE, "--make-fixture"],
         ["ingest", "--make-fixture", "--snapshot-times", "2,4"],
@@ -507,8 +511,8 @@ def test_ingest_snapshots_and_report(tmp_path, capsys):
     assert report["events"] == 3 and report["nodes"] == 4
     assert report["t_min"] == 1 and report["t_max"] == 3
     assert report["snapshots"] == [2, 3]
-    g2 = read_edge_list((out / "snapshot_2.edges").read_text().splitlines())
+    g2 = read_edge_list(io.StringIO((out / "snapshot_2.edges").read_text()))
     assert g2.node_count == 3 and g2.edge_count == 2
-    g3 = read_edge_list((out / "snapshot_3.edges").read_text().splitlines())
+    g3 = read_edge_list(io.StringIO((out / "snapshot_3.edges").read_text()))
     assert g3.edge_count == 3
     assert json.loads((out / "ingest_report.json").read_text()) == report

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from graphmix import (
     parse_mass_partition,
     run_suite,
 )
+from graphmix import experiments as experiments_module
 
 # SHA-256 of json.dumps(run_suite(name, replicates=2, seed=0, scale=0.05),
 # sort_keys=True); any change to seeding, sizing, sampling or estimation
@@ -46,6 +48,14 @@ def test_suite_defaults_and_shape():
 def test_suite_rejects_fewer_than_one_replicate(replicates):
     with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
         run_suite("table1:topk", replicates=replicates, scale=0.05)
+
+
+@pytest.mark.parametrize("experiments", [(5,), (1, 0), (2, "3")])
+def test_suite_rejects_unknown_experiment_ids(experiments):
+    # checked before any replicate is seeded, so experiment 1 never runs
+    with mock.patch.object(experiments_module, "_replicate_seeds", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=r"unknown experiment ids .*; choose from 1, 2, 3, 4$"):
+            run_suite("table1:topk", replicates=1, scale=0.02, experiments=experiments)
 
 
 def test_suite_replicates_do_not_depend_on_selection():

@@ -370,7 +370,8 @@ def test_edge_list_round_trip():
         g = random_graph(rng)
         buf = io.StringIO()
         write_edge_list(g, buf)
-        back = read_edge_list(buf.getvalue().splitlines())
+        buf.seek(0)
+        back = read_edge_list(buf)
         assert back == g
 
 
@@ -382,86 +383,123 @@ def test_edge_list_header():
 
 def test_read_edge_list_errors():
     with pytest.raises(GraphFormatError):
-        read_edge_list([])
+        read_edge_list(io.StringIO(""))
     with pytest.raises(GraphFormatError):
-        read_edge_list(["nodes 4"])
+        read_edge_list(io.StringIO("nodes 4"))
     with pytest.raises(GraphFormatError):
-        read_edge_list(["n x"])
+        read_edge_list(io.StringIO("n x"))
     with pytest.raises(GraphFormatError):
-        read_edge_list(["n 3", "0 1 2"])
+        read_edge_list(io.StringIO("n 3\n0 1 2"))
     with pytest.raises(GraphFormatError):
-        read_edge_list(["n 3", "0 a"])
+        read_edge_list(io.StringIO("n 3\n0 a"))
     with pytest.raises(GraphFormatError):
-        read_edge_list(["n 2", "0 5"])
+        read_edge_list(io.StringIO("n 2\n0 5"))
 
 
 def test_read_edge_list_error_names_line_after_leading_blanks():
     # the body is numbered from the header's own line, not from line 2
     with pytest.raises(GraphFormatError, match=r"^line 4: expected 'u v'$"):
-        read_edge_list(["", "", "n 3", "0 1 2"])
+        read_edge_list(io.StringIO("\n\nn 3\n0 1 2"))
 
 
 def test_read_edge_list_rejects_integers_beyond_int64():
     big = "99999999999999999999"
-    for lines in (["n 3", f"0 {big}"], [f"n {big}", "0 1"]):
+    for text in (f"n 3\n0 {big}", f"n {big}\n0 1"):
         with pytest.raises(GraphFormatError, match="out of range"):
-            read_edge_list(lines)
+            read_edge_list(io.StringIO(text))
 
 
 def test_read_edge_list_skips_blank_lines():
-    g = read_edge_list(["", "n 3", "", "0 1", "  ", "1 2"])
+    g = read_edge_list(io.StringIO("\nn 3\n\n0 1\n  \n1 2"))
     assert g == Graph(3, [(0, 1), (1, 2)])
 
 
+LONG_IDS = [
+    str(10**17), str(10**18 - 1), "0" * 17 + "1", "0" * 18 + "1", str(10**18),
+    str(2**63 - 1), str(2**63), str(10**19), str(2**64), "1" + "0" * 19,
+]
 ENDPOINT_TEXT = st.one_of(
     st.integers(-2, 9).map(str),
-    st.sampled_from(["+3", "07", "1_0", "1.0", "2e0", "a", "#", "0x1", "\u0663",
-                     str(2**63 - 1), str(2**63), str(2**64)]),
+    st.sampled_from(["+3", "07", "1_0", "1.0", "2e0", "a", "#", "0x1", "\u0663", "\uff11"]),
+    st.sampled_from(LONG_IDS),
 )
-SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0c", "\xa0"])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\r", "\xa0", "\u2003", "\x1c"])
+PADS = st.sampled_from(["", " ", "\t", "\r", " \r", "\xa0"])
 
 
 @st.composite
 def edge_list_texts(draw):
     """Edge-list text: "u v" rows, some out of range or repeated, plus odd rows anywhere."""
-    n = draw(st.integers(0, 9))
-    ends = st.integers(0, n)
-    row = st.tuples(ends, SEPARATORS, ends).filter(lambda r: r[0] != r[2])
+    n = draw(st.sampled_from([0, 1, 2, 3, 9, 10**18, 2**63 - 1]))
+    ends = st.one_of(st.integers(0, min(n, 9)), st.integers(0, n))
+    zeros = st.sampled_from(["", "", "0", "0" * 17])
+    row = st.tuples(zeros, ends, SEPARATORS, zeros, ends).filter(lambda r: r[1] != r[4])
     odd = st.one_of(
         st.tuples(ENDPOINT_TEXT, SEPARATORS, ENDPOINT_TEXT).map("".join),
         st.lists(ENDPOINT_TEXT, min_size=1, max_size=4).map(" ".join),
-        st.sampled_from(["", "   ", "#", "# 0 1", "0 1 #", "1 1"]),
+        st.sampled_from(["", "   ", "\t", "\r", "#", "# 0 1", "0 1 #", "1 1", "1", "0 1 2"]),
     )
     rows = draw(st.lists(row, max_size=12))
     if rows:  # repeat a few rows, flipped
         rows += [r[::-1] for r in draw(st.lists(st.sampled_from(rows), max_size=2))]
-    body = [f"{u}{sep}{v}" for u, sep, v in rows]
+    body = [f"{a}{u}{sep}{b}{v}" for a, u, sep, b, v in rows]
     for line in draw(st.lists(odd, max_size=3)):
         body.insert(draw(st.integers(0, len(body))), line)
-    pad = draw(st.sampled_from(["", " ", "\r"]))
-    return "".join(f"{line}{pad}\n" for line in [f"n {n}"] + body)
+    lines = [f"{line}{draw(PADS)}" for line in [f"n {n}"] + body]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
-def read_outcome(lines):
+def read_outcome(text):
     try:
-        return read_edge_list(lines)
+        return read_edge_list(io.StringIO(text))
     except GraphFormatError as exc:
         return type(exc), str(exc)
 
 
-@given(edge_list_texts(), st.booleans())
-def test_bulk_read_matches_line_scan(text, keepends):
-    lines = text.splitlines(keepends)
+@given(edge_list_texts(), st.integers(1, 40))
+def test_bulk_read_matches_line_scan(text, block_chars):
     with mock.patch.object(graph_module, "_bulk_edges", lambda body: None):
-        want = read_outcome(lines)
-    assert read_outcome(lines) == want
+        want = read_outcome(text)
+    with mock.patch.object(graph_module, "_READ_CHARS", block_chars):
+        assert read_outcome(text) == want
 
 
 def test_bulk_read_takes_whole_files():
     g = random_graph(np.random.default_rng(13))
     buf = io.StringIO()
     write_edge_list(g, buf)
-    lines = io.StringIO(buf.getvalue() + "\n").readlines()
-    rows = graph_module._bulk_edges(lines[1:])
-    assert rows is not None and np.array_equal(rows, g.edges)
-    assert graph_module._bulk_edges(["0 1 2\n"]) is None
+    body = buf.getvalue().split("\n", 1)[1]
+    for text in (body, body + "\n", body.replace("\n", " \t\r\n\n")):
+        rows = graph_module._bulk_edges(text)
+        assert rows is not None and np.array_equal(rows, g.edges)
+    assert graph_module._bulk_edges("0 1 2\n") is None
+    assert graph_module._bulk_edges("0 1\n2\n") is None
+    assert graph_module._bulk_edges(f"0 {'1' * 19}\n") is None
+
+
+POWER_OF_TEN_COUNTS = [1, 2, 9, 10, 11, 99, 100, 101, 10**18 - 1, 10**18, 10**18 + 1, 2**63 - 1]
+
+
+@st.composite
+def graphs_near_powers_of_ten(draw):
+    """Graphs whose node count and labels sit at and around powers of ten."""
+    n = draw(st.sampled_from(POWER_OF_TEN_COUNTS))
+    near = sorted({x for p in range(19) for x in (10**p - 1, 10**p) if x < n} | {n - 1})
+    label = st.one_of(st.sampled_from(near), st.integers(0, n - 1))
+    pairs = draw(st.lists(st.tuples(label, label).filter(lambda p: p[0] != p[1]), max_size=10))
+    return Graph(n, sorted({(min(p), max(p)) for p in pairs}))
+
+
+def reference_edge_text(g):
+    """The "%d %d" formatting write_edge_list must reproduce byte for byte."""
+    return f"n {g.node_count}\n" + "".join("%d %d\n" % (u, v) for u, v in g.edges.tolist())
+
+
+@given(graphs_near_powers_of_ten(), st.integers(1, 4))
+def test_write_matches_percent_d_formatting(g, block_rows):
+    buf = io.StringIO()
+    with mock.patch.object(graph_module, "_WRITE_ROWS", block_rows):
+        write_edge_list(g, buf)
+    assert buf.getvalue() == reference_edge_text(g)
+    buf.seek(0)
+    assert read_edge_list(buf) == g

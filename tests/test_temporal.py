@@ -82,6 +82,16 @@ def test_parse_rejects_in_line_order():
     assert "three columns" in tel.rejects[1][1]
 
 
+def test_parse_logs_one_warning_for_all_rejects(caplog):
+    lines = [f"a{i} b{i} {i}" for i in range(1, 31)]
+    lines[4], lines[9], lines[20] = "z z 5", "p q", "p q soon"
+    with caplog.at_level("WARNING", logger="graphmix.temporal"):
+        tel = parse_edge_events(lines)
+    assert [ln for ln, _ in tel.rejects] == [5, 10, 21]
+    (record,) = caplog.records
+    assert record.getMessage() == "rejected 3 of 30 rows; first: line 5: self loop at node 'z'"
+
+
 def test_parse_too_many_rejects():
     with pytest.raises(TemporalFormatError):
         parse_edge_events(["1 2 3", "4 4 5", "6 7"])
