@@ -17,12 +17,15 @@ every flag value, so a usage error (unknown command or flag, bad value,
 a flag that the chosen mode ignores) writes no files.
 
 Global flags (--seed, --out, --scale, --format) go before the command.
---scale applies only to experiment; --format (json or csv tables)
-applies to generate, predict and experiment; --seed to generate,
-experiment and ingest --make-fixture.
-generate and ingest write into --out (default: the working directory);
-estimate, predict and experiment write files only when --out is given.
-ingest takes exactly one of --data and --make-fixture.
+A flag applies only where the table _FLAG_SCOPE says: --scale to
+experiment; --format (json or csv tables) to generate, predict and
+experiment; --seed to generate, experiment and ingest --make-fixture;
+--sparse-edges to estimate --plot-data; --snapshot-times to ingest
+--data.  generate and ingest write into --out (default: the working
+directory); estimate, predict and experiment write files only when --out
+is given.  ingest takes exactly one of --data and --make-fixture.
+Temporal files are whitespace "u v t" rows or CSV under a "u,v,t"
+header; the first row tells which.
 
 Examples
 --------
@@ -155,7 +158,9 @@ def cmd_generate(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("bad generate config: expected a JSON object")
     try:
-        join_cfg = dict(cfg.get("join", {}))
+        join_cfg = cfg.get("join", {})
+        if not isinstance(join_cfg, dict):
+            raise ValueError("join must be a JSON object")
         unknown = set(cfg) - _GENERATE_KEYS | {f"join.{key}" for key in set(join_cfg) - {"c"}}
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
@@ -204,8 +209,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.sparse_edges is not None and not args.plot_data:
-        raise ConfigError("--sparse-edges needs --plot-data")
     truth = None
     if args.truth:
         try:
@@ -270,7 +273,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format)
+    tel = parse_edge_events(_load_lines(args.data))
     summary, detail = evaluation_run(tel, args.train_times, args.horizons, args.k)
     if not summary:
         raise ValueError("no evaluable train/horizon pairs in range")
@@ -299,15 +302,11 @@ def cmd_experiment(args) -> int:
 def cmd_ingest(args) -> int:
     out = args.out or "."
     if args.make_fixture:
-        if args.data_format or args.snapshot_times:
-            raise ConfigError("--data-format and --snapshot-times need --data")
         events = build_temporal_fixture(seed=args.seed if args.seed is not None else 0)
         _save(out, "synthetic_growth.events", "".join(f"{u} {v} {t}\n" for u, v, t in events))
         print(f"wrote fixture {os.path.join(out, 'synthetic_growth.events')}")
         return EXIT_OK
-    if args.seed is not None:
-        raise ConfigError("--seed needs --make-fixture")
-    tel = parse_edge_events(_load_lines(args.data), fmt=args.data_format or "whitespace3col")
+    tel = parse_edge_events(_load_lines(args.data))
     report = {
         "events": tel.edge_t.size,
         "nodes": len(tel.node_ids),
@@ -355,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="forecast top-k degrees over a temporal edge list")
     p.add_argument("--data", required=True)
-    p.add_argument("--data-format", choices=("whitespace3col", "csv3col"),
-                   default="whitespace3col")
     p.add_argument("--train-times", type=_INT_LIST, required=True)
     p.add_argument("--horizons", type=_HORIZONS, required=True)
     p.add_argument("--k", type=_POSITIVE, default=10)
@@ -374,18 +371,22 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--data", default=None)
     source.add_argument("--make-fixture", action="store_true",
                         help="write the bundled synthetic growth fixture instead")
-    p.add_argument("--data-format", choices=("whitespace3col", "csv3col"), default=None,
-                   help="default: whitespace3col")
     p.add_argument("--snapshot-times", type=_INT_LIST, default=None)
     p.set_defaults(fn=cmd_ingest)
     return parser
 
 
-# global flags that only some commands read
-_GLOBAL_FLAG_COMMANDS = {
-    "scale": {"experiment"},
-    "format": {"generate", "predict", "experiment"},
-    "seed": {"generate", "experiment", "ingest"},
+# flag dest -> (does the parsed command read the flag, where it applies);
+# main checks every flag given against it before any command runs
+_FLAG_SCOPE = {
+    "scale": (lambda a: a.command == "experiment", "experiment"),
+    "format": (lambda a: a.command in ("generate", "predict", "experiment"),
+               "generate, predict and experiment"),
+    "seed": (lambda a: a.command in ("generate", "experiment")
+             or a.command == "ingest" and a.make_fixture,
+             "generate, experiment and ingest --make-fixture"),
+    "sparse_edges": (lambda a: a.command == "estimate" and a.plot_data, "estimate --plot-data"),
+    "snapshot_times": (lambda a: a.command == "ingest" and a.data is not None, "ingest --data"),
 }
 
 
@@ -393,9 +394,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
         args = build_parser().parse_args(argv)
-        for flag, commands in _GLOBAL_FLAG_COMMANDS.items():
-            if getattr(args, flag) is not None and args.command not in commands:
-                raise ConfigError(f"--{flag} does not apply to {args.command}")
+        for dest, (reads, where) in _FLAG_SCOPE.items():
+            if getattr(args, dest, None) is not None and not reads(args):
+                raise ConfigError(f"--{dest.replace('_', '-')} applies only to {where}")
         return args.fn(args)
     except SystemExit:  # only --help exits the parser
         return EXIT_OK

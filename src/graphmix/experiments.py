@@ -26,7 +26,6 @@ alone would sit near 4% MAPE.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -242,6 +241,7 @@ def run_suite(
         if workers == 1:
             results = [suite.replicate(a) for a in arg_list]
         else:
+            from concurrent.futures import ProcessPoolExecutor  # slow import; pools only
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(suite.replicate, arg_list))
         rows.extend(

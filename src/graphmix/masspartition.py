@@ -147,8 +147,6 @@ def parse_mass_partition(text: str) -> MassPartition:
                 return make_mass_partition(_loglaw_weights(int(rest)), rescale=True)
             if kind == "factorial":
                 return make_mass_partition(_factorial_weights(int(rest)), rescale=True)
-    except ValueError:
-        raise
     except Exception as exc:
         raise ValueError(f"bad partition literal {text!r}: {exc}") from None
     raise ValueError(f"unknown partition literal {text!r}")

@@ -1,11 +1,12 @@
 """Timestamped edge lists and cumulative-snapshot evaluation.
 
-Real networks arrive as (u, v, t) events.  Parsing relabels node ids to
-dense integers in order of first appearance, drops self loops and
-malformed rows (keeping a reject log in line order), and keeps the
+Real networks arrive as (u, v, t) events: whitespace rows, or CSV under
+a 'u,v,t' header, told apart by the first row.  Parsing relabels node
+ids to dense integers in order of first appearance, drops self loops
+and malformed rows (keeping a reject log in line order), and keeps the
 earliest timestamp per undirected pair.  Timestamps are integers that
-fit int64.  A TemporalEdgeList holds the node ids plus index arrays;
-its events are derived from them.  Snapshots are cumulative:
+fit int64.  A TemporalEdgeList holds the node ids plus read-only index
+arrays; its events are derived from them.  Snapshots are cumulative:
 snapshot_at(t) contains every node and edge seen up to and including t,
 so earlier snapshots are induced prefixes of later ones.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from itertools import count, filterfalse, islice
+from itertools import chain, count, filterfalse, islice
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
@@ -83,38 +84,40 @@ class TemporalEdgeList:
         return int(self.edge_t[-1])
 
 
-def parse_edge_events(lines: Iterable[str], fmt: str = "whitespace3col") -> TemporalEdgeList:
+def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     """Parse, clean and index a stream of "u v t" events.
 
-    Rows are whitespace-split, or for csv3col read as CSV after a
-    'u,v,t' header.  Blank rows are skipped; a row is rejected when it
-    has other than three columns, a timestamp that is not an integer
-    inside int64, or u == v.  Among the rest, sorted stably by time, the
-    first row of each unordered pair is kept.  whitespace3col rows are
-    split in blocks of _BLOCK_ROWS rows with numpy; the result does not
-    depend on the block size.  A reject names the line its row starts
-    on; a csv3col record with a quoted newline spans several lines.
+    The first row alone decides the format: if csv reads it as the cells
+    u, v, t (stripped, any case), it is a header and the rest is CSV;
+    otherwise every row, the first included, is whitespace-split.  Blank
+    rows are skipped; a row is rejected when it has other than three
+    columns, a timestamp that is not an integer inside int64, or u == v.
+    Among the rest, sorted stably by time, the first row of each
+    unordered pair is kept.  Whitespace rows are split in blocks of
+    _BLOCK_ROWS rows with numpy; the result does not depend on the block
+    size.  A reject names the line its row starts on; a CSV record with
+    a quoted newline spans several lines.
 
     Raises TemporalFormatError when more than 10% of data rows are
     unusable, and ValueError when nothing usable remains at all.
     """
     index: dict[str, int] = {}  # id -> provisional index
-    if fmt == "csv3col":
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header is not None and [h.strip().lower() for h in header] != ["u", "v", "t"]:
-            raise TemporalFormatError("csv3col needs a 'u,v,t' header")
-        blocks = [_scan_rows(_csv_records(reader), index)]
-    elif fmt == "whitespace3col":
-        blocks, rows, first_line = [], iter(lines), 1
+    rows = iter(lines)
+    head = list(islice(rows, 1))
+    try:  # bytes rows, and text csv cannot read, are no header
+        header = [c.strip().lower() for c in next(csv.reader(head), [])]
+    except csv.Error:
+        header = None
+    if header == ["u", "v", "t"]:
+        blocks = [_scan_rows(_csv_records(csv.reader(rows)), index)]
+    else:
+        blocks, rows, first_line = [], chain(head, rows), 1
         while block := list(islice(rows, _BLOCK_ROWS)):
             blocks.append(
                 _bulk_rows(block, first_line, index)
                 or _scan_rows(enumerate((raw.split() for raw in block), first_line), index)
             )
             first_line += len(block)
-    else:
-        raise ValueError(f"unknown temporal format {fmt!r}")
     rows = _Rows.concat(blocks)
     del blocks
     return _index_events(rows, list(index))
@@ -149,15 +152,16 @@ def _check_stamp(t_text: str) -> int | str:
 
 
 def _csv_records(reader) -> Iterable[tuple[int, list]]:
-    """(line the record starts on, stripped cells) per CSV record.
+    """(line the record starts on, stripped cells) per CSV record of the
+    lines after the one-line header.
 
     A quoted field may hold newlines, so a record can span lines;
     reader.line_num counts the lines read so far.
     """
-    start = reader.line_num + 1
+    start = 2
     for row in reader:
         yield start, [c.strip() for c in row]
-        start = reader.line_num + 1
+        start = reader.line_num + 2
 
 
 def _scan_rows(rows: Iterable[tuple[int, list]], index: dict) -> _Rows:
@@ -345,14 +349,10 @@ def _index_events(rows: _Rows, ids: list) -> TemporalEdgeList:
     first_end = _first_occurrences(ends)
     appearance = ends[first_end]
     relabel = np.argsort(appearance)
-    return TemporalEdgeList(
-        node_ids=tuple(ids[i] for i in appearance.tolist()),
-        rejects=tuple(rejects),
-        edge_u=relabel[eu],
-        edge_v=relabel[ev],
-        edge_t=et,
-        node_first_t=et[first_end // 2],
-    )
+    arrays = relabel[eu], relabel[ev], et, et[first_end // 2]
+    for a in arrays:
+        a.setflags(write=False)
+    return TemporalEdgeList(tuple(ids[i] for i in appearance.tolist()), tuple(rejects), *arrays)
 
 
 def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:

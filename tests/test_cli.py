@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, files written, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -12,14 +13,18 @@ from graphmix import (
     JoinConfig,
     MixtureSequence,
     RatioSchedule,
+    evaluation_run,
     generate_mixture,
     join_graphs,
+    parse_edge_events,
     parse_graphon,
     parse_mass_partition,
     read_edge_list,
+    snapshot_at,
     star_forest,
     write_edge_list,
 )
+from graphmix import cli
 from graphmix.cli import main
 from graphmix.graphon import sample_w_random_graph
 
@@ -62,7 +67,13 @@ def test_generate_bad_config(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "o"), "generate", "--config", str(cfg)]) == 2
 
     assert main(["generate", "--config", str(tmp_path / "missing.json")]) == 2
-    assert capsys.readouterr().err.count("error:") == 3
+
+    cfg.write_text("[1, 2]")
+    assert main(["--out", str(tmp_path / "o"), "generate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 4
+    assert err.endswith("error: bad generate config: expected a JSON object\n")
+    assert not (tmp_path / "o").exists()
 
 
 _GOOD_CONFIG = (
@@ -82,6 +93,8 @@ _GOOD_CONFIG = (
         '"schedule": {"a": true}',
         '"schedule": {"base_n_d": true}',
         '"join": [1]',
+        '"join": [["c", 0.5]]',
+        '"join": []',
         '"schedule": {"a": Infinity}',
         '"schedule": {"a": NaN}',
         '"schedule": {"base_n_d": 20.7}',
@@ -217,6 +230,11 @@ def test_estimate_bad_truth_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: bad --truth: ")
     assert err.count("\n") == 1
+    assert main(["estimate", "--input", str(path), "--truth", "power:1:2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad --truth: bad partition literal 'power:1:2': "
+        "not enough values to unpack (expected 3, got 2)\n"
+    )
 
 
 def test_estimate_three_star_file(tmp_path, capsys):
@@ -447,6 +465,8 @@ _FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
         ["ingest", "--data", FIXTURE, "--make-fixture"],
         ["ingest", "--make-fixture", "--snapshot-times", "2,4"],
         ["ingest", "--make-fixture", "--data-format", "csv3col"],
+        ["ingest", "--data", FIXTURE, "--data-format", "csv3col"],
+        _PREDICT + ["--data-format", "whitespace3col"],
         ["estimate", "--input", _GRAPH, "--sparse-edges", "20000"],
         ["estimate", "--input", _GRAPH, "--percentile", "abc"],
         ["frobnicate"],
@@ -516,3 +536,83 @@ def test_ingest_snapshots_and_report(tmp_path, capsys):
     g3 = read_edge_list(io.StringIO((out / "snapshot_3.edges").read_text()))
     assert g3.edge_count == 3
     assert json.loads((out / "ingest_report.json").read_text()) == report
+
+
+def _parser_dests(parser):
+    for action in parser._actions:
+        yield action.dest
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_dests(sub)
+
+
+def test_flag_scope_names_parser_flags():
+    # the scope table cannot drift from the flags the parser defines
+    assert set(cli._FLAG_SCOPE) <= set(_parser_dests(cli.build_parser()))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--scale", "1", "estimate", "--input", "g.edges"], "--scale applies only to experiment"),
+        (
+            ["--format", "csv", "ingest", "--make-fixture"],
+            "--format applies only to generate, predict and experiment",
+        ),
+        (
+            ["--seed", "5", "ingest", "--data", FIXTURE],
+            "--seed applies only to generate, experiment and ingest --make-fixture",
+        ),
+        (
+            ["estimate", "--input", "g.edges", "--sparse-edges", "9"],
+            "--sparse-edges applies only to estimate --plot-data",
+        ),
+        (
+            ["ingest", "--make-fixture", "--snapshot-times", "2"],
+            "--snapshot-times applies only to ingest --data",
+        ),
+    ],
+    ids=["scale", "format", "seed", "sparse-edges", "snapshot-times"],
+)
+def test_flag_scope_errors_come_before_any_command(argv, message, monkeypatch, capsys):
+    for name in ("generate", "estimate", "predict", "experiment", "ingest"):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args, name=name: pytest.fail(f"{name} ran"))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_missing_temporal_data_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.events")
+    assert main(["predict", "--data", missing, "--train-times", "1", "--horizons", "1"]) == 2
+    assert main(["--out", str(tmp_path / "o"), "ingest", "--data", missing]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith(f"error: cannot read {missing}: ") for line in lines)
+    assert not (tmp_path / "o").exists()
+
+
+def test_predict_and_ingest_read_a_headed_csv_file(tmp_path, capsys):
+    # no flag names the format: the 'u,v,t' header tells predict and ingest
+    with open(FIXTURE) as f:
+        lines = f.readlines()
+    csv_lines = ["U, V, T\n"] + [",".join(line.split()) + "\n" for line in lines]
+    data = tmp_path / "fixture.csv"
+    data.write_text("".join(csv_lines))
+    tel = parse_edge_events(csv_lines)
+    assert tel.events == parse_edge_events(lines).events
+
+    assert main(["predict", "--data", str(data), "--train-times", "6", "--horizons", "2"]) == 0
+    summary, _ = evaluation_run(tel, [6], [2], 10)
+    assert json.loads(capsys.readouterr().out) == summary
+
+    out = tmp_path / "snaps"
+    argv = ["--out", str(out), "ingest", "--data", str(data), "--snapshot-times", "7"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["events"], report["nodes"]) == (tel.edge_t.size, len(tel.node_ids))
+    assert (report["t_min"], report["t_max"], report["rejected"]) == (tel.t_min, tel.t_max, 0)
+    buf = io.StringIO()
+    write_edge_list(snapshot_at(tel, 7), buf)
+    assert (out / "snapshot_7.edges").read_text() == buf.getvalue()

@@ -50,6 +50,20 @@ def test_suite_rejects_fewer_than_one_replicate(replicates):
         run_suite("table1:topk", replicates=replicates, scale=0.05)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(scale=float("nan")), "scale must be a positive finite number, got nan"),
+        (dict(scale=float("inf")), "scale must be a positive finite number, got inf"),
+        (dict(workers=0), "workers must be >= 1"),
+    ],
+    ids=["scale-nan", "scale-inf", "workers-0"],
+)
+def test_suite_rejects_bad_scale_and_workers(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suite("table1:topk", replicates=1, **{"scale": 0.02, **kwargs})
+
+
 @pytest.mark.parametrize("experiments", [(5,), (1, 0), (2, "3")])
 def test_suite_rejects_unknown_experiment_ids(experiments):
     # checked before any replicate is seeded, so experiment 1 never runs

@@ -62,6 +62,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(-1, 2)])
     with pytest.raises(ValueError, match="duplicate"):
         Graph(3, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match=r"\(u, v\) pairs"):
+        Graph(3, [(0, 1, 2)])
     with pytest.raises(ValueError):
         Graph(-1)
 

@@ -55,6 +55,8 @@ def test_constant_extremes():
     for s in range(5):
         g = sample_w_random_graph(w1, 4, np.random.default_rng(s))
         assert g.edge_count == 6
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_w_random_graph(w1, 0, np.random.default_rng(0))
 
 
 def test_constant_edge_count_binomial():

@@ -47,6 +47,8 @@ def test_make_mass_partition_errors():
         make_mass_partition([])
     with pytest.raises(ValueError):
         make_mass_partition([0.0, 0.0])
+    with pytest.raises(ValueError, match="cannot rescale all-zero weights"):
+        make_mass_partition([0, 0], rescale=True)
     with pytest.raises(ValueError):
         make_mass_partition([0.8, 0.3])
     with pytest.raises(ValueError):
@@ -107,6 +109,21 @@ def test_parse_bad_literals():
             with pytest.raises(ValueError):
                 parse_mass_partition(text)
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("power:1:2", "not enough values to unpack (expected 3, got 2)"),
+        ("loglaw:", "invalid literal for int() with base 10: ''"),
+        ("geom:x:2:5", "could not convert string to float: 'x'"),
+        ("mass:[2.0]", "weights sum to 2.0, must be <= 1"),
+    ],
+)
+def test_bad_literal_errors_name_the_literal(text, reason):
+    with pytest.raises(ValueError) as info:
+        parse_mass_partition(text)
+    assert str(info.value) == f"bad partition literal {text!r}: {reason}"
 
 
 def test_locate_intervals_and_boundary_snap():

@@ -94,6 +94,13 @@ def test_join_requires_rng_when_adding_edges():
         join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=1.0))
 
 
+def test_join_requires_nodes_in_both_parts():
+    g_s, _ = star_forest([5])
+    for g_d, g_s in ((Graph(0), g_s), (g_s, Graph(0))):
+        with pytest.raises(ValueError, match="both parts need at least one node"):
+            join_graphs(g_d, g_s, JoinConfig(edge_multiplier_c=0.0))
+
+
 def test_join_capacity_error():
     g_d = Graph(2, [(0, 1)])
     g_s, _ = star_forest([1])

@@ -2,7 +2,10 @@
 
 import ast
 import itertools
+import os
 import pathlib
+import subprocess
+import sys
 
 import graphmix
 
@@ -55,3 +58,12 @@ def test_private_names_cross_modules_only_by_allowlist():
                     if alias.name.startswith("_")
                 }
     assert found == PRIVATE_IMPORTS
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only run_suite with workers > 1 needs concurrent.futures.process
+    src = str(pathlib.Path(graphmix.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, graphmix.cli; print('concurrent.futures.process' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr

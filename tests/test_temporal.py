@@ -1,5 +1,6 @@
 """Temporal edge-list parsing, snapshots, and forecast evaluation."""
 
+import dataclasses
 import hashlib
 import io
 import os
@@ -107,13 +108,50 @@ def test_parse_empty_input():
 
 
 def test_parse_csv_format():
-    tel = parse_edge_events(["u,v,t", "1,2,5", "2,3,6"], fmt="csv3col")
+    tel = parse_edge_events(["u,v,t", "1,2,5", "2,3,6"])
     assert len(tel.events) == 2
     assert tel.t_min == 5
-    with pytest.raises(TemporalFormatError):
-        parse_edge_events(["src,dst,when", "1,2,5"], fmt="csv3col")
-    with pytest.raises(ValueError):
-        parse_edge_events(GOOD_LINES, fmt="tsv")
+    # without the header the rows are whitespace data, one token each
+    with pytest.raises(ValueError, match="no usable edge events"):
+        parse_edge_events(["src,dst,when", "1,2,5"])
+    tel = parse_edge_events(["1,2,5"] + GOOD_LINES * 5)
+    assert tel.rejects == ((1, "expected three columns"),)
+
+
+@pytest.mark.parametrize(
+    "header", ["u,v,t\n", '"u","v","t"\r\n', " u , v , t ", "U,V,T", '"U" ,v,\tt']
+)
+def test_csv_header_is_read_from_the_first_row(header):
+    tel = parse_edge_events([header, "a, b,2\n", "b,c ,1\n"])
+    assert tel.events == (("b", "c", 1), ("a", "b", 2))
+    assert tel.rejects == ()
+
+
+@pytest.mark.parametrize(
+    "lines, events, rejects",
+    [
+        # a blank first row: whitespace data, and the u,v,t row a reject
+        (["", "u,v,t"] + GOOD_LINES * 5, (("1", "2", 5), ("2", "3", 6)),
+         ((2, "expected three columns"),)),
+        # bytes rows are never a header
+        ([b"u,v,t"] + [b"a b 1"] * 10, ((b"a", b"b", 1),), ((1, "expected three columns"),)),
+        # a row csv cannot read (a bare \r inside) is no header, but a whitespace row
+        (["a\rb 1", "b c 2"], (("a", "b", 1), ("b", "c", 2)), ()),
+        # a quoted newline does not carry a header onto the next line
+        (['"u\n', '",v,t\n'] + GOOD_LINES * 10, (("1", "2", 5), ("2", "3", 6)),
+         ((1, "expected three columns"), (2, "expected three columns"))),
+        # under a header, a whitespace row is a one-cell CSV record
+        (["u,v,t", "a b 1", "a,b,2", "b,c,3"] + ["c,d,4"] * 8,
+         (("a", "b", 2), ("b", "c", 3), ("c", "d", 4)), ((2, "expected three columns"),)),
+        # the first row is taken from the iterator, not read twice
+        (iter(["u,v,t", "a,b,1", "b,c,2"]), (("a", "b", 1), ("b", "c", 2)), ()),
+    ],
+    ids=["blank-first-row", "bytes", "csv-unreadable", "quoted-newline", "header", "iterator"],
+)
+def test_first_row_alone_decides_the_format(lines, events, rejects):
+    tel = parse_edge_events(lines)
+    assert tel.events == events
+    assert tel.rejects == rejects
 
 
 def test_csv_rejects_name_the_line_a_record_starts_on():
@@ -121,7 +159,7 @@ def test_csv_rejects_name_the_line_a_record_starts_on():
     lines = ["u,v,t\n", '"a\n', 'b",c,1\n'] + [f"x{i},y{i},2\n" for i in range(12)]
     lines += ["p,p,3\n", '"q\n', "\n", 'r",q,4\n', "s,s,5\n"]
     lines += [f"z{i},w{i},6\n" for i in range(10)]
-    tel = parse_edge_events(lines, fmt="csv3col")
+    tel = parse_edge_events(lines)
     assert tel.node_ids[0] == "a\nb"
     assert tel.rejects == ((16, "self loop at node 'p'"), (20, "self loop at node 's'"))
 
@@ -199,10 +237,15 @@ def test_fixture_parse_and_serialize_are_pinned():
 def test_parsed_arrays_are_contiguous():
     for tel in (
         parse_edge_events(STAR_LINES),
-        parse_edge_events(["u,v,t", "a,b,2", "b,c,1"], fmt="csv3col"),
+        parse_edge_events(["u,v,t", "a,b,2", "b,c,1"]),
     ):
         for name in ("edge_u", "edge_v", "edge_t", "node_first_t"):
             assert getattr(tel, name).flags.c_contiguous, name
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tel, name)[:] = 0
+            # a writable copy still goes through replace()
+            moved = getattr(tel, name) + 1
+            assert getattr(dataclasses.replace(tel, **{name: moved}), name) is moved
 
 
 def test_parse_rows_that_are_not_str():
@@ -386,7 +429,7 @@ def test_parse_matches_reference(fmt, data):
     # small blocks put block boundaries, and ids seen in earlier blocks, in reach
     block_rows = data.draw(st.sampled_from([3, 16, temporal._BLOCK_ROWS]))
     with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows):
-        tel = parse_edge_events(lines, fmt=fmt)
+        tel = parse_edge_events(lines)
     events, node_ids, first_t, rejects = reference_parse(lines, fmt)
     assert tel.events == tuple(events)
     assert tel.node_ids == tuple(node_ids)
@@ -401,7 +444,7 @@ def test_parse_matches_reference(fmt, data):
 @pytest.mark.parametrize("fmt", FORMATS)
 @given(data=st.data())
 def test_serialize_round_trips_and_snapshots_nest(fmt, data):
-    tel = parse_edge_events(data.draw(event_lines(fmt)), fmt=fmt)
+    tel = parse_edge_events(data.draw(event_lines(fmt)))
     buf = io.StringIO()
     serialize_edge_events(tel, buf)
     again = parse_edge_events(buf.getvalue().splitlines())
