@@ -8,22 +8,20 @@ predict     top-k degree forecasting over a temporal edge list
 experiment  run a named reference suite (table1:topk, table1:finiteU,
             table1:infiniteU)
 ingest      clean a temporal edge list and materialize snapshots
+fixture     write the bundled synthetic temporal fixture
 
 Every command is deterministic under --seed: reruns produce
 byte-identical output files.  Exit codes: 0 success, 2 usage or config
 error, 3 data error, exhausted memory, or output that cannot be written.
 Every failure prints one "error: ..." line on stderr.  The parser checks
 every flag value, so a usage error (unknown command or flag, bad value,
-a flag that the chosen mode ignores) writes no files.
+a global flag that the chosen command ignores) writes no files.
 
-Global flags (--seed, --out, --scale, --format) go before the command.
-A flag applies only where the table _FLAG_SCOPE says: --scale to
-experiment; --format (json or csv tables) to generate, predict and
-experiment; --seed to generate, experiment and ingest --make-fixture;
---sparse-edges to estimate --plot-data; --snapshot-times to ingest
---data.  generate and ingest write into --out (default: the working
-directory); estimate, predict and experiment write files only when --out
-is given.  ingest takes exactly one of --data and --make-fixture.
+Global flags (--seed, --out, --scale, --format) go before the command;
+--scale, --format (json or csv tables) and --seed apply only to the
+commands that _FLAG_SCOPE lists for them.  generate, ingest and fixture
+write into --out (default: the working directory); estimate, predict
+and experiment write files only when --out is given.
 Temporal files are whitespace "u v t" rows or CSV under a "u,v,t"
 header; the first row tells which.
 
@@ -34,6 +32,7 @@ Examples
   graphmix --out runs/t1 experiment --suite table1:finiteU --replicates 10
   graphmix predict --data hep.events --train-times 80,85 --horizons 6,8 --k 10
   graphmix --out snaps ingest --data raw.events --snapshot-times 100,200
+  graphmix --seed 0 --out fixtures fixture
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .graph import (
 from .graphon import parse_graphon
 from .masspartition import parse_mass_partition
 from .mixture import CapacityError, JoinConfig, MixtureSequence, RatioSchedule
-from .experiments import build_temporal_fixture, run_suite
+from .experiments import SUITE_NAMES, build_temporal_fixture, run_suite
 from .temporal import evaluation_run, parse_edge_events, snapshot_at
 
 EXIT_OK = 0
@@ -91,7 +90,10 @@ def _checked(convert, ok, expected: str):
 
 
 def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct values, got {text!r}")
+    return values
 
 
 _NON_NEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
@@ -248,7 +250,7 @@ def cmd_estimate(args) -> int:
     if truth is not None:
         k_eval = min(est.k_hat, len(truth))
         result["mape_vs_truth"] = mape(truth.weights[:k_eval], est.weights[:k_eval])
-    if args.plot_data:
+    if args.plot_data or args.sparse_edges is not None:
         ranks, logvals = retained_log_points(spec, args.percentile)
         series = {"observed": [[float(r), float(v)] for r, v in zip(ranks, logvals)]}
         if isinstance(diag, SegmentFit):
@@ -285,12 +287,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    try:
-        result = run_suite(args.suite, replicates=args.replicates, seed=seed,
-                           scale=args.scale or 1.0, workers=args.workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = run_suite(args.suite, replicates=args.replicates, seed=args.seed or 0,
+                       scale=args.scale or 1.0, workers=args.workers)
     if args.out:
         stem = args.suite.replace(":", "_")
         _save_rows(args.out, f"{stem}_aggregates", result["aggregates"], args.format)
@@ -301,11 +299,6 @@ def cmd_experiment(args) -> int:
 
 def cmd_ingest(args) -> int:
     out = args.out or "."
-    if args.make_fixture:
-        events = build_temporal_fixture(seed=args.seed if args.seed is not None else 0)
-        _save(out, "synthetic_growth.events", "".join(f"{u} {v} {t}\n" for u, v, t in events))
-        print(f"wrote fixture {os.path.join(out, 'synthetic_growth.events')}")
-        return EXIT_OK
     tel = parse_edge_events(_load_lines(args.data))
     report = {
         "events": tel.edge_t.size,
@@ -314,7 +307,7 @@ def cmd_ingest(args) -> int:
         "t_max": tel.t_max,
         "rejected": len(tel.rejects),
         "reject_lines": [[ln, reason] for ln, reason in tel.rejects],
-        "snapshots": args.snapshot_times or [],
+        "snapshots": args.snapshot_times,
     }
     for t in report["snapshots"]:
         with _create(out, f"snapshot_{t}.edges") as f:
@@ -325,13 +318,21 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def cmd_fixture(args) -> int:
+    out = args.out or "."
+    events = build_temporal_fixture(seed=args.seed or 0)
+    _save(out, "synthetic_growth.events", "".join(f"{u} {v} {t}\n" for u, v, t in events))
+    print(f"wrote fixture {os.path.join(out, 'synthetic_growth.events')}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="graphmix",
         description="Generate sparse/dense mixture graphs and estimate their sparse part.",
     )
     parser.add_argument("--seed", type=_NON_NEGATIVE, default=None, help="global RNG seed")
-    parser.add_argument("--out", default=None, help="output directory (generate/ingest: '.')")
+    parser.add_argument("--out", default=None, help="output dir (generate/ingest/fixture: '.')")
     parser.add_argument("--scale", type=_SCALE, default=None,
                         help="size multiplier for experiment suites (default: 1)")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="partition literal for MAPE reporting")
     p.add_argument("--plot-data", action="store_true", help="emit segment-fit series")
     p.add_argument("--sparse-edges", type=_POSITIVE, default=None,
-                   help="sparse edge count for the log(m/j) reference series")
+                   help="sparse edge count for the log(m/j) reference series "
+                   "(implies --plot-data)")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("predict", help="forecast top-k degrees over a temporal edge list")
@@ -360,33 +362,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("experiment", help="run a named reference suite")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--replicates", type=_POSITIVE, default=None,
                    help="default: the suite's own count")
     p.add_argument("--workers", type=_POSITIVE, default=1)
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("ingest", help="clean a temporal edge list, write snapshots")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--data", default=None)
-    source.add_argument("--make-fixture", action="store_true",
-                        help="write the bundled synthetic growth fixture instead")
-    p.add_argument("--snapshot-times", type=_INT_LIST, default=None)
+    p.add_argument("--data", required=True)
+    p.add_argument("--snapshot-times", type=_INT_LIST, default=[])
     p.set_defaults(fn=cmd_ingest)
+
+    p = sub.add_parser("fixture", help="write the bundled synthetic growth fixture")
+    p.set_defaults(fn=cmd_fixture)
     return parser
 
 
-# flag dest -> (does the parsed command read the flag, where it applies);
-# main checks every flag given against it before any command runs
+# global flag dest -> the commands that read it; main rejects the flag
+# with any other command before that command runs
 _FLAG_SCOPE = {
-    "scale": (lambda a: a.command == "experiment", "experiment"),
-    "format": (lambda a: a.command in ("generate", "predict", "experiment"),
-               "generate, predict and experiment"),
-    "seed": (lambda a: a.command in ("generate", "experiment")
-             or a.command == "ingest" and a.make_fixture,
-             "generate, experiment and ingest --make-fixture"),
-    "sparse_edges": (lambda a: a.command == "estimate" and a.plot_data, "estimate --plot-data"),
-    "snapshot_times": (lambda a: a.command == "ingest" and a.data is not None, "ingest --data"),
+    "scale": ("experiment",),
+    "format": ("generate", "predict", "experiment"),
+    "seed": ("generate", "experiment", "fixture"),
 }
 
 
@@ -394,9 +391,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
         args = build_parser().parse_args(argv)
-        for dest, (reads, where) in _FLAG_SCOPE.items():
-            if getattr(args, dest, None) is not None and not reads(args):
-                raise ConfigError(f"--{dest.replace('_', '-')} applies only to {where}")
+        for flag, commands in _FLAG_SCOPE.items():
+            if getattr(args, flag) is not None and args.command not in commands:
+                *rest, last = commands
+                where = f"{', '.join(rest)} and {last}" if rest else last
+                raise ConfigError(f"--{flag} applies only to {where}")
         return args.fn(args)
     except SystemExit:  # only --help exits the parser
         return EXIT_OK

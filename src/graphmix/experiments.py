@@ -1,8 +1,8 @@
 """Reference experiment suites and the synthetic temporal fixture.
 
 Three suites mirror the headline comparison tables; run_suite runs any
-of them from one table (_SUITES) of per-experiment plans and replicate
-functions:
+of them from one table (_SUITES, whose names SUITE_NAMES lists) of
+per-experiment plans and replicate functions:
 
 * topk      degree forecasting between a train and a larger test
             mixture (linear node-ratio scaling vs the sqrt baseline);
@@ -43,7 +43,7 @@ from .graphon import parse_graphon
 from .masspartition import MassPartition, parse_mass_partition
 from .mixture import JoinConfig, MixtureSequence, _round_half_up, generate_mixture
 
-__all__ = ["run_suite", "build_temporal_fixture"]
+__all__ = ["SUITE_NAMES", "run_suite", "build_temporal_fixture"]
 
 PAPER_N_TRAIN = 11000
 PAPER_N_TEST = 13200
@@ -201,6 +201,7 @@ _SUITES = {
         ("k_hat", "covered_mass", "mape_proposed", "mape_baseline"),
     ),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
@@ -215,11 +216,10 @@ def run_suite(
 
     Replicate r of experiment e is seeded from SeedSequence(seed + e),
     so results do not depend on workers or on which experiments run.
+    All replicates of all experiments share one process pool.
     """
-    if name not in _SUITES:
-        raise ValueError(
-            f"unknown suite {name!r}; choose from {', '.join(sorted(_SUITES))}"
-        )
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     suite = _SUITES[name]
     if replicates is None:
         replicates = suite.replicates
@@ -234,20 +234,24 @@ def run_suite(
         raise ValueError(
             f"unknown experiment ids {unknown}; choose from {', '.join(map(str, _EXPERIMENT_IDS))}"
         )
+    plans = [suite.plan(exp, scale) for exp in experiments]
+    jobs = [
+        (*args, s)
+        for exp, (args, _) in zip(experiments, plans)
+        for s in _replicate_seeds(seed + exp, replicates)
+    ]
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        results = list(map(suite.replicate, jobs))
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # slow import; pools only
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(suite.replicate, jobs))
     rows, aggregates = [], []
-    for exp in experiments:
-        args, label = suite.plan(exp, scale)
-        arg_list = [(*args, s) for s in _replicate_seeds(seed + exp, replicates)]
-        if workers == 1:
-            results = [suite.replicate(a) for a in arg_list]
-        else:
-            from concurrent.futures import ProcessPoolExecutor  # slow import; pools only
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(suite.replicate, arg_list))
-        rows.extend(
-            {"experiment": exp, "replicate": rep, **res} for rep, res in enumerate(results)
-        )
-        aggregates.append({"experiment": exp, **label, **_aggregate(results, suite.keys)})
+    for i, (exp, (_, label)) in enumerate(zip(experiments, plans)):
+        mine = results[i * replicates : (i + 1) * replicates]
+        rows.extend({"experiment": exp, "replicate": rep, **res} for rep, res in enumerate(mine))
+        aggregates.append({"experiment": exp, **label, **_aggregate(mine, suite.keys)})
     return {"suite": name, "rows": rows, "aggregates": aggregates}
 
 

@@ -117,6 +117,8 @@ def _sample_cross_pairs(
     """
     if m_new == 0:
         return np.empty((0, 2), dtype=np.int64)
+    if n_d * n_s >= 2**63:
+        raise CapacityError(f"{n_d} x {n_s} cross pairs do not fit int64 pair codes")
     taken = taken[:, 0] * n_s + taken[:, 1]  # pair codes d * n_s + s
     free = n_d * n_s - taken.size
     if m_new > free:

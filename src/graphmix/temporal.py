@@ -176,6 +176,9 @@ def _scan_rows(rows: Iterable[tuple[int, list]], index: dict) -> _Rows:
             rejects.append((lineno, "expected three columns"))
             continue
         u, v, t_text = row
+        if not (u and v):  # only a CSV cell can be empty
+            rejects.append((lineno, "empty node id"))
+            continue
         t = _check_stamp(t_text)
         if isinstance(t, str):
             rejects.append((lineno, t))
@@ -356,10 +359,13 @@ def _index_events(rows: _Rows, ids: list) -> TemporalEdgeList:
 
 
 def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:
-    """Whitespace "u v t" rows of the cleaned events (round-trips).
+    """Whitespace "u v t" rows of the cleaned events.
 
-    Each id and each distinct timestamp is formatted once; a block of
-    rows is then one join of those strings."""
+    parse_edge_events reads them back as the same events when no node id
+    holds whitespace; only CSV input can give such an id ('"a b",c,1'
+    would come back as the four-column row "a b c 1", a reject).  Each
+    id and each distinct timestamp is formatted once; a block of rows is
+    then one join of those strings."""
     ids = np.fromiter(map("{} ".format, tel.node_ids), dtype=object, count=len(tel.node_ids))
     stamps, stamp_at = np.unique(tel.edge_t, return_inverse=True)
     stamps = np.array([f"{t}\n" for t in stamps.tolist()], dtype=object)

@@ -24,7 +24,7 @@ from graphmix import (
     star_forest,
     write_edge_list,
 )
-from graphmix import cli
+from graphmix import SUITE_NAMES, cli
 from graphmix.cli import main
 from graphmix.graphon import sample_w_random_graph
 
@@ -45,6 +45,9 @@ def three_star_mixture():
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "generate" in capsys.readouterr().out
+    assert main(["experiment", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in SUITE_NAMES)
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -54,8 +57,10 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_unknown_suite_is_usage_error(tmp_path, capsys):
-    assert main(["--out", str(tmp_path), "experiment", "--suite", "table9:nope"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(["--out", str(tmp_path / "o"), "experiment", "--suite", "table9:nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --suite: invalid choice: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_generate_bad_config(tmp_path, capsys):
@@ -278,6 +283,10 @@ def test_estimate_plot_data_series(tmp_path, capsys):
     assert len(series["segment1"]) == result["diagnostics"]["cutoff"] == result["k_hat"]
     assert len(series["segment1"]) + len(series["segment2"]) == len(series["observed"])
     assert len(series["reference"]) == len(series["observed"])
+    # --sparse-edges alone turns on --plot-data
+    argv = ["estimate", "--input", str(path), "--mode", "infinite", "--sparse-edges", "20000"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == result
 
 
 def test_predict_writes_tables(tmp_path, capsys):
@@ -340,7 +349,7 @@ def test_unusable_out_is_data_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     bad_out = str(blocker / "sub")
     assert main(["--out", bad_out, "estimate", "--input", str(graph)]) == 3
-    assert main(["--out", bad_out, "ingest", "--make-fixture"]) == 3
+    assert main(["--out", bad_out, "fixture"]) == 3
     err = capsys.readouterr().err
     lines = err.strip().splitlines()
     assert len(lines) == 2
@@ -411,6 +420,17 @@ def test_experiment_replicates_default_to_the_suite(capsys):
     assert [a["replicates"] for a in aggregates] == [5, 5, 5, 5]
 
 
+def test_experiment_estimation_failure_is_data_error(tmp_path, capsys):
+    # at this scale a topk train graph keeps too few unique degrees to fit
+    argv = ["--scale", "0.01", "--out", str(tmp_path / "o"),
+            "experiment", "--suite", "table1:topk", "--replicates", "1"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: only 5 unique degrees above the percentile cutoff, need 6\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("replicates", ["0", "-1"])
 def test_experiment_rejects_fewer_than_one_replicate(replicates, capsys):
     argv = ["--scale", "0.05", "experiment", "--suite", "table1:topk", "--replicates", replicates]
@@ -452,22 +472,29 @@ _FINITE_U = ["experiment", "--suite", "table1:finiteU", "--replicates", "1"]
         ["--scale", "2", "generate", "--config", _CONFIG],
         ["--scale", "1", "estimate", "--input", _GRAPH],
         ["--scale", "0.5"] + _PREDICT,
-        ["--scale", "0.5", "ingest", "--make-fixture"],
+        ["--scale", "0.5", "fixture"],
         ["--format", "csv", "estimate", "--input", _GRAPH],
         ["--format", "json", "estimate", "--input", _GRAPH],
-        ["--format", "csv", "ingest", "--make-fixture"],
+        ["--format", "csv", "fixture"],
         ["--format", "json", "ingest", "--data", FIXTURE, "--snapshot-times", "2"],
         ["--seed", "-1", "generate", "--config", _CONFIG],
         ["--seed", "5", "estimate", "--input", _GRAPH],
         ["--seed", "5"] + _PREDICT,
         ["--seed", "5", "ingest", "--data", FIXTURE],
         ["ingest", "--data", FIXTURE, "--snapshot-times", "six"],
+        ["ingest", "--data", FIXTURE, "--snapshot-times", "1,1"],
+        ["predict", "--data", FIXTURE, "--train-times", "6,6", "--horizons", "2"],
+        ["predict", "--data", FIXTURE, "--train-times", "6", "--horizons", "2,0,2"],
+        ["fixture", "--snapshot-times", "2,4"],
+        ["fixture", "--data", FIXTURE],
+        # the ingest --make-fixture form, replaced by the fixture command
+        ["--scale", "0.5", "ingest", "--make-fixture"],
+        ["--format", "csv", "ingest", "--make-fixture"],
         ["ingest", "--data", FIXTURE, "--make-fixture"],
         ["ingest", "--make-fixture", "--snapshot-times", "2,4"],
         ["ingest", "--make-fixture", "--data-format", "csv3col"],
         ["ingest", "--data", FIXTURE, "--data-format", "csv3col"],
         _PREDICT + ["--data-format", "whitespace3col"],
-        ["estimate", "--input", _GRAPH, "--sparse-edges", "20000"],
         ["estimate", "--input", _GRAPH, "--percentile", "abc"],
         ["frobnicate"],
     ],
@@ -510,9 +537,9 @@ def test_ingest_requires_data(capsys):
     capsys.readouterr()
 
 
-def test_ingest_make_fixture_matches_bundled(tmp_path, capsys):
+def test_fixture_matches_bundled(tmp_path, capsys):
     out = tmp_path / "fx"
-    assert main(["--seed", "0", "--out", str(out), "ingest", "--make-fixture"]) == 0
+    assert main(["--seed", "0", "--out", str(out), "fixture"]) == 0
     capsys.readouterr()
     generated = (out / "synthetic_growth.events").read_bytes()
     with open(FIXTURE, "rb") as f:
@@ -547,8 +574,12 @@ def _parser_dests(parser):
 
 
 def test_flag_scope_names_parser_flags():
-    # the scope table cannot drift from the flags the parser defines
-    assert set(cli._FLAG_SCOPE) <= set(_parser_dests(cli.build_parser()))
+    # the scope table cannot drift from the flags and commands the parser defines
+    parser = cli.build_parser()
+    assert set(cli._FLAG_SCOPE) <= set(_parser_dests(parser))
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for commands in cli._FLAG_SCOPE.values():
+        assert type(commands) is tuple and set(commands) <= set(sub.choices)
 
 
 @pytest.mark.parametrize(
@@ -556,26 +587,18 @@ def test_flag_scope_names_parser_flags():
     [
         (["--scale", "1", "estimate", "--input", "g.edges"], "--scale applies only to experiment"),
         (
-            ["--format", "csv", "ingest", "--make-fixture"],
+            ["--format", "csv", "fixture"],
             "--format applies only to generate, predict and experiment",
         ),
         (
             ["--seed", "5", "ingest", "--data", FIXTURE],
-            "--seed applies only to generate, experiment and ingest --make-fixture",
-        ),
-        (
-            ["estimate", "--input", "g.edges", "--sparse-edges", "9"],
-            "--sparse-edges applies only to estimate --plot-data",
-        ),
-        (
-            ["ingest", "--make-fixture", "--snapshot-times", "2"],
-            "--snapshot-times applies only to ingest --data",
+            "--seed applies only to generate, experiment and fixture",
         ),
     ],
-    ids=["scale", "format", "seed", "sparse-edges", "snapshot-times"],
+    ids=["scale", "format", "seed"],
 )
 def test_flag_scope_errors_come_before_any_command(argv, message, monkeypatch, capsys):
-    for name in ("generate", "estimate", "predict", "experiment", "ingest"):
+    for name in ("generate", "estimate", "predict", "experiment", "ingest", "fixture"):
         monkeypatch.setattr(cli, f"cmd_{name}", lambda args, name=name: pytest.fail(f"{name} ran"))
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

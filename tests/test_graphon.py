@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphmix import (
     Graphon,
     edge_density,
+    make_mass_partition,
     parse_graphon,
     sample_w_random_graph,
 )
@@ -125,3 +128,57 @@ def test_sample_with_partition_graphon_matches_direct_sampler():
     g = sample_w_random_graph(w, 60, np.random.default_rng(31))
     dec = decompose_disjoint_cliques(g)
     assert sum(dec.clique_sizes) + dec.isolated_count == 60
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(0, 16), st.integers(0, 16)),
+    st.sampled_from([0.0, 1e-13, 1e-11, 0.5, 1.0]),
+    st.sampled_from([-0.5, -1e-11, -1e-13, 1.0 + 1e-13, 1.0 + 1e-11, 1.5, None]),
+    st.sampled_from([0.0, 1e-10, 1e-8, 0.25]),
+)
+def test_constructor_checks_range_then_symmetry_on_the_grid(seed, at, corner, out, skew):
+    # a lookup table on the 17 x 17 grid, symmetric but for one skewed
+    # entry, holding one value that may leave [0, 1]
+    table = np.random.default_rng(seed).random((17, 17))
+    table = (table + table.T) / 2
+    table[0, 0], table[-1, -1] = corner, 1.0 - corner
+    if out is not None:
+        table[at[0], at[0]] = out
+    table[at] = max(table[at] - skew, 0.0)
+
+    def fn(x, y):
+        return table[np.rint(x * 16).astype(int), np.rint(y * 16).astype(int)]
+
+    if not np.all((table >= -1e-12) & (table <= 1 + 1e-12)):
+        with pytest.raises(ValueError, match="leaves \\[0,1\\] on the test grid"):
+            Graphon("table", fn)
+    elif np.max(np.abs(table - table.T)) > 1e-9:
+        with pytest.raises(ValueError, match="is not symmetric on the test grid"):
+            Graphon("table", fn)
+    else:
+        grid = np.linspace(0.0, 1.0, 17)
+        assert np.array_equal(Graphon("table", fn)(grid[:, None], grid[None, :]), table)
+
+
+POINTS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+
+
+@given(
+    st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+    st.floats(0.05, 1.0),
+    st.data(),
+)
+def test_disjoint_clique_kernel_is_same_interval_indicator(raw, mass, data):
+    p = make_mass_partition(np.asarray(raw) / sum(raw) * mass)
+    # interval ends are the points where off-by-one errors show
+    point = st.one_of(POINTS, st.sampled_from(p.boundaries().tolist()))
+    x = np.array(data.draw(st.lists(point, min_size=1, max_size=12)))
+    y = np.array(data.draw(st.lists(point, min_size=x.size, max_size=x.size)))
+    w = Graphon.disjoint_clique(p)
+    got = w(x, y)
+    ix, iy = p.locate(x), p.locate(y)
+    assert np.array_equal(got, (ix == iy) & (ix < len(p)))
+    assert np.array_equal(got, w(y, x))
+    matrix = w(x[:, None], y[None, :])
+    assert np.array_equal(matrix, (ix[:, None] == iy[None, :]) & (ix[:, None] < len(p)))

@@ -1,5 +1,6 @@
 """Mass partitions, clique sampling, and hub-degree moment formulas."""
 
+import json
 import math
 import warnings
 
@@ -228,3 +229,32 @@ def test_clique_counts_conserve_m(raw, mass, m, seed):
     assert sizes.shape == (len(p),) and sizes.min() >= 0 and isolated >= 0
     assert int(sizes.sum()) + isolated == m
 
+
+
+J_MIN, J_MAX = st.integers(-2, 40), st.integers(-2, 120)
+FAMILY_LITERALS = st.one_of(
+    st.builds("power:{}:{}:{}".format, st.floats(-3.0, 6.0), J_MIN, J_MAX),
+    st.builds("geom:{}:{}:{}".format, st.floats(-1.0, 4.0), J_MIN, J_MAX),
+    st.builds("loglaw:{}".format, st.integers(-2, 400)),
+    st.builds("factorial:{}".format, st.integers(-2, 400)),
+)
+
+
+@given(FAMILY_LITERALS)
+def test_family_literals_give_normalized_weights_or_name_the_literal(text):
+    try:
+        p = parse_mass_partition(text)
+    except ValueError as exc:
+        assert str(exc).startswith(f"bad partition literal {text!r}: ")
+        return
+    w = p.weights
+    assert w.size >= 1 and np.all(w > 0) and np.all(np.diff(w) <= 0)
+    assert abs(w.sum() - 1.0) <= 1e-12
+
+
+@given(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=30))
+def test_mass_literal_keeps_its_weights(raw):
+    total = math.fsum(raw)
+    weights = [x / total for x in raw] if total > 1 else raw
+    p = parse_mass_partition("mass:" + json.dumps(weights))
+    assert p.weights.tolist() == sorted(weights, reverse=True)

@@ -22,6 +22,7 @@ from graphmix import (
     parse_mass_partition,
     star_forest,
 )
+from graphmix import mixture
 from graphmix.masspartition import clique_size_counts
 from graphmix.mixture import _joined_edges, _sample_cross_pairs, _sparse_part_from_labels
 
@@ -217,6 +218,22 @@ def test_join_edges_match_concatenate_then_canonicalize(parts, seed):
     cross = _sample_cross_pairs(n_d, n_s, mix.m_new, np.random.default_rng(seed))
     want = Graph(n_d + n_s, np.concatenate([g_d.edges, g_s.edges + n_d, cross + (0, n_d)]))
     assert np.array_equal(mix.graph.edges, want.edges)
+
+
+def test_cross_pair_codes_beyond_int64_raise_without_drawing():
+    # codes d * n_s + s of a 2**32 x 2**33 grid would wrap around int64
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(CapacityError, match="^4294967296 x 8589934592 cross pairs do not fit"):
+        _sample_cross_pairs(2**32, 2**33, 6, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_join_beyond_int64_pair_codes_raises_before_tagging_nodes(monkeypatch):
+    # tagging the 3 * 2**32 nodes would take gigabytes; the join must refuse first
+    monkeypatch.setattr(mixture, "_derive_sparse_meta", lambda g_s: pytest.fail("nodes tagged"))
+    with pytest.raises(CapacityError, match="cross pairs do not fit int64 pair codes$"):
+        join_graphs(Graph(2**32, [(0, 1)]), Graph(2**33, [(0, 1)]), rng=np.random.default_rng(0))
 
 
 def test_joined_edges_beyond_int64_pair_keys():

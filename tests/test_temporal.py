@@ -116,6 +116,10 @@ def test_parse_csv_format():
         parse_edge_events(["src,dst,when", "1,2,5"])
     tel = parse_edge_events(["1,2,5"] + GOOD_LINES * 5)
     assert tel.rejects == ((1, "expected three columns"),)
+    # a CSV cell, unlike a whitespace token, can be empty
+    tel = parse_edge_events(["u,v,t", ",b,1", "a,,2", '"",b,3', " ,b,4"] + ["1,2,5"] * 40)
+    assert tel.rejects == tuple((line, "empty node id") for line in (2, 3, 4, 5))
+    assert tel.node_ids == ("1", "2")
 
 
 @pytest.mark.parametrize(
@@ -365,6 +369,9 @@ def reference_parse(lines, fmt):
             rejects.append((lineno, "expected three columns"))
             continue
         u, v, t = cells
+        if not (u and v):
+            rejects.append((lineno, "empty node id"))
+            continue
         try:
             t_int = int(t)
         except ValueError:
@@ -413,6 +420,8 @@ def event_lines(draw, fmt):
         st.lists(node, min_size=4, max_size=4).map(tuple),
         st.tuples(node, node, bad_stamp),
     )
+    if fmt == "csv3col":  # only a CSV cell can be empty
+        bad |= node.map(lambda u: ("", u, "2"))
     rows = good + draw(st.lists(bad, max_size=len(good) // 9))
     rows += [()] * draw(st.integers(0, 3))  # blank rows
     rows = draw(st.permutations(rows))
