@@ -262,12 +262,16 @@ def test_estimate_three_star_file(tmp_path, capsys):
     assert on_disk == result
 
 
-def test_estimate_plot_data_series(tmp_path, capsys):
+def write_power_mixture(path):
     u = parse_mass_partition("power:1.2:2:50")
     mix = generate_mixture(u, parse_graphon("exp_sum"), 120, 20000,
                            rng=np.random.default_rng(7))
-    path = tmp_path / "pow.edges"
     write_graph_file(path, mix.graph)
+
+
+def test_estimate_plot_data_series(tmp_path, capsys):
+    path = tmp_path / "pow.edges"
+    write_power_mixture(path)
     code = main(
         [
             "--out", str(tmp_path / "est"),
@@ -283,10 +287,17 @@ def test_estimate_plot_data_series(tmp_path, capsys):
     assert len(series["segment1"]) == result["diagnostics"]["cutoff"] == result["k_hat"]
     assert len(series["segment1"]) + len(series["segment2"]) == len(series["observed"])
     assert len(series["reference"]) == len(series["observed"])
-    # --sparse-edges alone turns on --plot-data
+
+
+def test_estimate_sparse_edges_alone_turns_on_plot_data(tmp_path, capsys):
+    path = tmp_path / "pow.edges"
+    write_power_mixture(path)
     argv = ["estimate", "--input", str(path), "--mode", "infinite", "--sparse-edges", "20000"]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out) == result
+    alone = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--plot-data"]) == 0
+    assert alone == json.loads(capsys.readouterr().out)
+    assert "plot_data" in alone
 
 
 def test_predict_writes_tables(tmp_path, capsys):
