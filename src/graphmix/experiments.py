@@ -41,7 +41,7 @@ from .estimators import (
 from .graph import degree_spectrum
 from .graphon import parse_graphon
 from .masspartition import MassPartition, parse_mass_partition
-from .mixture import JoinConfig, MixtureSequence, _round_half_up, generate_mixture
+from .mixture import CapacityError, JoinConfig, MixtureSequence, _round_half_up, generate_mixture
 
 __all__ = ["SUITE_NAMES", "run_suite", "build_temporal_fixture"]
 
@@ -204,6 +204,19 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _run_replicate(job: tuple) -> dict:
+    """One replicate of a suite; a failure names the suite, experiment,
+    replicate index and seed."""
+    name, exp, rep, args = job
+    where = f"{name} experiment {exp} replicate {rep} (seed {args[-1]})"
+    try:
+        return _SUITES[name].replicate(args)
+    except CapacityError as exc:
+        raise CapacityError(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def run_suite(
     name: str,
     replicates: int | None = None,
@@ -236,17 +249,17 @@ def run_suite(
         )
     plans = [suite.plan(exp, scale) for exp in experiments]
     jobs = [
-        (*args, s)
+        (name, exp, rep, (*args, s))
         for exp, (args, _) in zip(experiments, plans)
-        for s in _replicate_seeds(seed + exp, replicates)
+        for rep, s in enumerate(_replicate_seeds(seed + exp, replicates))
     ]
     workers = min(workers, len(jobs))
     if workers <= 1:
-        results = list(map(suite.replicate, jobs))
+        results = list(map(_run_replicate, jobs))
     else:
         from concurrent.futures import ProcessPoolExecutor  # slow import; pools only
         with ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(suite.replicate, jobs))
+            results = list(pool.map(_run_replicate, jobs))
     rows, aggregates = [], []
     for i, (exp, (_, label)) in enumerate(zip(experiments, plans)):
         mine = results[i * replicates : (i + 1) * replicates]

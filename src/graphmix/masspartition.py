@@ -65,9 +65,14 @@ class MassPartition:
         """Interval index of each point of [0, 1]; len(self) is the leftover.
 
         The first interval is closed at 0, the others half-open; x = 1.0
-        snaps into the last interval.
+        snaps into the last interval.  Weights that sum to 1 within
+        _TOTAL_TOL leave no leftover: the last interval ends at 1 even
+        where the cumulative sums round below it.
         """
-        return np.searchsorted(self.boundaries(), np.minimum(x, _ONE_BELOW), side="right")
+        ends = self.boundaries()
+        if self.total >= 1.0 - _TOTAL_TOL:
+            ends[-1] = 1.0
+        return np.searchsorted(ends, np.minimum(x, _ONE_BELOW), side="right")
 
     @property
     def leftover(self) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from itertools import chain, count, filterfalse, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
@@ -36,7 +36,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _BLOCK_ROWS = 65_536  # rows parsed or written per bulk block
+_BLOCK_CHARS = 2_500_000  # a block with more characters is parsed in equal row slices
 _FAST_DIGITS = 18  # longer timestamps go through int(); 10**18 fits int64
+_PACKED_LIMIT = 2**63  # value * size + position packs into int64 below this
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of the id-word hash
 # _HEAD_BYTES[k] keeps the first k bytes of an 8-byte word, in memory order
 _HEAD_BYTES = (np.tri(9, 8, -1, dtype=np.uint8) * 255).view(np.uint64).ravel()
@@ -44,6 +46,8 @@ _HEAD_BYTES = (np.tri(9, 8, -1, dtype=np.uint8) * 255).view(np.uint64).ravel()
 # row of a block; \t..\r and \x1c..space are what str.split treats as
 # whitespace in ASCII
 _SEPARATOR = np.isin(np.arange(33), [0, *range(9, 14), *range(28, 33)])
+# the same for bytes up to the comma, which also ends a token of a CSV block
+_CELL_SEPARATOR = np.concatenate([_SEPARATOR, np.arange(33, 45) == ord(",")])
 # the non-ASCII characters str.split treats as whitespace
 _WIDE_SPACE = (
     "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
@@ -93,13 +97,21 @@ def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     rows are skipped; a row is rejected when it has other than three
     columns, a timestamp that is not an integer inside int64, or u == v.
     Among the rest, sorted stably by time, the first row of each
-    unordered pair is kept.  Whitespace rows are split in blocks of
-    _BLOCK_ROWS rows with numpy; the result does not depend on the block
-    size.  A reject names the line its row starts on; a CSV record with
-    a quoted newline spans several lines.
+    unordered pair is kept.  A reject names the line its row starts on;
+    a CSV record with a quoted newline spans several lines.
+
+    Rows are split with numpy in blocks of _BLOCK_ROWS rows, a block of
+    more than _BLOCK_CHARS characters in equal row slices; the result
+    does not depend on the block size.  A CSV block is split this way,
+    with commas as spaces, when its rows hold no quote, no carriage
+    return and no newline but at their end, and every non-blank row has
+    one token per cell; csv reads the block otherwise, and from the
+    first block with a quote or such a line break csv reads the rest of
+    the input.
 
     Raises TemporalFormatError when more than 10% of data rows are
-    unusable, and ValueError when nothing usable remains at all.
+    unusable or a CSV record cannot be read, and ValueError when nothing
+    usable remains at all.
     """
     index: dict[str, int] = {}  # id -> provisional index
     rows = iter(lines)
@@ -109,18 +121,16 @@ def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     except csv.Error:
         header = None
     if header == ["u", "v", "t"]:
-        blocks = [_scan_rows(_csv_records(csv.reader(rows)), index)]
+        blocks = list(_csv_blocks(rows, index))
     else:
-        blocks, rows, first_line = [], chain(head, rows), 1
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            blocks.append(
-                _bulk_rows(block, first_line, index)
-                or _scan_rows(enumerate((raw.split() for raw in block), first_line), index)
-            )
-            first_line += len(block)
+        blocks = [
+            _bulk_rows(data, len(block), first_line, index)
+            or _scan_rows(enumerate((raw.split() for raw in block), first_line), index)
+            for first_line, block, data in _row_blocks(chain(head, rows), 1)
+        ]
     rows = _Rows.concat(blocks)
     del blocks
-    return _index_events(rows, list(index))
+    return _index_events(rows, index)
 
 
 class _Rows(NamedTuple):
@@ -151,17 +161,79 @@ def _check_stamp(t_text: str) -> int | str:
     return t
 
 
-def _csv_records(reader) -> Iterable[tuple[int, list]]:
-    """(line the record starts on, stripped cells) per CSV record of the
-    lines after the one-line header.
+def _row_blocks(rows: Iterable, first_line: int) -> Iterable[tuple[int, list, bytes | None]]:
+    """(line of its first row, rows, data) per block of at most _BLOCK_ROWS
+    rows, data being _joined(rows) encoded as UTF-8, or None when the rows
+    are not all str; a block whose text has more than _BLOCK_CHARS
+    characters comes in equal row slices."""
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        text = _joined(block)
+        if text is None:
+            yield first_line, block, None
+        elif len(text) <= _BLOCK_CHARS:
+            data, text = text.encode("utf-8", "surrogatepass"), None  # no text kept while parsing
+            yield first_line, block, data
+        else:
+            slices = -(-len(text) // _BLOCK_CHARS)
+            del text
+            step = -(-len(block) // slices)
+            for at in range(0, len(block), step):
+                part = block[at : at + step]
+                yield first_line + at, part, _joined(part).encode("utf-8", "surrogatepass")
+        first_line += len(block)
+
+
+def _joined(block: list) -> str | None:
+    """The rows of block joined with NUL, with one NUL before the first
+    row and _FAST_DIGITS after the last, so that digit and 8-byte word
+    reads starting inside the text end past it; None when the rows are
+    not all str."""
+    try:
+        return "\0".join(["", *block, "\0" * (_FAST_DIGITS - 1)])
+    except TypeError:
+        return None
+
+
+def _csv_blocks(rows: Iterable[str], index: dict) -> Iterable[_Rows]:
+    """_Rows per block of the CSV records after the one-line header.
+
+    Without a quote, or a line break other than a row's last character,
+    a block holds one record per row and goes to _bulk_rows with commas
+    as spaces, or to csv if that would not read it as csv does.  From
+    the first block with a quote or such a line break, csv reads the
+    rest of the input: a quoted field may span rows and blocks.
+    """
+    blocks = _row_blocks(rows, 2)
+    for first_line, block, data in blocks:
+        if data is None or b'"' in data or b"\r" in data or (
+            data.count(b"\n") != data.count(b"\n\0")  # the NULs end rows
+        ):
+            rest = chain(block, chain.from_iterable(blk for _, blk, _ in blocks))
+            yield _scan_rows(_csv_records(csv.reader(rest), first_line), index)
+            return
+        yield _bulk_rows(data, len(block), first_line, index, commas=True) or _scan_rows(
+            _csv_records(csv.reader(block), first_line), index
+        )
+
+
+def _csv_records(reader, first_line: int) -> Iterable[tuple[int, list]]:
+    """(line the record starts on, stripped cells) per CSV record of
+    lines that start at first_line.
 
     A quoted field may hold newlines, so a record can span lines;
-    reader.line_num counts the lines read so far.
+    reader.line_num counts the lines read so far.  A record csv cannot
+    read raises TemporalFormatError naming the line it starts on.
     """
-    start = 2
-    for row in reader:
+    start = first_line
+    while True:
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            raise TemporalFormatError(f"line {start}: {exc}") from None
+        if row is None:
+            return
         yield start, [c.strip() for c in row]
-        start = reader.line_num + 2
+        start = first_line + reader.line_num
 
 
 def _scan_rows(rows: Iterable[tuple[int, list]], index: dict) -> _Rows:
@@ -193,39 +265,42 @@ def _scan_rows(rows: Iterable[tuple[int, list]], index: dict) -> _Rows:
     return _Rows(eu, ev, et, rejects, seen)
 
 
-def _bulk_rows(block: list, first_line: int, index: dict) -> _Rows | None:
-    """_scan_rows over raw.split() of each row of block, with numpy over the bytes.
+def _bulk_rows(
+    data: bytes | None, n_rows: int, first_line: int, index: dict, commas: bool = False
+) -> _Rows | None:
+    """_scan_rows over raw.split() of each of the n_rows rows whose
+    _joined text data encodes as UTF-8, with numpy over the bytes.
 
-    The rows are joined with NUL, encoded as UTF-8 and split at the bytes
-    str.split treats as whitespace.  Returns None, before touching index,
-    when that would not split the block as str.split does: a NUL or a
-    non-ASCII space in the text, or rows that are not str.
+    The bytes are split at those str.split treats as whitespace, and
+    with commas also at every comma, which reads a CSV row exactly when
+    each of its cells is one token.  Returns None, before touching
+    index, when that would not split the rows as str.split or csv does:
+    rows that are not str (data is None), a NUL or a non-ASCII space in
+    the text, or with commas a non-blank row whose token count is not
+    its comma count plus one (an empty cell, or a blank inside one).
     """
-    try:
-        text = "\0".join(block)
-    except TypeError:
+    if data is None or (not data.isascii() and any(c.encode() in data for c in _WIDE_SPACE)):
         return None
-    if not text.isascii() and any(c in text for c in _WIDE_SPACE):
-        return None
-    # a NUL before every row and after the last, then room for the digit
-    # and 8-byte word reads that start inside the text to end past it
-    data = ("\0" + text + "\0" * _FAST_DIGITS).encode("utf-8", "surrogatepass")
-    del text
     b = np.frombuffer(data, dtype=np.uint8)
 
-    # separators are bytes up to space, so only those are looked up;
-    # tokens are the runs of other bytes between two separators
-    low = np.flatnonzero(b <= 32)
-    sep = low[_SEPARATOR[b[low]]]
+    # separators are bytes up to space (or comma), so only those are looked
+    # up; tokens are the runs of other bytes between two separators
+    low = np.flatnonzero((b <= 32) | (b == ord(",")) if commas else b <= 32)
+    sep = low[(_CELL_SEPARATOR if commas else _SEPARATOR)[b[low]]]
     del low
     row_ends = sep[b[sep] == 0]
-    if row_ends.size != len(block) + _FAST_DIGITS:  # a NUL inside a row
+    if row_ends.size != n_rows + _FAST_DIGITS:  # a NUL inside a row
         return None
+    row_ends = row_ends[: n_rows + 1]
+    if commas:
+        cells = np.diff(np.searchsorted(sep[b[sep] == ord(",")], row_ends)) + 1
     gap = np.flatnonzero(np.diff(sep) > 1)
     starts, ends = sep[gap] + 1, sep[gap + 1]
     del sep, gap
-    first_tok = np.searchsorted(starts, row_ends[: len(block) + 1])
+    first_tok = np.searchsorted(starts, row_ends)
     ntok = np.diff(first_tok)
+    if commas and ((ntok != cells) & (ntok != 0)).any():
+        return None
     rows3 = np.flatnonzero(ntok == 3)
     first_tok = first_tok[rows3]
     us, vs, ts = (starts[first_tok + j] for j in range(3))
@@ -281,9 +356,11 @@ def _bulk_rows(block: list, first_line: int, index: dict) -> _Rows | None:
     used = np.flatnonzero(used)
     keys = key[rep[used]].view(f"S{8 * key.shape[1]}").ravel().tolist()  # NULs dropped
     names = b"\0".join(keys).decode("utf-8", "surrogatepass").split("\0") if keys else []
-    index.update(zip(filterfalse(index.__contains__, names), count(len(index))))
+    # one setdefault(name, len(index)) per name: map calls len just before it
     code = np.zeros(rep.size, dtype=np.int64)
-    code[used] = np.fromiter(map(index.__getitem__, names), np.int64, used.size)
+    code[used] = np.fromiter(
+        map(index.setdefault, names, map(len, repeat(index))), np.int64, used.size
+    )
 
     short_or_long = np.flatnonzero((ntok != 0) & (ntok != 3)) + first_line
     rejects = [(line, "expected three columns") for line in short_or_long.tolist()]
@@ -325,8 +402,20 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
     return np.sort(first[first < values.size])
 
 
-def _index_events(rows: _Rows, ids: list) -> TemporalEdgeList:
-    """Check the reject share, then sort, deduplicate and relabel the events."""
+def _first_positions(values: np.ndarray) -> np.ndarray:
+    """_first_occurrences of non-negative int64 values of any size."""
+    m = values.size
+    if (int(values.max(initial=0)) + 1) * m > _PACKED_LIMIT:
+        _, values = np.unique(values, return_inverse=True)
+        return _first_occurrences(values)
+    # one sort of value * m + position starts each value's run at its first position
+    value, pos = np.divmod(np.sort(values * m + np.arange(m)), m)
+    return np.sort(pos[np.flatnonzero(np.diff(value, prepend=-1))])
+
+
+def _index_events(rows: _Rows, index: dict) -> TemporalEdgeList:
+    """Check the reject share, then sort, deduplicate and relabel the
+    events; index maps each id to its provisional index."""
     eu, ev, et, rejects, seen = rows
     if seen == 0 or not et.size:
         raise ValueError("no usable edge events in input")
@@ -342,9 +431,8 @@ def _index_events(rows: _Rows, ids: list) -> TemporalEdgeList:
 
     order = np.argsort(et, kind="stable")  # input order preserved within t
     # the first event of each unordered pair, in that order
-    pair = (np.minimum(eu, ev) * len(ids) + np.maximum(eu, ev))[order]
-    _, pair = np.unique(pair, return_inverse=True)
-    keep = order[_first_occurrences(pair)]
+    pair = (np.minimum(eu, ev) * len(index) + np.maximum(eu, ev))[order]
+    keep = order[_first_positions(pair)]
     del order, pair
     eu, ev, et = eu[keep], ev[keep], et[keep]
     # every provisional index occurs in a kept event, so this ranks them all
@@ -355,7 +443,8 @@ def _index_events(rows: _Rows, ids: list) -> TemporalEdgeList:
     arrays = relabel[eu], relabel[ev], et, et[first_end // 2]
     for a in arrays:
         a.setflags(write=False)
-    return TemporalEdgeList(tuple(ids[i] for i in appearance.tolist()), tuple(rejects), *arrays)
+    ids = np.fromiter(index, dtype=object, count=len(index))[appearance]
+    return TemporalEdgeList(tuple(ids.tolist()), tuple(rejects), *arrays)
 
 
 def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:
@@ -366,7 +455,7 @@ def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:
     would come back as the four-column row "a b c 1", a reject).  Each
     id and each distinct timestamp is formatted once; a block of rows is
     then one join of those strings."""
-    ids = np.fromiter(map("{} ".format, tel.node_ids), dtype=object, count=len(tel.node_ids))
+    ids = np.array([f"{i} " for i in tel.node_ids], dtype=object)
     stamps, stamp_at = np.unique(tel.edge_t, return_inverse=True)
     stamps = np.array([f"{t}\n" for t in stamps.tolist()], dtype=object)
     for start in range(0, stamp_at.size, _BLOCK_ROWS):

@@ -438,7 +438,10 @@ def test_experiment_estimation_failure_is_data_error(tmp_path, capsys):
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: only 5 unique degrees above the percentile cutoff, need 6\n"
+    assert err == (
+        "error: table1:topk experiment 3 replicate 0 (seed 12467808127879573787): "
+        "only 5 unique degrees above the percentile cutoff, need 6\n"
+    )
     assert not (tmp_path / "o").exists()
 
 

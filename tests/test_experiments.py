@@ -79,6 +79,18 @@ def test_suite_replicates_do_not_depend_on_selection():
     assert both["aggregates"][1:] == second["aggregates"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_replicate_names_where_it_failed(workers):
+    # at this scale a topk train graph keeps too few unique degrees to fit
+    with pytest.raises(ValueError) as info:
+        run_suite("table1:topk", replicates=1, scale=0.01, experiments=(3,), workers=workers)
+    seed = experiments_module._replicate_seeds(3, 1)[0]
+    assert str(info.value) == (
+        f"table1:topk experiment 3 replicate 0 (seed {seed}): "
+        "only 5 unique degrees above the percentile cutoff, need 6"
+    )
+
+
 def test_suite_workers_do_not_change_results():
     # workers > 1 runs replicates in a process pool
     kwargs = dict(replicates=2, seed=0, scale=0.02, experiments=(1, 2))

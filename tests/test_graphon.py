@@ -73,6 +73,17 @@ def test_constant_edge_count_binomial():
     assert abs(np.mean(counts) - 7980.0) < 3 * se
 
 
+@given(st.integers(2, 80), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_constant_kernel_edge_count_is_binomial(n, p, seed):
+    # const:p joins each of the C(n, 2) pairs independently with probability p
+    w = parse_graphon(f"const:{p!r}")
+    m = sample_w_random_graph(w, n, np.random.default_rng(seed)).edge_count
+    pairs = n * (n - 1) // 2
+    # Bernstein's inequality: a binomial count leaves this band with probability below 1e-9
+    k = math.log(2e9)
+    assert abs(m - pairs * p) <= k / 3 + math.sqrt(k * k / 9 + 2 * k * pairs * p * (1 - p))
+
+
 def test_empirical_density_tracks_constant():
     c = 0.3
     w = parse_graphon("const:0.3")

@@ -139,6 +139,19 @@ def test_locate_intervals_and_boundary_snap():
     np.testing.assert_array_equal(labels, np.searchsorted(full.boundaries(), u, side="right"))
 
 
+@pytest.mark.parametrize(
+    "text", ["power:1.2:2:50", "mass:[0.5,0.3333333333333333,0.16666666666666666]"]
+)
+def test_weights_summing_to_one_leave_no_leftover_at_one(text):
+    # these cumulative sums end just below 1, where no leftover belongs
+    p = parse_mass_partition(text)
+    assert p.boundaries()[-1] < 1.0
+    assert p.locate(np.array([1.0, p.boundaries()[-1]])).tolist() == [len(p) - 1] * 2
+    assert Graphon.disjoint_clique(p)(1.0, 1.0) == 1.0
+    # real leftover keeps x = 1.0
+    assert parse_mass_partition("mass:[0.8]").locate(1.0) == 1
+
+
 def test_boundaries_cumulative():
     p = make_mass_partition([0.5, 0.25])
     assert p.boundaries().tolist() == pytest.approx([0.5, 0.75])

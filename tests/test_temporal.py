@@ -1,5 +1,6 @@
 """Temporal edge-list parsing, snapshots, and forecast evaluation."""
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -268,6 +269,65 @@ def test_long_ids_parse_in_bulk():
     assert tel.edge_u.tolist() == [0, 1, 0] and tel.edge_v.tolist() == [1, 2, 2]
 
 
+def test_quote_free_csv_parses_in_bulk():
+    # rows like the bench stream's, with blank rows, blanks at cell edges and
+    # rejects, are split with numpy: the row loop never runs
+    rng = np.random.default_rng(0)
+    u, v = rng.integers(0, 60, 300), rng.integers(60, 120, 300)
+    rows = [f"n{a},n{b},{t}\n" for a, b, t in zip(u, v, np.sort(rng.integers(1, 99, 300)))]
+    rows[10], rows[20], rows[30] = "n3,n3,5\n", "n4,n5\n", "n6,n7,8,9\n"
+    rows[40], rows[50], rows[60] = " n8 ,\tn9 , 17 \n", ",,\n", "n1,n2,soon\n"
+    rows[70] = "  \n"
+    lines = ["u,v,t\n"] + rows
+    with mock.patch.object(temporal, "_scan_rows", side_effect=AssertionError("row loop")):
+        for block_rows in (7, temporal._BLOCK_ROWS):
+            with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows):
+                tel = parse_edge_events(lines)
+            events, node_ids, first_t, rejects = reference_parse(lines, "csv3col")
+            assert tel.events == tuple(events) and tel.node_ids == tuple(node_ids)
+            assert tel.node_first_t.tolist() == first_t
+            assert tel.rejects == tuple(rejects)
+            assert [line for line, _ in rejects] == [12, 22, 32, 62]
+    # the same events as whitespace rows, one line earlier
+    spaced = parse_edge_events([r.replace(",", " ") for r in rows])
+    assert spaced.events == tel.events and spaced.node_ids == tel.node_ids
+    assert spaced.rejects == tuple((line - 1, why) for line, why in tel.rejects)
+
+
+def test_quoted_field_in_a_later_block_is_read_by_csv():
+    # blocks of 4 rows in slices of 2: lines 2-9 are split with numpy; the
+    # quote on line 11 hands the rest to csv, whose record at lines 11-12
+    # spans two slices and whose record at lines 13-15 spans two blocks
+    lines = ["u,v,t\n"] + [f"x{i},y{i},2\n" for i in range(8)]
+    lines += ["p,p,3\n", '"a\n', 'b",c,1\n', '"d\n', "\n", 'e",c,5\n', "q,q,4\n"]
+    lines += [f"z{i},w{i},6\n" for i in range(10)]
+    scan = mock.patch.object(temporal, "_scan_rows", wraps=temporal._scan_rows)
+    with mock.patch.object(temporal, "_BLOCK_ROWS", 4), \
+            mock.patch.object(temporal, "_BLOCK_CHARS", 30), scan as scanned:
+        tel = parse_edge_events(lines)
+    assert scanned.call_count == 1
+    events, node_ids, _, rejects = reference_parse(lines, "csv3col")
+    assert tel.events == tuple(events) and tel.node_ids == tuple(node_ids)
+    assert ("a\nb", "c", 1) in tel.events and ("d\n\ne", "c", 5) in tel.events
+    assert tel.rejects == tuple(rejects)
+    assert tel.rejects == ((10, "self loop at node 'p'"), (16, "self loop at node 'q'"))
+
+
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        (["u,v,t", "a,b,1", "c\rd,e,2"], 3),
+        (["u,v,t", "a,b,1", "c\r,e,2"], 3),
+        (["u,v,t"] + [f"a{i},b{i},1" for i in range(9)] + ["c\n,e,2"], 11),
+    ],
+    ids=["carriage-return", "carriage-return-at-a-cell-end", "newline-in-a-later-block"],
+)
+def test_unreadable_csv_record_is_a_format_error(lines, line):
+    with mock.patch.object(temporal, "_BLOCK_ROWS", 4):
+        with pytest.raises(TemporalFormatError, match=f"^line {line}: new-line character seen"):
+            parse_edge_events(lines)
+
+
 def test_id_hash_collisions_are_told_apart():
     # with the multiplier at 0 the hash of an id is its last 8-byte word, so
     # these ids collide; checking each id against its class's row splits them
@@ -357,12 +417,15 @@ SEPARATORS = [" ", "\t", "   ", "\x1c", "\n", "\xa0", "\u3000"]
 
 def reference_parse(lines, fmt):
     """(events, node_ids, node_first_t, rejects) by the documented rules."""
-    start = 1
-    if fmt == "csv3col":
-        lines, start = lines[1:], 2  # after the u,v,t header
+    if fmt == "csv3col":  # records after the u,v,t header, by the line they start on
+        reader, records, start = csv.reader(lines[1:]), [], 2
+        for row in reader:
+            records.append((start, [c.strip() for c in row]))
+            start = reader.line_num + 2
+    else:
+        records = [(lineno, line.split()) for lineno, line in enumerate(lines, 1)]
     rejects, usable = [], []
-    for lineno, line in enumerate(lines, start):
-        cells = [c.strip() for c in line.split(",")] if fmt == "csv3col" else line.split()
+    for lineno, cells in records:
         if not any(cells):
             continue
         if len(cells) != 3:
@@ -426,7 +489,10 @@ def event_lines(draw, fmt):
     rows += [()] * draw(st.integers(0, 3))  # blank rows
     rows = draw(st.permutations(rows))
     if fmt == "csv3col":
-        return ["u,v,t"] + [",".join(r) for r in rows]
+        if rows and rows[-1] and draw(st.booleans()):  # a quoted cell sends the rest to csv
+            rows[-1] = (f'"{rows[-1][0]}"', *rows[-1][1:])
+        sep = draw(st.sampled_from([",", " ,", ",\t"]))  # blanks at cell edges are stripped
+        return ["u,v,t"] + [sep.join(r) for r in rows]
     sep = draw(st.sampled_from(SEPARATORS))
     return [sep.join(r) + draw(st.sampled_from(["", "\n", "  "])) for r in rows]
 
@@ -435,9 +501,15 @@ def event_lines(draw, fmt):
 @given(data=st.data())
 def test_parse_matches_reference(fmt, data):
     lines = data.draw(event_lines(fmt))
-    # small blocks put block boundaries, and ids seen in earlier blocks, in reach
+    # small blocks put block boundaries, and ids seen in earlier blocks, in
+    # reach; a small character cap splits blocks into row slices; a zero
+    # packing limit takes the deduplication that packs no positions
     block_rows = data.draw(st.sampled_from([3, 16, temporal._BLOCK_ROWS]))
-    with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows):
+    block_chars = data.draw(st.sampled_from([24, 200, temporal._BLOCK_CHARS]))
+    packed_limit = data.draw(st.sampled_from([0, temporal._PACKED_LIMIT]))
+    with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(temporal, "_BLOCK_CHARS", block_chars), \
+            mock.patch.object(temporal, "_PACKED_LIMIT", packed_limit):
         tel = parse_edge_events(lines)
     events, node_ids, first_t, rejects = reference_parse(lines, fmt)
     assert tel.events == tuple(events)
