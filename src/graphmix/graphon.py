@@ -95,15 +95,18 @@ def parse_graphon(text: str) -> Graphon:
         raise ValueError(f"unknown graphon literal {text!r}") from None
 
 
-_BLOCK = 512
+_BLOCK = 128
 
 
 def sample_w_random_graph(w: Graphon, n: int, rng: np.random.Generator) -> Graph:
     """Sample the n-node W-random graph.
 
     Latent positions are iid uniform; pair (i, j) connects independently
-    with probability W(x_i, x_j).  Uniforms are drawn in fixed-size row
-    blocks so memory stays O(block * n) for large n.
+    with probability W(x_i, x_j).  A uniform is drawn for every ordered
+    pair, row by row, and pair i < j uses the one in row i, column j;
+    only those pairs are evaluated.  Rows come in fixed-size blocks so
+    memory stays O(block * n), and since whole rows are drawn in order
+    the output does not depend on the block size.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -113,17 +116,21 @@ def sample_w_random_graph(w: Graphon, n: int, rng: np.random.Generator) -> Graph
 
 def _graph_from_latents(w: Graphon, xs: np.ndarray, rng: np.random.Generator) -> Graph:
     n = xs.size
-    cols = np.arange(n)
     chunks = []
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        probs = w(xs[start:stop, None], xs[None, :])
-        u = rng.random((stop - start, n))
-        hit = u < probs
-        rows = np.arange(start, stop)[:, None]
-        hit &= cols[None, :] > rows
-        r, c = np.nonzero(hit)
-        if r.size:
-            chunks.append(np.column_stack([r + start, c]))
+        u = rng.random((stop - start, n))  # whole rows keep the stream block-free
+        first = start + 1  # no pair of the block has its right end before this column
+        width = n - first
+        if width == 0:
+            continue
+        hit = u[:, first:] < w(xs[start:stop, None], xs[None, first:])
+        # row start + r keeps columns first + c with c >= r, i.e. right of its diagonal
+        at = np.flatnonzero(np.triu(hit))
+        if at.size:
+            chunk = np.empty((at.size, 2), dtype=np.int64)
+            np.divmod(at, width, out=(chunk[:, 0], chunk[:, 1]))
+            chunk += (start, first)
+            chunks.append(chunk)
     edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
     return Graph(n, edges)

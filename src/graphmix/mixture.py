@@ -111,15 +111,17 @@ def _sample_cross_pairs(
 ) -> np.ndarray:
     """m_new distinct (dense, sparse) pairs, uniform via rejection.
 
-    taken holds the (d, s) pairs already placed; only the m_new new
-    pairs are returned, none of them in taken.  The draw budget grows
-    as the free part of the n_d x n_s grid shrinks.
+    taken holds the (d, s) pairs already placed, in any order; only the
+    m_new new pairs are returned, sorted and none of them in taken.
+    Each retry batch is merged into the sorted pair codes, not re-sorted
+    with them.  The draw budget grows as the free part of the n_d x n_s
+    grid shrinks.
     """
     if m_new == 0:
         return np.empty((0, 2), dtype=np.int64)
     if n_d * n_s >= 2**63:
         raise CapacityError(f"{n_d} x {n_s} cross pairs do not fit int64 pair codes")
-    taken = taken[:, 0] * n_s + taken[:, 1]  # pair codes d * n_s + s
+    taken = np.sort(taken[:, 0] * n_s + taken[:, 1])  # pair codes d * n_s + s
     free = n_d * n_s - taken.size
     if m_new > free:
         raise CapacityError(
@@ -140,9 +142,25 @@ def _sample_cross_pairs(
         d = rng.integers(0, n_d, batch)
         s = rng.integers(0, n_s, batch)
         attempts += batch
-        codes = _distinct_sorted(np.sort(np.concatenate([codes, d * n_s + s])))
-    codes = np.setdiff1d(codes, taken, assume_unique=True)
-    return np.column_stack([codes // n_s, codes % n_s])
+        codes = _merge_codes(codes, _distinct_sorted(np.sort(d * n_s + s)))
+    if taken.size:
+        codes = np.setdiff1d(codes, taken, assume_unique=True)
+    pairs = np.empty((codes.size, 2), dtype=np.int64)
+    np.divmod(codes, n_s, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
+def _merge_codes(codes: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Sorted distinct union of two sorted distinct code arrays.
+
+    Only the codes of new that codes lacks are inserted, so codes is
+    never sorted again.
+    """
+    if not codes.size:
+        return new
+    at = np.searchsorted(codes, new)
+    fresh = codes[np.minimum(at, codes.size - 1)] != new
+    return np.insert(codes, at[fresh], new[fresh])
 
 
 def _derive_sparse_meta(g_s: Graph) -> tuple[np.ndarray, dict[int, int]]:
@@ -321,7 +339,8 @@ class MixtureSequence:
     def member(self, i: int) -> MixtureGraph:
         n_d, m_s = self.sizes[i]
         e = self._dense_full.edges
-        g_d = Graph(n_d, e[e[:, 1] < n_d])  # rows are (lo, hi)
+        e = e[: np.searchsorted(e[:, 0], n_d)]  # rows are sorted (lo, hi)
+        g_d = Graph(n_d, e[e[:, 1] < n_d])
         g_s, origin, hubs = _sparse_part_from_labels(self.u, self._labels[:m_s])
         rng = np.random.default_rng(self._join_streams[i])
         return join_graphs(g_d, g_s, self.cfg, rng, sparse_meta=(origin, hubs))

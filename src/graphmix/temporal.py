@@ -39,6 +39,10 @@ _BLOCK_ROWS = 65_536  # rows parsed or written per bulk block
 _BLOCK_CHARS = 2_500_000  # a block with more characters is parsed in equal row slices
 _FAST_DIGITS = 18  # longer timestamps go through int(); 10**18 fits int64
 _PACKED_LIMIT = 2**63  # value * size + position packs into int64 below this
+# a block whose id-word table would take more bytes than this many per byte
+# of its text, plus the slack, takes the row loop
+_KEY_BYTES_PER_BYTE = 4
+_KEY_BYTES_SLACK = 2**20
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of the id-word hash
 # _HEAD_BYTES[k] keeps the first k bytes of an 8-byte word, in memory order
 _HEAD_BYTES = (np.tri(9, 8, -1, dtype=np.uint8) * 255).view(np.uint64).ravel()
@@ -278,6 +282,10 @@ def _bulk_rows(
     rows that are not str (data is None), a NUL or a non-ASCII space in
     the text, or with commas a non-blank row whose token count is not
     its comma count plus one (an empty cell, or a blank inside one).
+    It also returns None when the id-word table, one row per id as wide
+    as the longest id, would outgrow _KEY_BYTES_PER_BYTE bytes per byte
+    of the block plus _KEY_BYTES_SLACK (one long id among many short
+    ones), so memory stays bounded; ids of one length never do.
     """
     if data is None or (not data.isascii() and any(c.encode() in data for c in _WIDE_SPACE)):
         return None
@@ -308,6 +316,9 @@ def _bulk_rows(
     del starts, ends, first_tok
     id_start = np.concatenate([us, vs])
     id_len = np.concatenate([ue - us, ve - vs])
+    n_words = max(1, -(-int(id_len.max(initial=0)) // 8))
+    if id_start.size * n_words * 8 > _KEY_BYTES_PER_BYTE * b.size + _KEY_BYTES_SLACK:
+        return None
 
     # timestamps of [+-]digit{1.._FAST_DIGITS}, one digit column at a time; others go to int()
     sign = b[ts]
@@ -334,7 +345,6 @@ def _bulk_rows(
     # ids as zero-padded 8-byte words (no id holds a NUL): equal ids, equal
     # words; a word past the end of an id is read anywhere in range and masked
     word_at = np.ndarray((b.size - 7,), dtype=np.uint64, buffer=data, strides=(1,))
-    n_words = max(1, -(-int(id_len.max(initial=0)) // 8))
     key = np.empty((id_start.size, n_words), dtype=np.uint64)
     for j in range(key.shape[1]):
         at = np.minimum(id_start + 8 * j, word_at.size - 1)

@@ -1,6 +1,7 @@
 """Graphon kernels: the constructor check, pointwise and broadcast
 evaluation, literal parsing, and W-random sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphmix import graphon
 from graphmix import (
     Graphon,
     edge_density,
@@ -129,6 +131,34 @@ def test_prob_matrix_matches_pointwise_evaluation(w):
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             assert mat[i, j] == float(w(x, y))
+
+
+def full_matrix_sample(w, n, rng):
+    """The W-random graph from one n x n draw: row i, column j > i decides pair (i, j)."""
+    xs = rng.random(n)
+    hit = rng.random((n, n)) < w(xs[:, None], xs[None, :])
+    return np.argwhere(np.triu(hit, 1))
+
+
+@pytest.mark.parametrize("block", [1, 7, 128, 512])
+@pytest.mark.parametrize("literal", ["const:0.3", "exp_sum", "mass:[0.5,0.3]"])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 3 * 128 + 5])
+def test_block_sampler_matches_full_matrix(monkeypatch, block, literal, n):
+    # whole rows are drawn in order, so the edges and the stream left behind
+    # do not depend on the block size
+    monkeypatch.setattr(graphon, "_BLOCK", block)
+    w = parse_graphon(literal)
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    g = sample_w_random_graph(w, n, rng)
+    np.testing.assert_array_equal(g.edges, full_matrix_sample(w, n, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_exp_sum_sample_is_pinned():
+    # a sample spanning many row blocks at the default block size
+    g = sample_w_random_graph(parse_graphon("exp_sum"), 1500, np.random.default_rng(0))
+    digest = hashlib.sha256(g.edges.tobytes()).hexdigest()
+    assert digest == "a0b0d7bcfcd05e866210ee35445d13a3132db5e5e6b687fbfbddb5de4dd05df5"
 
 
 def test_sample_with_partition_graphon_matches_direct_sampler():

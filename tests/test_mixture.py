@@ -179,6 +179,41 @@ def test_cross_pairs_give_up_when_draws_keep_colliding():
         _sample_cross_pairs(2, 2, 2, ZeroRng())
 
 
+def concat_and_sort_cross_pairs(n_d, n_s, m_new, rng, taken):
+    """The same draws, with every code re-sorted after each batch; None
+    when the draw budget runs out."""
+    taken = taken[:, 0] * n_s + taken[:, 1]
+    budget = mixture.COLLISION_RETRIES * m_new * (n_d * n_s) // (n_d * n_s - taken.size - m_new + 1)
+    goal, codes, attempts = taken.size + m_new, taken, 0
+    while codes.size < goal:
+        if attempts >= budget:
+            return None
+        batch = min(goal - codes.size, budget - attempts)
+        d, s = rng.integers(0, n_d, batch), rng.integers(0, n_s, batch)
+        attempts += batch
+        codes = np.unique(np.concatenate([codes, d * n_s + s]))
+    codes = np.setdiff1d(codes, taken)
+    return np.column_stack([codes // n_s, codes % n_s])
+
+
+@given(grids_with_taken(), st.booleans(), st.data())
+def test_cross_pairs_match_concat_and_sort(grid, drop_taken, data):
+    # grids of at most 12 x 12 filled close to the top force retries; taken is unsorted
+    n_d, n_s, taken, free = grid
+    if drop_taken:
+        taken, free = taken[:0], n_d * n_s
+    m_new = data.draw(st.integers(1, free)) if free else 0
+    rng, ref_rng = (np.random.default_rng(n_d * n_s + m_new) for _ in range(2))
+    want = concat_and_sort_cross_pairs(n_d, n_s, m_new, ref_rng, taken) if m_new else None
+    if m_new and want is None:
+        with pytest.raises(CapacityError, match="exhausted"):
+            _sample_cross_pairs(n_d, n_s, m_new, rng, taken)
+    else:
+        pairs = _sample_cross_pairs(n_d, n_s, m_new, rng, taken)
+        np.testing.assert_array_equal(pairs, np.empty((0, 2)) if want is None else want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @st.composite
 def join_inputs(draw):
     """A dense graph, a star forest and a multiplier c, with room for the cross edges."""

@@ -6,6 +6,7 @@ import hashlib
 import io
 import os
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -267,6 +268,28 @@ def test_long_ids_parse_in_bulk():
         tel = parse_edge_events(lines)
     assert tel.node_ids == tuple(long_ids)
     assert tel.edge_u.tolist() == [0, 1, 0] and tel.edge_v.tolist() == [1, 2, 2]
+
+
+@pytest.mark.parametrize("fmt", ["whitespace3col", "csv3col"])
+def test_one_long_id_keeps_the_parse_small(fmt):
+    # a table as wide as the longest id for every id would take ~40 MB here;
+    # the block goes to the row loop instead, with the same result
+    rows = [f"a{i % 500} b{i % 700} {i}" for i in range(2000)]
+    rows.insert(1000, f"{'x' * 10_000} y 5")
+    if fmt == "csv3col":
+        rows = ["u,v,t"] + [r.replace(" ", ",") for r in rows]
+    tracemalloc.start()
+    try:
+        tel = parse_edge_events(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    with mock.patch.object(temporal, "_bulk_rows", return_value=None):
+        slow = parse_edge_events(rows)
+    for field in dataclasses.fields(tel):
+        assert np.array_equal(getattr(tel, field.name), getattr(slow, field.name))
+    assert "x" * 10_000 in tel.node_ids
 
 
 def test_quote_free_csv_parses_in_bulk():
