@@ -180,8 +180,6 @@ def cmd_generate(args) -> int:
     density_rows = []
     for i in range(steps):
         mix = seq.member(i)
-        with _create(out, f"graph_{i + 1:04d}.edges") as f:
-            write_edge_list(mix.graph, f)
         origin = mix.node_origin
         starts = np.flatnonzero(np.diff(origin, prepend=-1))
         lengths = np.diff(starts, append=origin.size)
@@ -196,13 +194,17 @@ def cmd_generate(args) -> int:
             "hubs": {str(j): int(v) for j, v in sorted(mix.hubs.items())},
             "origin_rle": rle,
         }
+        graph = mix.graph
+        del mix  # writing needs only the joined graph; free the blocks first
+        with _create(out, f"graph_{i + 1:04d}.edges") as f:
+            write_edge_list(graph, f)
         _save(out, f"provenance_{i + 1:04d}.json", _json(prov))
         density_rows.append(
             {
                 "index": i + 1,
-                "node_count": mix.graph.node_count,
-                "edge_count": mix.graph.edge_count,
-                "density": edge_density(mix.graph),
+                "node_count": graph.node_count,
+                "edge_count": graph.edge_count,
+                "density": edge_density(graph),
             }
         )
     _save_rows(out, "densities", density_rows, args.format)

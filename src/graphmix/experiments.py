@@ -38,7 +38,7 @@ from .estimators import (
     forecast_top_k,
     mape,
 )
-from .graph import degree_spectrum
+from .graph import DegreeSpectrum
 from .graphon import parse_graphon
 from .masspartition import MassPartition, parse_mass_partition
 from .mixture import CapacityError, JoinConfig, MixtureSequence, _round_half_up, generate_mixture
@@ -128,8 +128,8 @@ def _topk_plan(exp: int, scale: float) -> tuple[tuple, dict]:
 def _topk_replicate(args: tuple) -> dict:
     w_text, u_text, sizes, seed = args
     seq = MixtureSequence(parse_mass_partition(u_text), parse_graphon(w_text), sizes, seed=seed)
-    spec_tr = degree_spectrum(seq.member(0).graph)
-    spec_te = degree_spectrum(seq.member(1).graph)
+    spec_tr = DegreeSpectrum(seq.member(0).degrees())
+    spec_te = DegreeSpectrum(seq.member(1).degrees())
     k_hat, _ = estimate_k_infinite(spec_tr)
     k = min(k_hat, spec_tr.node_count, spec_te.node_count)
     actual, prop, base = forecast_top_k(spec_tr, spec_te, k)
@@ -154,7 +154,7 @@ def _partition_replicate(args: tuple) -> dict:
     infinite, u_text, n_d, m_s, seed = args
     u = parse_mass_partition(u_text)
     mix = generate_mixture(u, parse_graphon(GRAPHON_W), n_d, m_s, rng=np.random.default_rng(seed))
-    spec = degree_spectrum(mix.graph)
+    spec = DegreeSpectrum(mix.degrees())
     if infinite:
         est = estimate_partition_infinite(spec, percentile=INFINITE_PERCENTILE)
     else:

@@ -4,7 +4,9 @@ Graphs are immutable once built.  The edge table is a read-only (m, 2)
 int64 array with every row stored as (min, max) and rows sorted
 lexicographically, so equality, hashing of files, and iteration order are
 reproducible across runs.  Rows given in that canonical order skip the
-sort and are only checked and copied.  Node labels are
+sort and are only checked and copied; rows the library has just built
+for the graph (an edge file's rows, a join's rows) are frozen in place
+instead of copied.  Node labels are
 0..node_count-1; isolated nodes are allowed and matter (they enter node
 counts and densities).
 Node counts and degrees must be integers, or ValueError is raised.
@@ -57,13 +59,28 @@ def _endpoint_array(raw: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Fresh:
+    """Edge rows the library has just built for one Graph and then drops.
+
+    Graph(n, _Fresh(rows)) runs every check on rows, but when they are
+    already canonical it freezes and keeps them instead of copying.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
 def _canonical_edges(node_count: int, edges) -> np.ndarray:
     """Rows (min, max), sorted and distinct, as one sorted int64 key per edge.
 
     Rows that are already canonical (u < v on every row, keys strictly
-    increasing) skip the sort and come back as a C-contiguous copy.
+    increasing) skip the sort and come back C-contiguous: a copy, unless
+    they come wrapped in _Fresh.
     """
-    raw = np.asarray(edges)
+    fresh = isinstance(edges, _Fresh)
+    raw = np.asarray(edges.rows if fresh else edges)
     if raw.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     arr = _endpoint_array(raw)
@@ -81,7 +98,8 @@ def _canonical_edges(node_count: int, edges) -> np.ndarray:
         # key order is lexicographic (lo, hi) order
         key = lo * node_count + hi
         if oriented and np.all(key[1:] > key[:-1]):
-            return arr.copy()  # never the caller's array: Graph freezes it
+            # Graph freezes what it gets, so never the caller's array
+            return np.ascontiguousarray(arr) if fresh else arr.copy()
         key = np.sort(key)
         lo, hi = np.divmod(key, node_count)
     else:
@@ -361,6 +379,6 @@ def read_edge_list(fobj: TextIO) -> Graph:
     if edges is None:
         edges = _scan_edges(body.split("\n"), header_lineno + 1)
     try:
-        return Graph(n, edges)
+        return Graph(n, _Fresh(edges))
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None

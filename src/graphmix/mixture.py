@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, _distinct_sorted, component_labels, edge_density
+from .graph import Graph, _distinct_sorted, _Fresh, component_labels
 from .graphon import Graphon, _graph_from_latents, sample_w_random_graph
 from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
@@ -75,31 +76,78 @@ class JoinConfig:
 
 @dataclass(frozen=True)
 class MixtureGraph:
-    """A joined graph plus provenance of every node.
+    """A joined graph kept as its three blocks, plus provenance of every node.
+
+    dense and sparse are the two parts; cross holds the joining edges as
+    sorted (dense id, sparse id) rows.  Joined node ids are dense ids,
+    then sparse ids shifted by n_dense.  Counts and degrees() come from
+    the blocks; the joined Graph is built, and checked, once, on the
+    first read of graph.
 
     node_origin holds NodeOrigin codes; hubs maps partition index ->
     node id for every clique realized in the sparse sample.
     """
 
-    graph: Graph
+    dense: Graph
+    sparse: Graph
+    cross: np.ndarray
     node_origin: np.ndarray
     hubs: dict[int, int]
-    n_dense: int
-    n_sparse: int
-    m_dense: int
-    m_sparse: int
-    m_new: int
 
     def __post_init__(self):
-        if self.graph.node_count != self.n_dense + self.n_sparse:
-            raise ValueError("node conservation violated")
-        if self.graph.edge_count != self.m_dense + self.m_sparse + self.m_new:
-            raise ValueError("edge accounting violated")
-        if self.node_origin.shape != (self.graph.node_count,):
+        if self.node_origin.shape != (self.n_dense + self.n_sparse,):
             raise ValueError("node_origin must tag every node")
         origin = np.asarray(self.node_origin, dtype=np.int8)
         origin.setflags(write=False)
         object.__setattr__(self, "node_origin", origin)
+        self.cross.setflags(write=False)
+
+    @property
+    def n_dense(self) -> int:
+        return self.dense.node_count
+
+    @property
+    def n_sparse(self) -> int:
+        return self.sparse.node_count
+
+    @property
+    def m_dense(self) -> int:
+        return self.dense.edge_count
+
+    @property
+    def m_sparse(self) -> int:
+        return self.sparse.edge_count
+
+    @property
+    def m_new(self) -> int:
+        return self.cross.shape[0]
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The joined graph, built and checked on first read."""
+        n_d, n_s = self.n_dense, self.n_sparse
+        rows = _joined_edges(self.dense.edges, self.sparse.edges, self.cross, n_d, n_s)
+        graph = Graph(n_d + n_s, _Fresh(rows))
+        if graph.node_count != n_d + n_s:
+            raise ValueError("node conservation violated")
+        if graph.edge_count != self.m_dense + self.m_sparse + self.m_new:
+            raise ValueError("edge accounting violated")
+        return graph
+
+    def degrees(self) -> np.ndarray:
+        """Degree of every joined node, summed from the blocks (read-only).
+
+        Equal to graph.degrees(), without building the joined graph.
+        """
+        n_d, n_s = self.n_dense, self.n_sparse
+        deg = np.concatenate(
+            [
+                self.dense.degrees() + np.bincount(self.cross[:, 0], minlength=n_d),
+                self.sparse.degrees() + np.bincount(self.cross[:, 1], minlength=n_s),
+            ]
+        )
+        deg.setflags(write=False)
+        return deg
 
 
 def _sample_cross_pairs(
@@ -220,10 +268,13 @@ def join_graphs(
 ) -> MixtureGraph:
     """Union both graphs and add m_new = round(c * m_dense) cross edges.
 
-    Dense nodes keep labels 0..n_d-1; sparse labels shift by n_d.  When
-    the caller knows the sparse provenance (generate_mixture does) it is
-    passed through; otherwise tags are derived from the star structure,
-    and a K_{1,1} star is then tagged as an isolated edge (see
+    Dense nodes keep labels 0..n_d-1; sparse labels shift by n_d.  The
+    cross pairs are drawn here, so a join that does not fit raises
+    CapacityError here; the result keeps the two graphs and the cross
+    pairs, and builds the joined edge table only when its graph is first
+    read.  When the caller knows the sparse provenance (generate_mixture
+    does) it is passed through; otherwise tags are derived from the star
+    structure, and a K_{1,1} star is then tagged as an isolated edge (see
     _derive_sparse_meta).
     """
     if g_d.node_count < 1 or g_s.node_count < 1:
@@ -239,7 +290,6 @@ def join_graphs(
     if m_new > 0 and rng is None:
         raise ValueError("joining edges require an rng")
     cross = _sample_cross_pairs(n_d, n_s, m_new, rng)
-    graph = Graph(n_d + n_s, _joined_edges(g_d.edges, g_s.edges, cross, n_d, n_s))
     if sparse_meta is None:
         sparse_origin, sparse_hubs = _derive_sparse_meta(g_s)
     else:
@@ -248,16 +298,7 @@ def join_graphs(
         [np.zeros(n_d, dtype=np.int8), np.asarray(sparse_origin, dtype=np.int8)]
     )
     hubs = {j: node + n_d for j, node in sparse_hubs.items()}
-    return MixtureGraph(
-        graph=graph,
-        node_origin=origin,
-        hubs=hubs,
-        n_dense=n_d,
-        n_sparse=n_s,
-        m_dense=g_d.edge_count,
-        m_sparse=g_s.edge_count,
-        m_new=m_new,
-    )
+    return MixtureGraph(dense=g_d, sparse=g_s, cross=cross, node_origin=origin, hubs=hubs)
 
 
 def _sparse_part_from_labels(
@@ -462,7 +503,8 @@ def density_trajectory(
         raise ValueError("need at least two steps for a trajectory")
     seq = MixtureSequence(u, w, schedule.sizes_for(u, steps), cfg=cfg, seed=seed)
     out = []
-    for i in range(steps):
-        g = seq.member(i).graph
-        out.append((i + 1, g.node_count, edge_density(g)))
+    for i, mix in enumerate(seq):
+        n = mix.n_dense + mix.n_sparse
+        m = mix.m_dense + mix.m_sparse + mix.m_new
+        out.append((i + 1, n, 2.0 * m / float(n) ** 2))  # edge_density of mix.graph
     return out

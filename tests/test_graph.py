@@ -24,7 +24,7 @@ from graphmix import (
     write_edge_list,
 )
 from graphmix import graph as graph_module
-from graphmix.graph import _KEY_NODE_LIMIT
+from graphmix.graph import _KEY_NODE_LIMIT, _Fresh
 
 
 def complete_graph(n):
@@ -216,6 +216,38 @@ def test_canonical_rows_are_copied():
     strided = np.array([[0, 1], [9, 9], [1, 2]])[::2]
     g = Graph(3, strided)
     assert g.edges.flags.c_contiguous and not np.shares_memory(strided, g.edges)
+
+
+def test_fresh_rows_are_frozen_in_place_and_a_callers_rows_copied():
+    rows = [(0, 1), (1, 4), (2, 3)]
+    fresh, callers = np.array(rows), np.array(rows)
+    g = Graph(5, _Fresh(fresh))
+    assert g.edges is fresh and not fresh.flags.writeable
+    h = Graph(5, callers)
+    assert callers.flags.writeable and not np.shares_memory(callers, h.edges)
+    assert g == h
+    strided = np.array([[0, 1], [9, 9], [1, 2]])[::2]
+    assert Graph(3, _Fresh(strided)).edges.flags.c_contiguous
+
+
+@given(distinct_edge_sets(), st.data())
+def test_fresh_rows_fail_and_pass_as_a_callers_rows(case, data):
+    n, want, rows = case
+    rows = [list(p) for p in data.draw(st.sampled_from([want, rows]))]
+    if rows and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        fault = data.draw(st.sampled_from(["low", "high", "loop", "duplicate"]))
+        if fault == "low":
+            rows[i][0] = -1
+        elif fault == "high":
+            rows[i][1] = n
+        elif fault == "loop":
+            rows[i][1] = rows[i][0]
+        else:
+            rows.insert(i + 1, rows[i][::-1])
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    got = canonical_outcome(lambda n, r: Graph(n, _Fresh(r)).edges, n, arr.copy())
+    assert got == canonical_outcome(lambda n, r: Graph(n, r).edges, n, arr)
 
 
 def test_graph_is_immutable():

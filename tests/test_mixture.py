@@ -15,6 +15,7 @@ from graphmix import (
     NodeOrigin,
     RatioSchedule,
     density_trajectory,
+    edge_density,
     expected_hub_degree,
     generate_mixture,
     join_graphs,
@@ -215,13 +216,16 @@ def test_cross_pairs_match_concat_and_sort(grid, drop_taken, data):
 
 
 @st.composite
-def join_inputs(draw):
-    """A dense graph, a star forest and a multiplier c, with room for the cross edges."""
+def join_inputs(draw, fitting=True):
+    """A dense graph, a star forest and a multiplier c; with fitting, one
+    that leaves room for the cross edges."""
     n_d = draw(st.integers(1, 12))
     pairs = [(a, b) for a in range(n_d) for b in range(a + 1, n_d)]
     dense = Graph(n_d, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
     sparse, _ = star_forest(draw(st.lists(st.integers(1, 6), max_size=4)), draw(st.integers(0, 3)))
     assume(sparse.node_count > 0)
+    if not fitting:  # c = 50 overfills most pair grids
+        return dense, sparse, draw(st.sampled_from([0.0, 1.0, 50.0]))
     c = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
     assume(math.floor(c * dense.edge_count + 0.5) <= n_d * sparse.node_count)
     return dense, sparse, c
@@ -253,6 +257,49 @@ def test_join_edges_match_concatenate_then_canonicalize(parts, seed):
     cross = _sample_cross_pairs(n_d, n_s, mix.m_new, np.random.default_rng(seed))
     want = Graph(n_d + n_s, np.concatenate([g_d.edges, g_s.edges + n_d, cross + (0, n_d)]))
     assert np.array_equal(mix.graph.edges, want.edges)
+
+
+@st.composite
+def mixture_draws(draw):
+    """(build, fits): build makes a mixture by generate_mixture, a bare
+    join_graphs call or a MixtureSequence member.  fits says whether the
+    bare join's cross edges fit its n_d x n_s pair grid, and is None for
+    the other two, whose dense edge count comes from the draw.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["generate", "bare", "member"]))
+    if kind == "bare":
+        g_d, g_s, c = draw(join_inputs(fitting=False))
+        fits = math.floor(c * g_d.edge_count + 0.5) <= g_d.node_count * g_s.node_count
+        return (lambda: join_graphs(g_d, g_s, JoinConfig(c), np.random.default_rng(seed))), fits
+    cfg = JoinConfig(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    if kind == "generate":
+        n_d, m_s = draw(st.integers(1, 30)), draw(st.integers(1, 60))
+        return (lambda: generate_mixture(U23, W, n_d, m_s, cfg, np.random.default_rng(seed))), None
+    sizes = draw(growing_sizes())
+    i = draw(st.integers(0, len(sizes) - 1))
+    return (lambda: MixtureSequence(U23, W, sizes, cfg, seed).member(i)), None
+
+
+@given(mixture_draws())
+def test_mixture_blocks_agree_with_the_joined_graph(drawn):
+    build, fits = drawn
+    try:
+        mix = build()
+    except CapacityError:
+        assert not fits  # raised by the join itself, never by reading .graph
+        return
+    assert fits is not False
+    deg = mix.degrees()
+    assert not deg.flags.writeable
+    g = mix.graph
+    assert mix.graph is g
+    assert np.array_equal(deg, g.degrees())
+    assert g.node_count == mix.n_dense + mix.n_sparse == mix.node_origin.size
+    assert g.edge_count == mix.m_dense + mix.m_sparse + mix.m_new
+    assert (mix.n_dense, mix.m_dense) == (mix.dense.node_count, mix.dense.edge_count)
+    assert (mix.n_sparse, mix.m_sparse) == (mix.sparse.node_count, mix.sparse.edge_count)
+    assert int(deg.sum()) == 2 * g.edge_count
 
 
 def test_cross_pair_codes_beyond_int64_raise_without_drawing():
@@ -487,8 +534,11 @@ def test_sizes_for_hits_target_ratio():
 
 
 def test_density_trajectory_rows():
-    rows = density_trajectory(U23, W, RatioSchedule("constant", a=1.0, base_n_d=20), 3, seed=0)
+    sched = RatioSchedule("constant", a=1.0, base_n_d=20)
+    rows = density_trajectory(U23, W, sched, 3, seed=0)
     assert [r[0] for r in rows] == [1, 2, 3]
     assert all(0.0 < r[2] < 1.0 for r in rows)
+    seq = MixtureSequence(U23, W, sched.sizes_for(U23, 3), seed=0)
+    assert [r[1:] for r in rows] == [(m.graph.node_count, edge_density(m.graph)) for m in seq]
     with pytest.raises(ValueError):
         density_trajectory(U23, W, RatioSchedule("constant"), 1, seed=0)

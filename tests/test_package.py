@@ -39,6 +39,7 @@ def test_package_exports_every_module_name():
 # one is added here on purpose, naming the one module that owns the name
 PRIVATE_IMPORTS = {
     ("mixture", "graph", "_distinct_sorted"),
+    ("mixture", "graph", "_Fresh"),
     ("mixture", "graphon", "_graph_from_latents"),
     ("experiments", "mixture", "_round_half_up"),
 }
