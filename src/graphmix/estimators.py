@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DegreeSpectrum, top_k_degrees
+from .graph import DegreeSpectrum, _fields_equal, top_k_degrees
 
 __all__ = [
     "AUTO_GAP_THRESHOLD",
@@ -128,13 +128,16 @@ def _ratio_partition(spectrum: DegreeSpectrum, k_hat: int) -> np.ndarray:
     return top / top.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionEstimate:
     """Weights summing to 1 (k_hat of them), with the mode and fit diagnostics."""
 
     mode: str
     weights: np.ndarray
     diagnostics: object = None
+
+    __eq__ = _fields_equal
+    __hash__ = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)

@@ -155,6 +155,7 @@ def _partition_replicate(args: tuple) -> dict:
     u = parse_mass_partition(u_text)
     mix = generate_mixture(u, parse_graphon(GRAPHON_W), n_d, m_s, rng=np.random.default_rng(seed))
     spec = DegreeSpectrum(mix.degrees())
+    del mix  # estimation needs only the degrees
     if infinite:
         est = estimate_partition_infinite(spec, percentile=INFINITE_PERCENTILE)
     else:

@@ -5,15 +5,17 @@ int64 array with every row stored as (min, max) and rows sorted
 lexicographically, so equality, hashing of files, and iteration order are
 reproducible across runs.  Rows given in that canonical order skip the
 sort and are only checked and copied; rows the library has just built
-for the graph (an edge file's rows, a join's rows) are frozen in place
-instead of copied.  Node labels are
-0..node_count-1; isolated nodes are allowed and matter (they enter node
-counts and densities).
+for the graph (an edge file's rows, a join's rows, a W-random sample's
+rows, a sequence member's rows) are frozen in place instead of copied,
+and a member that keeps all of its sample's rows shares them.  Node
+labels are 0..node_count-1; isolated nodes are allowed and matter (they
+enter node counts and densities).
 Node counts and degrees must be integers, or ValueError is raised.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import TextIO
 
 import numpy as np
@@ -60,7 +62,8 @@ def _endpoint_array(raw: np.ndarray) -> np.ndarray:
 
 
 class _Fresh:
-    """Edge rows the library has just built for one Graph and then drops.
+    """Edge rows the library has just built for one Graph and then drops,
+    or frozen rows of another Graph that the new one may share.
 
     Graph(n, _Fresh(rows)) runs every check on rows, but when they are
     already canonical it freezes and keeps them instead of copying.
@@ -155,6 +158,22 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def _fields_equal(self, other) -> bool:
+    """__eq__ for frozen dataclasses that hold arrays: field by field, by
+    value, with np.array_equal where either side is an array and == on
+    the rest.  Such classes set eq=False and __hash__ = None."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if not np.array_equal(a, b):
+                return False
+        elif not a == b:
+            return False
+    return True
 
 
 def component_labels(g: Graph) -> np.ndarray:

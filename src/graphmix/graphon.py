@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _Fresh
 from .masspartition import MassPartition, parse_mass_partition
 
 __all__ = [
@@ -115,22 +115,45 @@ def sample_w_random_graph(w: Graphon, n: int, rng: np.random.Generator) -> Graph
 
 
 def _graph_from_latents(w: Graphon, xs: np.ndarray, rng: np.random.Generator) -> Graph:
+    """The W-random graph on latents xs, its rows drawn from rng as
+    sample_w_random_graph describes.
+
+    Block rows start..top-1 are compared against columns start+1..n-1, so
+    the pairs at or left of a row's diagonal all lie in the leading
+    rows x rows square, which alone is masked, in place.  Edges are found
+    without division: row r's hits end where the flat hit indexes reach
+    (r + 1) * width, so row ids repeat each row number by its hit count,
+    and column ids are the flat indexes less their row's offset.  Rows
+    come out sorted and are written straight into the edge table.
+    """
     n = xs.size
-    chunks = []
+    keep = ~np.tri(min(_BLOCK, n), k=-1, dtype=bool)  # a row's diagonal and right of it
+    blocks = []  # (first row, cumulative hit count per row, flat hit indexes)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         u = rng.random((stop - start, n))  # whole rows keep the stream block-free
+        top = min(stop, n - 1)  # row n - 1 has no pair right of its diagonal
         first = start + 1  # no pair of the block has its right end before this column
-        width = n - first
-        if width == 0:
+        rows, width = top - start, n - first
+        if rows <= 0:
             continue
-        hit = u[:, first:] < w(xs[start:stop, None], xs[None, first:])
-        # row start + r keeps columns first + c with c >= r, i.e. right of its diagonal
-        at = np.flatnonzero(np.triu(hit))
+        hit = u[:rows, first:] < w(xs[start:top, None], xs[None, first:])
+        # row start + r keeps columns first + c with c >= r; rows <= width
+        hit[:, :rows] &= keep[:rows, :rows]
+        at = np.flatnonzero(hit)
         if at.size:
-            chunk = np.empty((at.size, 2), dtype=np.int64)
-            np.divmod(at, width, out=(chunk[:, 0], chunk[:, 1]))
-            chunk += (start, first)
-            chunks.append(chunk)
-    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    return Graph(n, edges)
+            # row r's hits end where the flat indexes reach (r + 1) * width
+            ends = np.searchsorted(at, np.arange(width, rows * width + 1, width))
+            blocks.append((start, ends, at))
+    edges = np.empty((sum(at.size for *_, at in blocks), 2), dtype=np.int64)
+    pos = 0
+    for start, ends, at in blocks:
+        width = n - start - 1
+        lo, hi = edges[pos : pos + at.size, 0], edges[pos : pos + at.size, 1]
+        lo[:] = np.repeat(np.arange(start, start + ends.size), np.diff(ends, prepend=0))
+        # column start + 1 + at - (lo - start) * width
+        np.multiply(lo, -width, out=hi)
+        hi += at
+        hi += (width + 1) * start + 1
+        pos += at.size
+    return Graph(n, _Fresh(edges))

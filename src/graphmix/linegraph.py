@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, component_labels, max_degree_ratio, square_degree_ratio
+from .graph import Graph, _Fresh, component_labels, max_degree_ratio, square_degree_ratio
 
 __all__ = [
     "StructureError",
@@ -104,12 +104,17 @@ def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]
     ):
         raise ValueError(f"isolated_edges must be an integer >= 0, got {isolated_edges!r}")
     hubs = np.cumsum(sizes + 1) - (sizes + 1)
-    # leaf slots 0..sum(sizes)-1 skip one hub node per star started so far
-    leaves = np.arange(sizes.sum()) + np.repeat(np.arange(1, sizes.size + 1), sizes)
-    tail = sizes.sum() + sizes.size
-    pairs = tail + np.arange(2 * isolated_edges, dtype=np.int64).reshape(-1, 2)
-    edges = np.concatenate([np.column_stack([np.repeat(hubs, sizes), leaves]), pairs])
-    return Graph(tail + 2 * isolated_edges, edges), hubs
+    leaf_count = int(sizes.sum())
+    tail = leaf_count + sizes.size
+    # rows come out canonical: stars by hub, leaves ascending, then the pairs
+    edges = np.empty((leaf_count + isolated_edges, 2), dtype=np.int64)
+    star, pairs = edges[:leaf_count], edges[leaf_count:]
+    star[:, 0] = np.repeat(hubs, sizes)
+    # leaf slots 0..leaf_count-1 skip one hub node per star started so far
+    star[:, 1] = np.repeat(np.arange(1, sizes.size + 1), sizes)
+    star[:, 1] += np.arange(leaf_count)
+    pairs.flat = np.arange(tail, tail + 2 * isolated_edges)
+    return Graph(tail + 2 * isolated_edges, _Fresh(edges)), hubs
 
 
 def inverse_line_graph_disjoint(h: Graph) -> Graph:

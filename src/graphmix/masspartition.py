@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import _fields_equal
+
 __all__ = [
     "MassPartition",
     "make_mass_partition",
@@ -27,14 +29,22 @@ __all__ = [
 _DROP_BELOW = 1e-15
 _TOTAL_TOL = 1e-12
 _ONE_BELOW = np.nextafter(1.0, 0.0)
+# locate's guide tables have at most 2**_GUIDE_BITS cells; the edges of a
+# table with g cells are every (_GUIDE_CELLS // g)-th entry of _CELL_EDGES
+_GUIDE_BITS = 12
+_GUIDE_CELLS = 1 << _GUIDE_BITS
+_CELL_EDGES = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MassPartition:
     """Validated non-increasing positive weights with sum <= 1."""
 
     weights: np.ndarray
     total: float = field(init=False)
+
+    __eq__ = _fields_equal
+    __hash__ = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -68,11 +78,41 @@ class MassPartition:
         snaps into the last interval.  Weights that sum to 1 within
         _TOTAL_TOL leave no leftover: the last interval ends at 1 even
         where the cumulative sums round below it.
+
+        Labels are those of searchsorted(ends, min(x, _ONE_BELOW),
+        side="right") over the interval ends, for every input, but most
+        come from a guide table (Chen & Asau 1974): [0, 1) is cut into g
+        equal cells, g a power of two no larger than the input size and
+        at most _GUIDE_CELLS, so x * g is exact and its integer part is
+        x's cell.  A cell that holds no end has one label, read off the
+        table; points in a cell that holds one are searched, and so is
+        NaN.  Points below 0 count as in the first cell and points at or
+        above 1 as in the last, which gives them label 0 and the snapped
+        label.
         """
         ends = self.boundaries()
         if self.total >= 1.0 - _TOTAL_TOL:
             ends[-1] = 1.0
-        return np.searchsorted(ends, np.minimum(x, _ONE_BELOW), side="right")
+        x = np.asarray(x)
+        g = 1 << min(max(x.size, 1).bit_length() - 1, _GUIDE_BITS)
+        # table[c] = label of cell c; -1 where an end falls in the cell, and
+        # in the extra entry g, the cell of NaN
+        table = np.searchsorted(ends, _CELL_EDGES[:: _GUIDE_CELLS // g], side="right")
+        table[(ends * g).astype(np.intp)] = -1
+        table[g] = -1
+        with np.errstate(over="ignore"):
+            cell = np.multiply(x, g, out=np.empty(x.shape), dtype=np.float64)
+        np.fmin(np.clip(cell, 0, g - 1, out=cell), g, out=cell)  # clip keeps NaN, fmin maps it to g
+        at = cell.astype(np.intp)
+        del cell  # at most two input-sized arrays live at once, as with one search
+        # every index is in range; mode "clip" writes to out without a buffer copy
+        label = np.take(table, at, out=np.empty(x.shape, dtype=np.intp), mode="clip")
+        del at
+        miss = np.flatnonzero(label < 0)
+        label.flat[miss] = np.searchsorted(
+            ends, np.minimum(x.flat[miss], _ONE_BELOW), side="right"
+        )
+        return label[()]
 
     @property
     def leftover(self) -> float:

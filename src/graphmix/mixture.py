@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, _distinct_sorted, _Fresh, component_labels
+from .graph import Graph, _distinct_sorted, _fields_equal, _Fresh, component_labels
 from .graphon import Graphon, _graph_from_latents, sample_w_random_graph
 from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
@@ -74,7 +74,7 @@ class JoinConfig:
             raise ValueError(f"edge_multiplier_c must be finite and >= 0, got {c}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureGraph:
     """A joined graph kept as its three blocks, plus provenance of every node.
 
@@ -93,6 +93,9 @@ class MixtureGraph:
     cross: np.ndarray
     node_origin: np.ndarray
     hubs: dict[int, int]
+
+    __eq__ = _fields_equal
+    __hash__ = None
 
     def __post_init__(self):
         if self.node_origin.shape != (self.n_dense + self.n_sparse,):
@@ -139,13 +142,10 @@ class MixtureGraph:
 
         Equal to graph.degrees(), without building the joined graph.
         """
-        n_d, n_s = self.n_dense, self.n_sparse
-        deg = np.concatenate(
-            [
-                self.dense.degrees() + np.bincount(self.cross[:, 0], minlength=n_d),
-                self.sparse.degrees() + np.bincount(self.cross[:, 1], minlength=n_s),
-            ]
-        )
+        n_d = self.n_dense
+        deg = np.empty(n_d + self.n_sparse, dtype=np.int64)
+        for part, side, out in ((self.dense, 0, deg[:n_d]), (self.sparse, 1, deg[n_d:])):
+            np.add(part.degrees(), np.bincount(self.cross[:, side], minlength=out.size), out=out)
         deg.setflags(write=False)
         return deg
 
@@ -381,7 +381,9 @@ class MixtureSequence:
         n_d, m_s = self.sizes[i]
         e = self._dense_full.edges
         e = e[: np.searchsorted(e[:, 0], n_d)]  # rows are sorted (lo, hi)
-        g_d = Graph(n_d, e[e[:, 1] < n_d])
+        keep = e[:, 1] < n_d
+        # a member that keeps every row shares the sample's frozen rows
+        g_d = Graph(n_d, _Fresh(e if keep.all() else np.compress(keep, e, axis=0)))
         g_s, origin, hubs = _sparse_part_from_labels(self.u, self._labels[:m_s])
         rng = np.random.default_rng(self._join_streams[i])
         return join_graphs(g_d, g_s, self.cfg, rng, sparse_meta=(origin, hubs))

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .graph import DegreeSpectrum, Graph
+from .graph import DegreeSpectrum, Graph, _fields_equal
 from .estimators import forecast_top_k, mape
 
 __all__ = [
@@ -63,7 +63,7 @@ class TemporalFormatError(ValueError):
     """Input stream is not a usable temporal edge list."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemporalEdgeList:
     """Cleaned events sorted by time, deduplicated to earliest-seen pairs."""
 
@@ -73,6 +73,9 @@ class TemporalEdgeList:
     edge_v: np.ndarray = field(repr=False)
     edge_t: np.ndarray = field(repr=False)
     node_first_t: np.ndarray = field(repr=False)
+
+    __eq__ = _fields_equal
+    __hash__ = None
 
     @property
     def events(self) -> tuple:

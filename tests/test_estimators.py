@@ -161,6 +161,17 @@ def test_partition_estimate_invariants():
         PartitionEstimate("finite", np.array([1.2, -0.2]))  # nonpositive
 
 
+def test_partition_estimates_compare_by_value():
+    a, b = (estimate_partition_finite(spec_of([1000, 500, 10, 9, 8, 7])) for _ in range(2))
+    assert a == b and not a != b
+    assert a != estimate_partition_finite(spec_of([1000, 400, 10, 9, 8, 7]))
+    # equal weights, different gap diagnostics
+    assert a != PartitionEstimate("finite", a.weights, a.diagnostics[::-1])
+    assert a != PartitionEstimate("infinite", a.weights, a.diagnostics)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_estimates_sum_to_one():
     rng = np.random.default_rng(5)
     u = parse_mass_partition("mass:[0.6666666666666666,0.3333333333333333]")

@@ -20,6 +20,7 @@ from graphmix import (
     sample_clique_labels,
     sample_w_random_graph,
 )
+from graphmix.masspartition import _GUIDE_CELLS, _ONE_BELOW, _TOTAL_TOL
 
 
 def test_make_mass_partition_basic():
@@ -150,6 +151,67 @@ def test_weights_summing_to_one_leave_no_leftover_at_one(text):
     assert Graphon.disjoint_clique(p)(1.0, 1.0) == 1.0
     # real leftover keeps x = 1.0
     assert parse_mass_partition("mass:[0.8]").locate(1.0) == 1
+
+
+def locate_by_search(p, x):
+    """One binary search per point: the labels locate's guide table must give."""
+    ends = p.boundaries()
+    if p.total >= 1.0 - _TOTAL_TOL:
+        ends[-1] = 1.0
+    return np.searchsorted(ends, np.minimum(x, _ONE_BELOW), side="right")
+
+
+@st.composite
+def partitions(draw):
+    """Partitions summing to 1 or below, some with ends on guide-cell edges."""
+    if draw(st.booleans()):  # multiples of 1/_GUIDE_CELLS: every end is a cell edge
+        raw = draw(st.lists(st.integers(1, _GUIDE_CELLS // 4), min_size=1, max_size=4))
+        return MassPartition(np.sort(raw)[::-1] / _GUIDE_CELLS)
+    raw = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=60))
+    w = np.sort(raw)[::-1]
+    return MassPartition(w / w.sum() * draw(st.sampled_from([1.0, 0.999, 0.5, 1e-3])))
+
+
+SPECIAL_POINTS = [0.0, 1.0, _ONE_BELOW, -0.0, -1e-300, -0.5, -np.inf, 1.5, 1e308, np.inf, np.nan]
+CELL_EDGES = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS  # every coarser table's edges too
+
+
+@given(
+    partitions(),
+    st.integers(0, 13),
+    st.integers(-1, 1),
+    st.sampled_from([(-1,), (-1, 1), (2, -1)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_locate_matches_binary_search(p, bits, off, shape, seed):
+    # sizes on both sides of each table size; the points of interest come
+    # first, so large inputs hold all of them and small ones the first few
+    size = 2**bits + off
+    if shape == (2, -1):
+        size -= size % 2
+    marks = np.concatenate([SPECIAL_POINTS, p.boundaries(), CELL_EDGES])
+    marks = np.stack([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)], 1).ravel()
+    rng = np.random.default_rng(seed)
+    x = rng.permutation(np.concatenate([marks, rng.random(size)])[:size]).reshape(shape)
+    got = p.locate(x)
+    assert got.shape == x.shape and got.dtype == np.intp
+    np.testing.assert_array_equal(got, locate_by_search(p, x))
+
+
+@given(partitions())
+def test_locate_of_a_scalar_is_the_binary_search_scalar(p):
+    for x in [*SPECIAL_POINTS, *p.boundaries()[:4]]:
+        got, want = p.locate(x), locate_by_search(p, x)
+        assert type(got) is type(want) and got == want
+
+
+def test_partitions_compare_by_value():
+    assert parse_mass_partition("mass:[0.5,0.5]") == parse_mass_partition("mass:[0.5,0.5]")
+    assert parse_mass_partition("mass:[0.5,0.5]") != parse_mass_partition("mass:[0.5,0.4]")
+    assert parse_mass_partition("mass:[0.5]") != parse_mass_partition("mass:[0.5,0.5]")
+    assert parse_mass_partition("mass:[0.5]") != [0.5]
+    with pytest.raises(TypeError):
+        hash(parse_mass_partition("mass:[0.5]"))
 
 
 def test_boundaries_cumulative():

@@ -363,6 +363,32 @@ def test_sequence_members_nest_property(sizes, seed, c):
         assert isolated[0] <= isolated[1]
 
 
+@given(
+    st.lists(st.tuples(st.integers(1, 60), st.integers(1, 40)), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_members_cut_the_dense_sample_like_a_boolean_mask(sizes, seed):
+    # any order of sizes: the largest member keeps every row, others drop some
+    seq = MixtureSequence(U23, W, sizes, cfg=JoinConfig(0.0), seed=seed)
+    full = seq._dense_full.edges
+    for i, (n_d, _) in enumerate(sizes):
+        dense = seq.member(i).dense
+        assert dense == Graph(n_d, full[full[:, 1] < n_d])
+        assert not dense.edges.flags.writeable
+
+
+def test_mixture_graphs_compare_by_value():
+    u, w = parse_mass_partition("mass:[0.5,0.5]"), parse_graphon("const:0.2")
+    a, b, c = (
+        generate_mixture(u, w, 20, 50, rng=np.random.default_rng(seed)) for seed in (1, 1, 2)
+    )
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert a != a.graph
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def sparse_part_by_loops(u, labels):
     """The per-clique loop _sparse_part_from_labels replaced."""
     counts, isolated = clique_size_counts(u, labels)

@@ -49,6 +49,17 @@ def test_parse_basics():
     np.testing.assert_array_equal(tel.edge_v, [1, 2])
 
 
+def test_edge_lists_compare_by_value():
+    with open(FIXTURE) as f:
+        rows = f.readlines()[:200]
+    a, b = parse_edge_events(rows), parse_edge_events(rows)
+    assert a == b and not a != b
+    assert a != parse_edge_events(rows[:199])
+    assert a != parse_edge_events(rows[:199] + ["x y 1"])
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_parse_dedup_keeps_earliest():
     tel = parse_edge_events(["1 2 9", "2 1 3", "1 2 7"])
     assert tel.events == (("2", "1", 3),)
