@@ -38,13 +38,16 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import logging
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -111,7 +114,7 @@ def _json(obj) -> str:
 def _create(out: str, name: str):
     """Open out/name for writing, creating out first."""
     os.makedirs(out, exist_ok=True)
-    return open(os.path.join(out, name), "w", newline="")
+    return open(os.path.join(out, name), "w", encoding="utf-8", newline="")
 
 
 def _save(out: str, name: str, text: str) -> None:
@@ -132,10 +135,35 @@ def _save_rows(out: str, stem: str, rows: list[dict], fmt: str | None) -> None:
 
 def _load_lines(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _staged(out: str):
+    """Yield a fresh directory inside out; when the block succeeds, every
+    file written there moves into out.  On any failure the files, and the
+    directories made for out, are removed, so out is left as it was."""
+    made = []  # out and the parents it lacks, deepest first
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(out, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".graphmix-", dir=out)
+    try:
+        yield stage
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+    os.rmdir(stage)
 
 
 # top-level generate config keys; schedule keys are RatioSchedule's fields
@@ -151,10 +179,10 @@ def _config_int(cfg: dict, key: str, default: int, low: int) -> int:
 
 def cmd_generate(args) -> int:
     try:
-        with open(args.config) as f:
+        with open(args.config, encoding="utf-8") as f:
             cfg = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
@@ -178,36 +206,37 @@ def cmd_generate(args) -> int:
     out = args.out or "."
     seq = MixtureSequence(u, w, sizes, cfg=join, seed=seed)
     density_rows = []
-    for i in range(steps):
-        mix = seq.member(i)
-        origin = mix.node_origin
-        starts = np.flatnonzero(np.diff(origin, prepend=-1))
-        lengths = np.diff(starts, append=origin.size)
-        rle = [[int(v), int(n)] for v, n in zip(origin[starts], lengths)]
-        prov = {
-            "index": i + 1,
-            "n_dense": mix.n_dense,
-            "n_sparse": mix.n_sparse,
-            "m_dense": mix.m_dense,
-            "m_sparse": mix.m_sparse,
-            "m_new": mix.m_new,
-            "hubs": {str(j): int(v) for j, v in sorted(mix.hubs.items())},
-            "origin_rle": rle,
-        }
-        graph = mix.graph
-        del mix  # writing needs only the joined graph; free the blocks first
-        with _create(out, f"graph_{i + 1:04d}.edges") as f:
-            write_edge_list(graph, f)
-        _save(out, f"provenance_{i + 1:04d}.json", _json(prov))
-        density_rows.append(
-            {
+    with _staged(out) as stage:  # a failing step leaves out as it was
+        for i in range(steps):
+            mix = seq.member(i)
+            origin = mix.node_origin
+            starts = np.flatnonzero(np.diff(origin, prepend=-1))
+            lengths = np.diff(starts, append=origin.size)
+            rle = [[int(v), int(n)] for v, n in zip(origin[starts], lengths)]
+            prov = {
                 "index": i + 1,
-                "node_count": graph.node_count,
-                "edge_count": graph.edge_count,
-                "density": edge_density(graph),
+                "n_dense": mix.n_dense,
+                "n_sparse": mix.n_sparse,
+                "m_dense": mix.m_dense,
+                "m_sparse": mix.m_sparse,
+                "m_new": mix.m_new,
+                "hubs": {str(j): int(v) for j, v in sorted(mix.hubs.items())},
+                "origin_rle": rle,
             }
-        )
-    _save_rows(out, "densities", density_rows, args.format)
+            graph = mix.graph
+            del mix  # writing needs only the joined graph; free the blocks first
+            with _create(stage, f"graph_{i + 1:04d}.edges") as f:
+                write_edge_list(graph, f)
+            _save(stage, f"provenance_{i + 1:04d}.json", _json(prov))
+            density_rows.append(
+                {
+                    "index": i + 1,
+                    "node_count": graph.node_count,
+                    "edge_count": graph.edge_count,
+                    "density": edge_density(graph),
+                }
+            )
+        _save_rows(stage, "densities", density_rows, args.format)
     print(f"wrote {steps} graphs to {out}")
     return EXIT_OK
 
@@ -220,11 +249,11 @@ def cmd_estimate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --truth: {exc}") from None
     try:
-        with open(args.input) as f:
+        with open(args.input, encoding="utf-8") as f:
             g = read_edge_list(f)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.input}: {exc}") from None
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         raise ConfigError(f"bad graph file {args.input}: {exc}") from None
     spec = degree_spectrum(g)
     try:

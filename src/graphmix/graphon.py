@@ -81,6 +81,8 @@ def parse_graphon(text: str) -> Graphon:
     Accepts "const:<v>", "exp_sum" and every mass-partition literal,
     which yields the disjoint-clique graphon of that partition.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"graphon literal must be a string, got {text!r}")
     text = text.strip()
     if text == "exp_sum":
         return Graphon(text, _exp_sum)
@@ -106,7 +108,8 @@ def sample_w_random_graph(w: Graphon, n: int, rng: np.random.Generator) -> Graph
     pair, row by row, and pair i < j uses the one in row i, column j;
     only those pairs are evaluated.  Rows come in fixed-size blocks so
     memory stays O(block * n), and since whole rows are drawn in order
-    the output does not depend on the block size.
+    the output does not depend on the block size.  Edges come out sorted,
+    each block's flat hit indexes decoded by one divmod by its width.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -116,19 +119,13 @@ def sample_w_random_graph(w: Graphon, n: int, rng: np.random.Generator) -> Graph
 
 def _graph_from_latents(w: Graphon, xs: np.ndarray, rng: np.random.Generator) -> Graph:
     """The W-random graph on latents xs, its rows drawn from rng as
-    sample_w_random_graph describes.
-
-    Block rows start..top-1 are compared against columns start+1..n-1, so
-    the pairs at or left of a row's diagonal all lie in the leading
-    rows x rows square, which alone is masked, in place.  Edges are found
-    without division: row r's hits end where the flat hit indexes reach
-    (r + 1) * width, so row ids repeat each row number by its hit count,
-    and column ids are the flat indexes less their row's offset.  Rows
-    come out sorted and are written straight into the edge table.
+    sample_w_random_graph describes.  Block rows start..top-1 meet columns
+    start+1..n-1, so the pairs at or left of a row's diagonal all lie in
+    the leading rows x rows square, which alone is masked, in place.
     """
     n = xs.size
     keep = ~np.tri(min(_BLOCK, n), k=-1, dtype=bool)  # a row's diagonal and right of it
-    blocks = []  # (first row, cumulative hit count per row, flat hit indexes)
+    blocks = []  # (first row, flat hit indexes, width)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         u = rng.random((stop - start, n))  # whole rows keep the stream block-free
@@ -140,20 +137,13 @@ def _graph_from_latents(w: Graphon, xs: np.ndarray, rng: np.random.Generator) ->
         hit = u[:rows, first:] < w(xs[start:top, None], xs[None, first:])
         # row start + r keeps columns first + c with c >= r; rows <= width
         hit[:, :rows] &= keep[:rows, :rows]
-        at = np.flatnonzero(hit)
-        if at.size:
-            # row r's hits end where the flat indexes reach (r + 1) * width
-            ends = np.searchsorted(at, np.arange(width, rows * width + 1, width))
-            blocks.append((start, ends, at))
-    edges = np.empty((sum(at.size for *_, at in blocks), 2), dtype=np.int64)
+        blocks.append((start, np.flatnonzero(hit), width))
+    edges = np.empty((sum(at.size for _, at, _ in blocks), 2), dtype=np.int64)
     pos = 0
-    for start, ends, at in blocks:
-        width = n - start - 1
+    for start, at, width in blocks:
         lo, hi = edges[pos : pos + at.size, 0], edges[pos : pos + at.size, 1]
-        lo[:] = np.repeat(np.arange(start, start + ends.size), np.diff(ends, prepend=0))
-        # column start + 1 + at - (lo - start) * width
-        np.multiply(lo, -width, out=hi)
-        hi += at
-        hi += (width + 1) * start + 1
+        np.divmod(at, width, out=(lo, hi))
+        lo += start
+        hi += start + 1
         pos += at.size
     return Graph(n, _Fresh(edges))

@@ -169,6 +169,8 @@ def parse_mass_partition(text: str) -> MassPartition:
       loglaw:<jmax>           1/(j log j) for j in 2..jmax, rescaled
       factorial:<jmax>        1/j! for j in 2..jmax, rescaled
     """
+    if not isinstance(text, str):
+        raise ValueError(f"partition literal must be a string, got {text!r}")
     text = text.strip()
     kind, _, rest = text.partition(":")
     try:

@@ -131,8 +131,6 @@ class MixtureGraph:
         n_d, n_s = self.n_dense, self.n_sparse
         rows = _joined_edges(self.dense.edges, self.sparse.edges, self.cross, n_d, n_s)
         graph = Graph(n_d + n_s, _Fresh(rows))
-        if graph.node_count != n_d + n_s:
-            raise ValueError("node conservation violated")
         if graph.edge_count != self.m_dense + self.m_sparse + self.m_new:
             raise ValueError("edge accounting violated")
         return graph

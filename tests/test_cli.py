@@ -653,3 +653,115 @@ def test_predict_and_ingest_read_a_headed_csv_file(tmp_path, capsys):
     buf = io.StringIO()
     write_edge_list(snapshot_at(tel, 7), buf)
     assert (out / "snapshot_7.edges").read_text() == buf.getvalue()
+
+
+# one value of each JSON type, and the types each generate config key accepts
+_JSON_VALUES = {
+    "string": "x", "integer": 2, "float": 1.5, "null": None,
+    "boolean": True, "array": [0.5], "object": {},
+}
+_CONFIG_KEY_TYPES = {
+    "partition_u": {"string"},
+    "graphon_w": {"string"},
+    "schedule": {"object"},
+    "schedule.kind": {"string"},
+    "schedule.a": {"integer", "float"},
+    "schedule.base_n_d": {"integer"},
+    "steps": {"integer"},
+    "join": {"object"},
+    "join.c": {"integer", "float"},
+    "seed": {"integer"},
+}
+
+
+@pytest.mark.parametrize(
+    "key, kind",
+    [
+        (key, kind)
+        for key, accepted in _CONFIG_KEY_TYPES.items()
+        for kind in _JSON_VALUES
+        if kind not in accepted
+    ],
+)
+def test_generate_rejects_wrong_typed_config_values(key, kind, tmp_path, capsys):
+    cfg = json.loads("{" + _GOOD_CONFIG + ', "join": {"c": 0.5}}')
+    *parents, leaf = key.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[leaf] = _JSON_VALUES[kind]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "generate", "--config", str(path)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# fails at step 3, after two steps that fit
+_LATE_FAILING_CONFIG = {
+    "partition_u": "mass:[0.5]",
+    "graphon_w": "const:1",
+    "schedule": {"kind": "inverse_sqrt", "a": 0.5, "base_n_d": 20},
+    "steps": 8,
+    "join": {"c": 0.7},
+}
+
+
+def test_late_generate_failure_leaves_out_as_it_was(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_LATE_FAILING_CONFIG))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "unrelated.txt").write_text("kept\n")
+    assert main(["--out", str(out), "generate", "--config", str(cfg)]) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: cannot place ") and err.count("\n") == 1
+    assert os.listdir(out) == ["unrelated.txt"]
+    assert (out / "unrelated.txt").read_text() == "kept\n"
+
+
+def test_late_generate_failure_keeps_an_older_run(tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text("{" + _GOOD_CONFIG + ', "steps": 2}')
+    bad.write_text(json.dumps(_LATE_FAILING_CONFIG))
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "generate", "--config", str(good)]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert main(["--out", str(out), "generate", "--config", str(bad)]) == 3
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    capsys.readouterr()
+
+
+def test_late_generate_failure_removes_the_out_it_made(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_LATE_FAILING_CONFIG))
+    out = tmp_path / "new" / "o"
+    assert main(["--out", str(out), "generate", "--config", str(cfg)]) == 3
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--input"], "error: bad graph file {}: "),
+        (["predict", "--train-times", "6", "--horizons", "2", "--data"], "error: cannot read {}: "),
+        (["--out", "{out}", "ingest", "--data"], "error: cannot read {}: "),
+        (["--out", "{out}", "generate", "--config"], "error: cannot read config {}: "),
+    ],
+    ids=["estimate", "predict", "ingest", "generate"],
+)
+def test_undecodable_input_names_the_file(argv, message, tmp_path, capsys):
+    data = tmp_path / "utf16.txt"
+    data.write_bytes("n 3\n0 1\n".encode("utf-16"))  # starts ff fe
+    out = tmp_path / "o"
+    argv = [arg.replace("{out}", str(out)) for arg in argv] + [str(data)]
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err.startswith(message.format(data)) and err.count("\n") == 1
+    assert not out.exists()
