@@ -21,7 +21,8 @@ Global flags (--seed, --out, --scale, --format) go before the command;
 --scale, --format (json or csv tables) and --seed apply only to the
 commands that _FLAG_SCOPE lists for them.  generate, ingest and fixture
 write into --out (default: the working directory); estimate, predict
-and experiment write files only when --out is given.
+and experiment write files only when --out is given.  A command that
+writes several files writes all of them or, on failure, none.
 Temporal files are whitespace "u v t" rows or CSV under a "u,v,t"
 header; the first row tells which.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import logging
@@ -143,9 +145,9 @@ def _load_lines(path: str):
 
 @contextlib.contextmanager
 def _staged(out: str):
-    """Yield a fresh directory inside out; when the block succeeds, every
-    file written there moves into out.  On any failure the files, and the
-    directories made for out, are removed, so out is left as it was."""
+    """Yield a fresh directory inside out; once the block succeeds and no
+    target is a directory, its files move into out.  On any failure they,
+    and the directories made for out, are removed: out stays as it was."""
     made = []  # out and the parents it lacks, deepest first
     path = os.path.abspath(out)
     while not os.path.exists(path):
@@ -155,8 +157,11 @@ def _staged(out: str):
     stage = tempfile.mkdtemp(prefix=".graphmix-", dir=out)
     try:
         yield stage
-        for name in os.listdir(stage):
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        moves = {os.path.join(out, f): os.path.join(stage, f) for f in os.listdir(stage)}
+        if blocked := sorted(target for target in moves if os.path.isdir(target)):
+            raise IsADirectoryError(f"{blocked[0]} is a directory")
+        for target, source in moves.items():
+            os.replace(source, target)
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
         for path in made:
@@ -268,14 +273,8 @@ def cmd_estimate(args) -> int:
     }
     diag = est.diagnostics
     if isinstance(diag, SegmentFit):
-        result["diagnostics"] = {
-            "cutoff": diag.cutoff,
-            "slope1": diag.slope1,
-            "intercept1": diag.intercept1,
-            "slope2": diag.slope2,
-            "intercept2": diag.intercept2,
-            "total_loss": diag.total_loss,
-        }
+        keys = ("cutoff", "slope1", "intercept1", "slope2", "intercept2", "total_loss")
+        result["diagnostics"] = {key: getattr(diag, key) for key in keys}
     else:
         result["diagnostics"] = {"log_gaps": [float(x) for x in diag]}
     if truth is not None:
@@ -311,8 +310,9 @@ def cmd_predict(args) -> int:
     if not summary:
         raise ValueError("no evaluable train/horizon pairs in range")
     if args.out:
-        _save_rows(args.out, "prediction_summary", summary, args.format)
-        _save_rows(args.out, "prediction_detail", detail, args.format)
+        with _staged(args.out) as stage:
+            _save_rows(stage, "prediction_summary", summary, args.format)
+            _save_rows(stage, "prediction_detail", detail, args.format)
     sys.stdout.write(_json(summary))
     return EXIT_OK
 
@@ -322,14 +322,14 @@ def cmd_experiment(args) -> int:
                        scale=args.scale or 1.0, workers=args.workers)
     if args.out:
         stem = args.suite.replace(":", "_")
-        _save_rows(args.out, f"{stem}_aggregates", result["aggregates"], args.format)
-        _save_rows(args.out, f"{stem}_rows", result["rows"], args.format)
+        with _staged(args.out) as stage:
+            _save_rows(stage, f"{stem}_aggregates", result["aggregates"], args.format)
+            _save_rows(stage, f"{stem}_rows", result["rows"], args.format)
     sys.stdout.write(_json(result["aggregates"]))
     return EXIT_OK
 
 
 def cmd_ingest(args) -> int:
-    out = args.out or "."
     tel = parse_edge_events(_load_lines(args.data))
     report = {
         "events": tel.edge_t.size,
@@ -340,11 +340,12 @@ def cmd_ingest(args) -> int:
         "reject_lines": [[ln, reason] for ln, reason in tel.rejects],
         "snapshots": args.snapshot_times,
     }
-    for t in report["snapshots"]:
-        with _create(out, f"snapshot_{t}.edges") as f:
-            write_edge_list(snapshot_at(tel, t), f)
     text = _json(report)
-    _save(out, "ingest_report.json", text)
+    with _staged(args.out or ".") as stage:
+        for t in report["snapshots"]:
+            with _create(stage, f"snapshot_{t}.edges") as f:
+                write_edge_list(snapshot_at(tel, t), f)
+        _save(stage, "ingest_report.json", text)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -372,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a mixture sequence from a JSON config")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("estimate", help="estimate the sparse partition of one graph")
     p.add_argument("--input", required=True)
@@ -383,30 +383,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparse-edges", type=_POSITIVE, default=None,
                    help="sparse edge count for the log(m/j) reference series "
                    "(implies --plot-data)")
-    p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("predict", help="forecast top-k degrees over a temporal edge list")
     p.add_argument("--data", required=True)
     p.add_argument("--train-times", type=_INT_LIST, required=True)
     p.add_argument("--horizons", type=_HORIZONS, required=True)
     p.add_argument("--k", type=_POSITIVE, default=10)
-    p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("experiment", help="run a named reference suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--replicates", type=_POSITIVE, default=None,
                    help="default: the suite's own count")
     p.add_argument("--workers", type=_POSITIVE, default=1)
-    p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("ingest", help="clean a temporal edge list, write snapshots")
     p.add_argument("--data", required=True)
-    p.add_argument("--snapshot-times", type=_INT_LIST, default=[])
-    p.set_defaults(fn=cmd_ingest)
+    p.add_argument("--snapshot-times", type=_INT_LIST, default=())
 
-    p = sub.add_parser("fixture", help="write the bundled synthetic growth fixture")
-    p.set_defaults(fn=cmd_fixture)
+    sub.add_parser("fixture", help="write the bundled synthetic growth fixture")
     return parser
+
+
+_parser = functools.cache(build_parser)  # one parser for every main call: never change it
 
 
 # global flag dest -> the commands that read it; main rejects the flag
@@ -421,13 +419,13 @@ _FLAG_SCOPE = {
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         for flag, commands in _FLAG_SCOPE.items():
             if getattr(args, flag) is not None and args.command not in commands:
                 *rest, last = commands
                 where = f"{', '.join(rest)} and {last}" if rest else last
                 raise ConfigError(f"--{flag} applies only to {where}")
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up on each call
     except SystemExit:  # only --help exits the parser
         return EXIT_OK
     except ConfigError as exc:

@@ -180,25 +180,23 @@ def component_labels(g: Graph) -> np.ndarray:
     """Smallest node id of each node's connected component.
 
     Min-label hooking with full pointer jumping (Shiloach-Vishkin 1982):
-    each round hooks every component root onto the smallest root it
-    shares an edge with, then jumps every node straight to its root.
-    Roots only ever move to smaller ids, so the final root of a component
-    is its smallest node.  Rounds stop once both ends of every edge carry
-    the same label.
+    each round hooks every root onto the smallest root it shares an edge
+    with, then jumps every node straight to its root, until both ends of
+    every edge carry the same label.  Roots only move to smaller ids, so
+    a component's last root is its smallest node.  Round 1 reads the rows
+    as they are: every node is its own root and lo < hi, so only hi moves.
     """
     parent = np.arange(g.node_count, dtype=np.int64)
     u, v = g.edges[:, 0], g.edges[:, 1]
+    np.minimum.at(parent, v, u)
     while True:
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
         pu, pv = parent[u], parent[v]
         if np.array_equal(pu, pv):
             return parent
         np.minimum.at(parent, pu, pv)
         np.minimum.at(parent, pv, pu)
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
 
 
 class DegreeSpectrum:

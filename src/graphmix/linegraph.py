@@ -35,6 +35,8 @@ def line_graph(g: Graph) -> Graph:
 
     Node i of the output is edge i in G's canonical edge order.  Output
     size is sum over vertices of C(deg, 2), so hubs blow up quadratically.
+    The pairs go into one table, which Graph freezes in place when the
+    rows come out canonical (as a star forest's do).
     """
     m = g.edge_count
     if m == 0:
@@ -42,11 +44,14 @@ def line_graph(g: Graph) -> Graph:
     ends = g.edges.ravel()
     order = np.argsort(ends, kind="stable")
     incident = order // 2  # edge ids grouped by endpoint, ascending in each group
-    # each slot pairs with the slots after it in its endpoint's group
+    # each slot pairs with the slots after it in its endpoint's group;
+    # pair j of slot s sits in row start[s] + j and takes slot s + 1 + j
     later = np.cumsum(g.degrees())[ends[order]] - np.arange(1, 2 * m + 1)
-    first = np.repeat(np.arange(2 * m), later)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-    return Graph(m, np.column_stack([incident[first], incident[first + 1 + offset]]))
+    start = np.cumsum(later) - later
+    rows = np.empty((later.sum(), 2), dtype=np.int64)
+    rows[:, 0] = np.repeat(incident, later)
+    rows[:, 1] = incident[np.arange(len(rows)) - np.repeat(start - np.arange(2 * m) - 1, later)]
+    return Graph(m, _Fresh(rows))
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,7 @@ def inverse_line_graph_disjoint(h: Graph) -> Graph:
     The output has node_count(h) edges, one per input vertex.
     """
     dec = decompose_disjoint_cliques(h)
-    g, _ = star_forest(dec.clique_sizes, isolated_edges=dec.isolated_count)
-    return g
+    return star_forest(dec.clique_sizes, isolated_edges=dec.isolated_count)[0]
 
 
 @dataclass(frozen=True)

@@ -765,3 +765,41 @@ def test_undecodable_input_names_the_file(argv, message, tmp_path, capsys):
     assert stdout == "" and "Traceback" not in err
     assert err.startswith(message.format(data)) and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["generate", "--config", "{config}"], "graph_0002.edges"),
+        (["ingest", "--data", FIXTURE, "--snapshot-times", "6,9"], "snapshot_9.edges"),
+        (["predict", "--data", FIXTURE, "--train-times", "6", "--horizons", "2"],
+         "prediction_detail.json"),
+        (["--scale", "0.02", "experiment", "--suite", "table1:finiteU", "--replicates", "1"],
+         "table1_finiteU_rows.json"),
+    ],
+    ids=["generate", "ingest", "predict", "experiment"],
+)
+def test_output_collision_leaves_out_as_it_was(argv, name, tmp_path, capsys):
+    # every command that writes several files checks all targets before moving any
+    config = tmp_path / "c.json"
+    config.write_text("{" + _GOOD_CONFIG + ', "steps": 2}')
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    (out / "unrelated.txt").write_text("kept\n")
+    argv = ["--out", str(out)] + [arg.replace("{config}", str(config)) for arg in argv]
+    assert main(argv) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err == f"error: cannot write output: {out / name} is a directory\n"
+    assert sorted(os.listdir(out)) == [name, "unrelated.txt"]
+    assert os.listdir(out / name) == []
+    assert (out / "unrelated.txt").read_text() == "kept\n"
+
+
+def test_main_builds_one_parser(capsys):
+    cli._parser.cache_clear()
+    assert main(["fixture", "--help"]) == 0
+    assert main(["ingest"]) == 2
+    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli._parser()  # build_parser still builds a new one
+    capsys.readouterr()

@@ -71,17 +71,21 @@ def graphs(draw, max_nodes=40):
     return Graph(n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}))
 
 
-@st.composite
-def relabelled_cliques(draw):
-    """(graph, clique sizes, node permutation) for a shuffled union of cliques."""
-    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
-    n = sum(sizes)
-    perm = draw(st.permutations(range(n)))
+def relabelled(sizes, perm):
+    """Disjoint cliques of the given sizes, node i renamed to perm[i]."""
     edges, start = [], 0
     for c in sizes:
         edges += [(perm[start + i], perm[start + j]) for i in range(c) for j in range(i + 1, c)]
         start += c
-    return Graph(n, edges), sizes, perm
+    return Graph(len(perm), edges)
+
+
+@st.composite
+def relabelled_cliques(draw):
+    """(graph, clique sizes, node permutation) for a shuffled union of cliques."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    perm = draw(st.permutations(range(sum(sizes))))
+    return relabelled(sizes, perm), sizes, perm
 
 
 @given(graphs())
@@ -93,6 +97,37 @@ def test_component_labels_match_union_find(g):
         smallest.setdefault(r, x)
     assert labels.tolist() == [smallest[r] for r in roots]
     assert np.array_equal(labels[labels], labels)
+
+
+def path_graph(order):
+    """The path visiting the nodes in the given order."""
+    return Graph(len(order), list(zip(order, order[1:])))
+
+
+# round 1 hooks only the hi end of each row, so these shapes pin the
+# rounds after it: the 5-node path needs three hooking rounds, the
+# 10-node one four
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(0),
+        Graph(6),
+        Graph(2, [(0, 1)]),
+        Graph(7, [(3, 6)]),
+        Graph(6, [(leaf, 5) for leaf in range(5)]),
+        path_graph([1, 3, 2, 4, 0]),
+        path_graph([0, 6, 4, 7, 2, 9, 8, 3, 5, 1]),
+        relabelled([3, 1, 4, 2, 1], [9, 4, 0, 7, 2, 10, 5, 1, 8, 6, 3]),
+    ],
+    ids=["empty", "edgeless", "one-edge", "one-edge-isolates", "star-on-largest",
+         "path-3-rounds", "path-4-rounds", "relabelled-cliques"],
+)
+def test_component_labels_on_fixed_shapes(g):
+    roots = union_find_roots(g)
+    smallest = {}
+    for x, r in enumerate(roots):
+        smallest.setdefault(r, x)
+    assert component_labels(g).tolist() == [smallest[r] for r in roots]
 
 
 @given(graphs())
