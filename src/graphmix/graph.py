@@ -7,7 +7,10 @@ reproducible across runs.  Rows given in that canonical order skip the
 sort and are only checked and copied; rows the library has just built
 for the graph (an edge file's rows, a join's rows, a W-random sample's
 rows, a sequence member's rows) are frozen in place instead of copied,
-and a member that keeps all of its sample's rows shares them.  Node
+and a member that keeps all of its sample's rows shares them.  A star
+forest is fixed by its star sizes, so it takes its node count, edge count
+and degrees from them and builds its rows only on the first read of
+edges; every check above runs then, and the rows are frozen.  Node
 labels are 0..node_count-1; isolated nodes are allowed and matter (they
 enter node counts and densities).
 Node counts and degrees must be integers, or ValueError is raised.
@@ -118,7 +121,7 @@ def _canonical_edges(node_count: int, edges) -> np.ndarray:
 class Graph:
     """Simple undirected graph on nodes 0..node_count-1."""
 
-    __slots__ = ("node_count", "edges", "_degrees")
+    __slots__ = ("node_count", "edge_count", "_edges", "_degrees", "_rows")
 
     def __init__(self, node_count: int, edges=()):
         if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)):
@@ -126,18 +129,25 @@ class Graph:
         node_count = int(node_count)
         if not 0 <= node_count < 2**63:
             raise ValueError("node_count out of range 0..2**63-1")
-        object.__setattr__(self, "node_count", node_count)
         arr = _canonical_edges(node_count, edges)
-        arr.setflags(write=False)
-        object.__setattr__(self, "edges", arr)
-        object.__setattr__(self, "_degrees", None)
+        _set_state(self, node_count, arr.shape[0], arr, None, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return _graph_from_state, tuple(getattr(self, name) for name in Graph.__slots__)
+
     @property
-    def edge_count(self) -> int:
-        return self.edges.shape[0]
+    def edges(self) -> np.ndarray:
+        """The read-only canonical (m, 2) edge table."""
+        if self._edges is None:
+            arr = Graph(self.node_count, _Fresh(self._rows())).edges
+            if arr.shape[0] != self.edge_count:
+                raise ValueError("deferred rows disagree with the edge count")
+            object.__setattr__(self, "_edges", arr)
+            object.__setattr__(self, "_rows", None)
+        return self._edges
 
     def degrees(self) -> np.ndarray:
         """Degree of every node, indexed by node label."""
@@ -150,14 +160,38 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.node_count == other.node_count and np.array_equal(
-            self.edges, other.edges
+        return (
+            self.node_count == other.node_count
+            and self.edge_count == other.edge_count
+            and np.array_equal(self.edges, other.edges)
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def _set_state(g: Graph, node_count, edge_count, edges, degrees, rows) -> None:
+    for arr in (edges, degrees):
+        if arr is not None:
+            arr.setflags(write=False)
+    for name, value in zip(Graph.__slots__, (node_count, edge_count, edges, degrees, rows)):
+        object.__setattr__(g, name, value)
+
+
+def _graph_from_state(node_count, edge_count, edges, degrees, rows) -> Graph:
+    """A Graph holding exactly this state; no check runs here.
+
+    It restores a pickled or copied graph, rows built or not, and makes
+    a deferred one: edges None, degrees known, and rows, a function
+    returning the edge rows, data (a functools.partial of a module-level
+    function) so the graph pickles.  On the first read of edges the rows
+    are built and checked as Graph(node_count, _Fresh(rows())) checks them.
+    """
+    g = object.__new__(Graph)
+    _set_state(g, node_count, edge_count, edges, degrees, rows)
+    return g
 
 
 def _fields_equal(self, other) -> bool:

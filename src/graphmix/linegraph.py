@@ -11,10 +11,18 @@ each graph's evidence from the degree ratios that graph defines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .graph import Graph, _Fresh, component_labels, max_degree_ratio, square_degree_ratio
+from .graph import (
+    Graph,
+    _Fresh,
+    _graph_from_state,
+    component_labels,
+    max_degree_ratio,
+    square_degree_ratio,
+)
 
 __all__ = [
     "StructureError",
@@ -91,7 +99,10 @@ def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]
 
     Returns the graph and the hub node index of each star.  Layout per
     star is hub first then its leaves; each isolated edge appends two
-    fresh nodes.
+    fresh nodes.  The sizes fix the graph's node and edge counts and its
+    degrees (the star size on each hub, 1 on every other node), so only
+    those are computed here; the edge table is built on the first read of
+    edges, and every check of Graph runs then.
     """
     try:
         sizes = np.asarray(star_sizes)
@@ -101,17 +112,30 @@ def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]
         raise ValueError("star sizes must be a flat (1-D) sequence of integers")
     if sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 1):
         raise ValueError("star sizes must be integers >= 1")
-    sizes = sizes.astype(np.int64)
     if (
         isinstance(isolated_edges, bool)
         or not isinstance(isolated_edges, (int, np.integer))
         or isolated_edges < 0
     ):
         raise ValueError(f"isolated_edges must be an integer >= 0, got {isolated_edges!r}")
+    isolated_edges = int(isolated_edges)
+    leaf_count = sum(sizes.tolist())  # exact: int64 sums wrap
+    node_count = leaf_count + sizes.size + 2 * isolated_edges
+    if node_count >= 2**63:
+        raise ValueError(f"star forest of {node_count} nodes exceeds 2**63-1")
+    sizes = sizes.astype(np.int64)
     hubs = np.cumsum(sizes + 1) - (sizes + 1)
+    deg = np.ones(node_count, dtype=np.int64)
+    deg[hubs] = sizes
+    rows = partial(_star_forest_rows, sizes, hubs.copy(), isolated_edges)  # hubs is the caller's
+    return _graph_from_state(node_count, leaf_count + isolated_edges, None, deg, rows), hubs
+
+
+def _star_forest_rows(sizes: np.ndarray, hubs: np.ndarray, isolated_edges: int) -> np.ndarray:
+    """star_forest's edge rows, canonical: stars by hub, leaves ascending,
+    then the isolated pairs."""
     leaf_count = int(sizes.sum())
     tail = leaf_count + sizes.size
-    # rows come out canonical: stars by hub, leaves ascending, then the pairs
     edges = np.empty((leaf_count + isolated_edges, 2), dtype=np.int64)
     star, pairs = edges[:leaf_count], edges[leaf_count:]
     star[:, 0] = np.repeat(hubs, sizes)
@@ -119,14 +143,16 @@ def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]
     star[:, 1] = np.repeat(np.arange(1, sizes.size + 1), sizes)
     star[:, 1] += np.arange(leaf_count)
     pairs.flat = np.arange(tail, tail + 2 * isolated_edges)
-    return Graph(tail + 2 * isolated_edges, _Fresh(edges)), hubs
+    return edges
 
 
 def inverse_line_graph_disjoint(h: Graph) -> Graph:
     """Preimage of a disjoint-clique graph under the line-graph map.
 
     Clique of size c -> star K_{1,c}; isolated vertex -> isolated edge.
-    The output has node_count(h) edges, one per input vertex.
+    The output has node_count(h) edges, one per input vertex.  It is a
+    star_forest, so its edge table is built, and checked, on the first
+    read of its edges.
     """
     dec = decompose_disjoint_cliques(h)
     return star_forest(dec.clique_sizes, isolated_edges=dec.isolated_count)[0]

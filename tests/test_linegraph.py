@@ -1,5 +1,8 @@
 """Line graph, inverse on disjoint cliques, and sparsity evidence."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -259,6 +262,64 @@ def test_star_forest_matches_loop_construction(sizes, iso):
     assert hubs.dtype == want_hubs.dtype and np.array_equal(hubs, want_hubs)
     # the numpy count array generate_mixture passes builds the same forest
     assert star_forest(np.asarray(sizes, dtype=np.int64), isolated_edges=np.int64(iso))[0] == g
+
+
+def test_star_forest_totals_beyond_int64_fail_before_building():
+    for sizes, iso in (
+        ([2**62, 2**62], 0),  # the leaf count wraps in int64
+        (np.asarray([2**63], dtype=np.uint64), 0),
+        ([2**63 - 1], 0),  # leaves fit, leaves plus the hub do not
+        ([1], 2**62),
+    ):
+        with pytest.raises(ValueError, match=r"^star forest of \d+ nodes exceeds 2\*\*63-1$"):
+            star_forest(sizes, isolated_edges=iso)
+
+
+def assert_frozen_int64(a):
+    assert a.dtype == np.int64 and not a.flags.writeable
+
+
+@given(
+    st.lists(st.integers(1, 9), max_size=12),
+    st.integers(0, 6),
+    st.booleans(),
+)
+def test_deferred_star_forest_matches_eager_rows(sizes, iso, degrees_first):
+    g, _ = star_forest(sizes, isolated_edges=iso)
+    assert g._edges is None  # counts and degrees come from the sizes alone
+    eager = Graph(g.node_count, g._rows())
+    assert (g.node_count, g.edge_count, repr(g)) == (
+        eager.node_count,
+        eager.edge_count,
+        repr(eager),
+    )
+    if degrees_first:
+        before = g.degrees()
+        assert_frozen_int64(before)
+        assert np.array_equal(before, eager.degrees())
+        assert g._edges is None
+    assert_frozen_int64(g.edges)
+    assert np.array_equal(g.edges, eager.edges) and g == eager and eager == g
+    assert g._rows is None
+    assert_frozen_int64(g.degrees())
+    assert np.array_equal(g.degrees(), eager.degrees())
+    if g.edge_count:
+        assert line_graph(star_forest(sizes, isolated_edges=iso)[0]) == line_graph(eager)
+
+
+def test_deferred_graph_pickles_and_copies():
+    for read_edges in (False, True):
+        g, _ = star_forest([3, 1, 2], isolated_edges=2)
+        if read_edges:
+            g.edges
+        for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert (back._edges is None) == (not read_edges)
+            assert back == g and repr(back) == repr(g)
+            assert_frozen_int64(back.degrees())
+            assert np.array_equal(back.degrees(), g.degrees())
+            assert_frozen_int64(back.edges)
+            with pytest.raises(AttributeError, match="immutable"):
+                back.edge_count = 0
 
 
 def test_inverse_of_single_clique():

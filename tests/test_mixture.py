@@ -1,6 +1,9 @@
 """Mixture generation, joining rules, coupled sequences, and schedules."""
 
+import copy
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -387,6 +390,33 @@ def test_mixture_graphs_compare_by_value():
     assert a != a.graph
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_suite_paths_leave_the_star_forest_unbuilt():
+    mix = generate_mixture(U23, W, 60, 400, rng=np.random.default_rng(24))
+    member = MixtureSequence(U23, W, [(30, 150), (60, 400)], seed=24).member(0)
+    digests = {}
+    for name, m in (("mixture", mix), ("member", member)):
+        deg = m.degrees()
+        assert m.sparse._edges is None  # the sparse degrees came from the star sizes
+        assert np.array_equal(deg, m.graph.degrees())
+        assert m.sparse._edges is not None
+        digests[name] = hashlib.sha256(m.graph.edges.tobytes()).hexdigest()
+    # taken before star forests deferred their rows
+    assert digests == {
+        "mixture": "ca78d819d7981c1f1e29d324d6a3802bd07890a20efaa0efaaf6da0459848582",
+        "member": "252c877b69761c87d3bb5bb5a419b6b35e6bfbee9b74e3905b17db31b9ecd9ac",
+    }
+
+
+def test_mixture_with_a_deferred_sparse_part_pickles_and_copies():
+    mix = generate_mixture(U23, W, 20, 80, rng=np.random.default_rng(3))
+    # both copies are taken before a comparison builds mix's sparse table
+    copies = [pickle.loads(pickle.dumps(mix)), copy.deepcopy(mix)]
+    for back in copies:
+        assert back.sparse._edges is None
+        assert back == mix and back.graph == mix.graph
+        assert np.array_equal(back.degrees(), mix.degrees())
 
 
 def sparse_part_by_loops(u, labels):

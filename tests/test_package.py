@@ -41,6 +41,7 @@ PRIVATE_IMPORTS = {
     ("estimators", "graph", "_fields_equal"),
     ("graphon", "graph", "_Fresh"),
     ("linegraph", "graph", "_Fresh"),
+    ("linegraph", "graph", "_graph_from_state"),
     ("masspartition", "graph", "_fields_equal"),
     ("mixture", "graph", "_distinct_sorted"),
     ("mixture", "graph", "_fields_equal"),
