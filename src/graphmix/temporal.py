@@ -317,10 +317,9 @@ def _bulk_rows(
     us, vs, ts = (starts[first_tok + j] for j in range(3))
     ue, ve, te = (ends[first_tok + j] for j in range(3))
     del starts, ends, first_tok
-    id_start = np.concatenate([us, vs])
-    id_len = np.concatenate([ue - us, ve - vs])
-    n_words = max(1, -(-int(id_len.max(initial=0)) // 8))
-    if id_start.size * n_words * 8 > _KEY_BYTES_PER_BYTE * b.size + _KEY_BYTES_SLACK:
+    # ids as NUL-padded 8-byte words (no id holds a NUL): equal ids, equal words
+    key = _word_rows(data, np.concatenate([us, vs]), np.concatenate([ue - us, ve - vs]))
+    if key is None:
         return None
 
     # timestamps of [+-]digit{1.._FAST_DIGITS}, one digit column at a time; others go to int()
@@ -345,14 +344,6 @@ def _bulk_rows(
     ok = np.ones(rows3.size, dtype=bool)
     ok[list(bad)] = False
 
-    # ids as zero-padded 8-byte words (no id holds a NUL): equal ids, equal
-    # words; a word past the end of an id is read anywhere in range and masked
-    word_at = np.ndarray((b.size - 7,), dtype=np.uint64, buffer=data, strides=(1,))
-    key = np.empty((id_start.size, n_words), dtype=np.uint64)
-    for j in range(key.shape[1]):
-        at = np.minimum(id_start + 8 * j, word_at.size - 1)
-        key[:, j] = word_at[at] & _HEAD_BYTES[np.clip(id_len - 8 * j, 0, 8)]
-    del word_at, id_start, id_len
     cls, rep = _row_classes(key)
     u_cls, v_cls = cls[: rows3.size], cls[rows3.size :]
     loops = np.flatnonzero(ok & (u_cls == v_cls))
@@ -367,8 +358,13 @@ def _bulk_rows(
     used = np.zeros(rep.size, dtype=bool)
     used[u_cls] = used[v_cls] = True
     used = np.flatnonzero(used)
-    keys = key[rep[used]].view(f"S{8 * key.shape[1]}").ravel().tolist()  # NULs dropped
-    names = b"\0".join(keys).decode("utf-8", "surrogatepass").split("\0") if keys else []
+    # each id's words, then a newline (no id holds one), with the NULs deleted
+    text = np.empty((used.size, 8 * key.shape[1] + 1), dtype=np.uint8)
+    text[:, :-1] = key[rep[used]].view(np.uint8)
+    text[:, -1] = ord("\n")
+    names = text.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
+    names = names.split("\n")[:-1]
+    del text
     # one setdefault(name, len(index)) per name: map calls len just before it
     code = np.zeros(rep.size, dtype=np.int64)
     code[used] = np.fromiter(
@@ -382,29 +378,61 @@ def _bulk_rows(
     return _Rows(code[u_cls], code[v_cls], t[ok], rejects, int(np.count_nonzero(ntok)))
 
 
+def _word_rows(data: bytes, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """The byte spans data[start:start + length] as rows of NUL-padded
+    8-byte words, as many per row as the longest span needs (at least
+    one); None when that table would take more than _KEY_BYTES_PER_BYTE
+    bytes per byte of data plus _KEY_BYTES_SLACK (one long span among
+    many short ones), so memory stays bounded.  Every span is non-empty
+    and ends at least 7 bytes before the end of data."""
+    n_words = max(1, -(-int(length.max(initial=0)) // 8))
+    if start.size * n_words * 8 > _KEY_BYTES_PER_BYTE * len(data) + _KEY_BYTES_SLACK:
+        return None
+    # a word past the end of a span is read anywhere in range and masked
+    word_at = np.ndarray((len(data) - 7,), dtype=np.uint64, buffer=data, strides=(1,))
+    words = np.empty((start.size, n_words), dtype=np.uint64)
+    np.bitwise_and(word_at[start], _HEAD_BYTES[np.minimum(length, 8)], out=words[:, 0])
+    for j in range(1, n_words):
+        at = np.minimum(start + 8 * j, word_at.size - 1)
+        np.bitwise_and(word_at[at], _HEAD_BYTES[np.clip(length - 8 * j, 0, 8)], out=words[:, j])
+    return words
+
+
 def _row_classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cls, rep): class labels of the rows of words, equal for equal rows,
-    and one row of each class.
+    and rep[c], the first row of class c.
 
-    Rows are classed by one sort of a 64-bit hash of their words, checked
-    against the row kept for their class; if two distinct rows share a
-    hash, np.unique classes the whole rows instead."""
+    Each row gets a 64-bit hash of its words whose low bits, as many as a
+    row position needs, are replaced by that position; one sort of these
+    keys puts equal hashes in runs, each ordered by position, so a class
+    is a run and its first row the run's first position.  Every row is
+    checked against the row before it in its run; if two distinct rows
+    share the hash's kept high bits, np.unique classes the whole rows
+    instead."""
+    n = words.shape[0]
     hashed = words[:, 0]
     for j in range(1, words.shape[1]):
         hashed = (hashed ^ (hashed >> np.uint64(29))) * _MIX ^ words[:, j]
-    _, cls = np.unique(hashed, return_inverse=True)
-    rep = _class_rows(cls)
-    if (words != words[rep[cls]]).any():
-        _, cls = np.unique(words, axis=0, return_inverse=True)
-        rep = _class_rows(cls)
+    # the last mix carries every byte, low ones included, into the high bits
+    hashed = (hashed ^ (hashed >> np.uint64(29))) * _MIX
+    bits = np.uint64(max(n - 1, 0).bit_length())
+    low = (np.uint64(1) << bits) - np.uint64(1)
+    keys = np.sort(hashed & ~low | np.arange(n, dtype=np.uint64))
+    pos = (keys & low).astype(np.int64)
+    starts, run = _runs(keys >> bits)
+    del keys
+    rep = pos[starts]
+    cls = np.empty(n, dtype=np.int64)
+    cls[pos] = run
+    # rows in key order: inside a run, each must equal the one before it
+    ordered = np.take(words, pos, axis=0)
+    differ = np.zeros(max(n - 1, 0), dtype=bool)
+    for j in range(words.shape[1]):
+        differ |= ordered[1:, j] != ordered[:-1, j]
+    del ordered
+    if (differ & (run[1:] == run[:-1])).any():
+        _, rep, cls = np.unique(words, axis=0, return_index=True, return_inverse=True)
     return cls, rep
-
-
-def _class_rows(cls: np.ndarray) -> np.ndarray:
-    """rep[c] is a position of label c in cls, for labels 0..cls.max()."""
-    rep = np.empty(cls.max(initial=-1) + 1, dtype=np.int64)
-    rep[cls] = np.arange(cls.size)
-    return rep
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
@@ -466,18 +494,62 @@ def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:
     parse_edge_events reads them back as the same events when no node id
     holds whitespace; only CSV input can give such an id ('"a b",c,1'
     would come back as the four-column row "a b c 1", a reject).  Each
-    id and each distinct timestamp is formatted once; a block of rows is
-    then one join of those strings."""
-    ids = np.array([f"{i} " for i in tel.node_ids], dtype=object)
-    stamps, stamp_at = np.unique(tel.edge_t, return_inverse=True)
-    stamps = np.array([f"{t}\n" for t in stamps.tolist()], dtype=object)
+    id and each distinct timestamp is formatted once, as a row of
+    NUL-padded 8-byte words (the id with its space, the stamp with its
+    newline); a block of rows is then three row gathers into one word
+    matrix whose bytes, NULs deleted, are the block's text.  A block
+    that matrix cannot render exactly or compactly (an id holding a NUL,
+    or padding above _KEY_BYTES_PER_BYTE bytes per byte of the block's
+    text plus _KEY_BYTES_SLACK) is written as one join of the strings."""
+    ids = list(map(format, tel.node_ids))
+    stamp_starts, stamp_at = _runs(tel.edge_t)
+    stamps = list(map(format, tel.edge_t[stamp_starts].tolist()))
+    id_words, id_size = _text_rows(ids, " ")
+    t_words, t_size = _text_rows(stamps, "\n")
     for start in range(0, stamp_at.size, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        rows = np.empty((stamp_at[start:stop].size, 3), dtype=object)
-        rows[:, 0] = ids[tel.edge_u[start:stop]]
-        rows[:, 1] = ids[tel.edge_v[start:stop]]
-        rows[:, 2] = stamps[stamp_at[start:stop]]
-        fobj.write("".join(rows.ravel().tolist()))
+        at = slice(start, start + _BLOCK_ROWS)
+        u, v, s = tel.edge_u[at], tel.edge_v[at], stamp_at[at]
+        if id_words is not None and t_words is not None:
+            size = int(id_size[u].sum() + id_size[v].sum() + t_size[s].sum())
+            width = 2 * id_words.shape[1] + t_words.shape[1]
+            if s.size * width * 8 - size <= _KEY_BYTES_PER_BYTE * size + _KEY_BYTES_SLACK:
+                rows = [np.take(id_words, u, axis=0), np.take(id_words, v, axis=0)]
+                rows = np.concatenate([*rows, np.take(t_words, s, axis=0)], axis=1)
+                text = rows.tobytes().translate(None, b"\0")
+                del rows
+                if len(text) == size:  # no id held a NUL
+                    fobj.write(text.decode("utf-8", "surrogatepass"))
+                    continue
+        rows = zip(u.tolist(), v.tolist(), s.tolist())
+        fobj.write("".join([f"{ids[a]} {ids[b]} {stamps[c]}\n" for a, b, c in rows]))
+
+
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, run): the first position of each run of equal values in x,
+    and the number of the run each position is in."""
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return starts, np.repeat(np.arange(starts.size), np.diff(starts, append=x.size))
+
+
+def _text_rows(texts: list[str], end: str) -> tuple[np.ndarray | None, np.ndarray]:
+    """(words, size): the UTF-8 bytes of each text followed by the ASCII
+    character end, as _word_rows (None when _word_rows gives None), and
+    their sizes in bytes."""
+    data = (end.join(texts) + end).encode("utf-8", "surrogatepass")
+    stop = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(end)) + 1
+    if stop.size != len(texts):  # some text holds end
+        stop = np.cumsum(
+            np.fromiter(
+                (len(f"{x}{end}".encode("utf-8", "surrogatepass")) for x in texts),
+                np.int64,
+                len(texts),
+            )
+        )
+    size = np.diff(stop, prepend=0)
+    return _word_rows(data + bytes(7), stop - size, size), size
 
 
 def _prefix_at(tel: TemporalEdgeList, t: int) -> tuple[int, int]:

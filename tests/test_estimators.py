@@ -1,5 +1,6 @@
 """Hub-count and partition estimators, segment fits, and forecasts."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -144,6 +145,36 @@ def test_partition_finite_ratio_is_exact():
     one = estimate_partition_finite(spec_of([300, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]))
     assert one.k_hat == 1
     np.testing.assert_array_equal(one.weights, [1.0])
+
+
+@st.composite
+def hubs_over_dense(draw):
+    """(degrees, hubs): k hub degrees above a dense part with more distinct
+    degrees than hubs, so the median unique degree falls below the
+    smallest hub, built so that the log-gap from the smallest hub down to
+    the largest dense degree is larger than every other gap."""
+    k = draw(st.integers(1, 8))
+    dense = sorted(draw(st.sets(st.integers(1, 5000), min_size=k + 4, max_size=60)), reverse=True)
+    # hub k over the top dense degree beats the widest dense ratio a / b:
+    # hub * b > dense[0] * a, in integers
+    a, b = max(zip(dense, dense[1:]), key=lambda pair: Fraction(*pair))
+    hubs = [dense[0] * a // b + 1 + draw(st.integers(0, 3 * dense[0]))]
+    # a step of at most hubs[-1] - dense[0] keeps each hub ratio below
+    # hubs[-1] / dense[0]
+    for _ in range(k - 1):
+        hubs.insert(0, hubs[0] + draw(st.integers(1, hubs[-1] - dense[0])))
+    degrees = hubs + [d for d in dense for _ in range(draw(st.integers(1, 3)))]
+    return degrees + [0] * draw(st.integers(0, 5)), hubs
+
+
+@given(hubs_over_dense())
+def test_partition_finite_recovers_hubs_over_a_dense_part(case):
+    degrees, hubs = case
+    est = estimate_partition_finite(spec_of(np.array(degrees)))
+    gaps = est.diagnostics
+    assert np.count_nonzero(gaps == gaps.max()) == 1 and gaps.argmax() == len(hubs) - 1
+    assert est.k_hat == len(hubs)
+    np.testing.assert_array_equal(est.weights, np.array(hubs, dtype=np.float64) / sum(hubs))
 
 
 def test_partition_finite_reports_gaps():

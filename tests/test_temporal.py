@@ -228,6 +228,61 @@ def test_serialize_round_trip():
     assert again.node_ids == tel.node_ids
 
 
+def written(tel):
+    buf = io.StringIO()
+    serialize_edge_events(tel, buf)
+    return buf.getvalue()
+
+
+def oracle_text(tel):
+    return "".join(f"{u} {v} {t}\n" for u, v, t in tel.events)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["é 日本語 1", "日本語 ñandú 2", "é ñandú 3", "\udcff x 4"],
+        # ids of 1, 8, 9 and 200 bytes, spanning one to 25 words
+        ["a abcdefgh 1", "abcdefghi " + "z" * 200 + " 2", "a " + "z" * 200 + " 3"],
+        [b"a b 2", b"b c 1"],
+        [f"a b {-(2**63)}", f"b c {2**63 - 1}", "c a 0"],
+    ],
+    ids=["non-ascii", "id-lengths", "bytes-rows", "int64-ends"],
+)
+def test_serialize_writes_exactly_the_events(lines):
+    tel = parse_edge_events(lines)
+    assert written(tel) == oracle_text(tel)
+
+
+def test_serialize_joins_strings_for_a_block_with_a_nul_id():
+    # the NUL id comes from a row-loop block; the word rows would lose its
+    # NUL, so a block that holds it is joined from strings
+    lines = ["a b 1", "b c 2", "nul\0id a 3", "c d 4", "d e 5", "e a 6"]
+    tel = parse_edge_events(lines)
+    assert "nul\0id" in tel.node_ids
+    for block_rows in (2, temporal._BLOCK_ROWS):
+        with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows):
+            assert written(tel) == oracle_text(tel)
+
+
+@pytest.mark.parametrize("n", [500, 50], ids=["table", "block"])
+def test_serialize_joins_strings_for_one_long_id(n):
+    # with 506 ids, a word table as wide as a 10,000-byte id would take
+    # ~5 MB; with 92 the table takes 0.9 MB, but the block's word matrix
+    # would take ~40 MB; the writer joins strings instead
+    rows = [f"a{i % n} b{i // n} {i}" for i in range(2000)]
+    rows.insert(1000, f"{'x' * 10_000} y 5")
+    tel = parse_edge_events(rows)
+    tracemalloc.start()
+    try:
+        text = written(tel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert text == oracle_text(tel)
+
+
 def test_fixture_parse_and_serialize_are_pinned():
     # digests taken before parsing and writing worked in blocks of rows;
     # they pin the byte identity of both
@@ -363,8 +418,8 @@ def test_unreadable_csv_record_is_a_format_error(lines, line):
 
 
 def test_id_hash_collisions_are_told_apart():
-    # with the multiplier at 0 the hash of an id is its last 8-byte word, so
-    # these ids collide; checking each id against its class's row splits them
+    # with the multiplier at 0 every id hashes to 0, so these ids collide;
+    # checking each id against its class's row splits them
     ids = ["aaaaaaaa1", "bbbbbbbb1", "cccccccc1"]
     lines = [f"{ids[0]} {ids[1]} 1", f"{ids[1]} {ids[2]} 2", f"{ids[0]} {ids[1]} 3"]
     with mock.patch.object(temporal, "_MIX", np.uint64(0)):
@@ -372,6 +427,46 @@ def test_id_hash_collisions_are_told_apart():
     assert tel.node_ids == tuple(ids)
     assert tel.events == ((ids[0], ids[1], 1), (ids[1], ids[2], 2))
     assert tel.rejects == ()
+
+
+def _unique_calls():
+    return mock.patch.object(temporal.np, "unique", wraps=np.unique)
+
+
+def test_ids_whose_hashes_agree_get_distinct_classes():
+    # a two-word id a + b hashes as finish(mix(a) ^ b), mix(w) = (w ^ w >> 29)
+    # * _MIX; b2 = mix(a1) ^ b1 ^ mix(a2) gives a second id with the same
+    # hash, all 64 bits; a2 is the first of 50,000 printable draws whose b2
+    # is printable too
+    def mix(w):
+        return (w ^ (w >> np.uint64(29))) * temporal._MIX
+
+    def word(text):
+        return np.frombuffer(text.encode(), dtype=np.uint64)
+
+    a1, b1 = "abcdefgh", "ijklmnop"
+    rng = np.random.default_rng(0)
+    a2 = rng.integers(0x21, 0x7F, (50_000, 8), dtype=np.uint8).view(np.uint64).ravel()
+    b2 = (mix(word(a1)) ^ word(b1) ^ mix(a2)).view(np.uint8).reshape(-1, 8)
+    hit = np.flatnonzero(((b2 >= 0x21) & (b2 < 0x7F)).all(axis=1))[0]
+    ids = [a1 + b1, (a2[hit:hit + 1].tobytes() + b2[hit].tobytes()).decode()]
+    lines = [f"{ids[0]} {ids[1]} 1", f"{ids[1]} x 2", f"x {ids[0]} 3", f"{ids[1]} {ids[0]} 4"]
+    with _unique_calls() as unique:
+        tel = parse_edge_events(lines)
+    assert any(call.kwargs.get("axis") == 0 for call in unique.call_args_list)
+    assert tel.node_ids == (ids[0], ids[1], "x")
+    assert tel.events == ((ids[0], ids[1], 1), (ids[1], "x", 2), ("x", ids[0], 3))
+    assert tel.rejects == ()
+
+
+def test_ids_of_two_words_class_without_the_row_fallback():
+    # ids that differ only in their second word's first bytes must spread
+    # over the hash's kept high bits, or every block would tie
+    rows = [f"user_{i:06d} user_{(i * 7919 + 1) % 40_000:06d} {i}" for i in range(40_000)]
+    with _unique_calls() as unique:
+        tel = parse_edge_events(rows)
+    assert not [call for call in unique.call_args_list if call.kwargs.get("axis") == 0]
+    assert len(tel.node_ids) == 40_000 and len(tel.events) == 40_000
 
 
 def test_bulk_tokenizer_splits_like_str_split():
@@ -578,6 +673,15 @@ def test_serialize_round_trips_and_snapshots_nest(fmt, data):
         assert prev_edges <= edges and prev_nodes <= g.node_count
         prev_edges, prev_nodes = edges, g.node_count
     assert prev_nodes == len(tel.node_ids)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(data=st.data())
+def test_serialize_writes_the_events_as_rows(fmt, data):
+    tel = parse_edge_events(data.draw(event_lines(fmt)))
+    block_rows = data.draw(st.sampled_from([3, temporal._BLOCK_ROWS]))
+    with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows):
+        assert written(tel) == oracle_text(tel)
 
 
 @given(data=st.data())
