@@ -38,7 +38,7 @@ log = logging.getLogger(__name__)
 _BLOCK_ROWS = 65_536  # rows parsed or written per bulk block
 _BLOCK_CHARS = 2_500_000  # a block with more characters is parsed in equal row slices
 _FAST_DIGITS = 18  # longer timestamps go through int(); 10**18 fits int64
-_PACKED_LIMIT = 2**63  # value * size + position packs into int64 below this
+_PACKED_LIMIT = 2**63  # value << bits | position packs into int64 below this
 # a block whose id-word table would take more bytes than this many per byte
 # of its text, plus the slack, takes the row loop
 _KEY_BYTES_PER_BYTE = 4
@@ -114,13 +114,15 @@ def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     return and no newline but at their end, and every non-blank row has
     one token per cell; csv reads the block otherwise, and from the
     first block with a quote or such a line break csv reads the rest of
-    the input.
+    the input.  Each distinct id is interned once per parse, not once
+    per block (_Ids): a later numpy block looks its ids up in a table of
+    the ids seen so far and decodes only the new ones.
 
     Raises TemporalFormatError when more than 10% of data rows are
     unusable or a CSV record cannot be read, and ValueError when nothing
     usable remains at all.
     """
-    index: dict[str, int] = {}  # id -> provisional index
+    ids = _Ids()
     rows = iter(lines)
     head = list(islice(rows, 1))
     try:  # bytes rows, and text csv cannot read, are no header
@@ -128,16 +130,16 @@ def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     except csv.Error:
         header = None
     if header == ["u", "v", "t"]:
-        blocks = list(_csv_blocks(rows, index))
+        blocks = list(_csv_blocks(rows, ids))
     else:
         blocks = [
-            _bulk_rows(data, len(block), first_line, index)
-            or _scan_rows(enumerate((raw.split() for raw in block), first_line), index)
+            _bulk_rows(data, len(block), first_line, ids)
+            or _scan_rows(enumerate((raw.split() for raw in block), first_line), ids.as_dict())
             for first_line, block, data in _row_blocks(chain(head, rows), 1)
         ]
     rows = _Rows.concat(blocks)
     del blocks
-    return _index_events(rows, index)
+    return _index_events(rows, ids)
 
 
 class _Rows(NamedTuple):
@@ -201,7 +203,7 @@ def _joined(block: list) -> str | None:
         return None
 
 
-def _csv_blocks(rows: Iterable[str], index: dict) -> Iterable[_Rows]:
+def _csv_blocks(rows: Iterable[str], ids: _Ids) -> Iterable[_Rows]:
     """_Rows per block of the CSV records after the one-line header.
 
     Without a quote, or a line break other than a row's last character,
@@ -216,10 +218,10 @@ def _csv_blocks(rows: Iterable[str], index: dict) -> Iterable[_Rows]:
             data.count(b"\n") != data.count(b"\n\0")  # the NULs end rows
         ):
             rest = chain(block, chain.from_iterable(blk for _, blk, _ in blocks))
-            yield _scan_rows(_csv_records(csv.reader(rest), first_line), index)
+            yield _scan_rows(_csv_records(csv.reader(rest), first_line), ids.as_dict())
             return
-        yield _bulk_rows(data, len(block), first_line, index, commas=True) or _scan_rows(
-            _csv_records(csv.reader(block), first_line), index
+        yield _bulk_rows(data, len(block), first_line, ids, commas=True) or _scan_rows(
+            _csv_records(csv.reader(block), first_line), ids.as_dict()
         )
 
 
@@ -273,15 +275,18 @@ def _scan_rows(rows: Iterable[tuple[int, list]], index: dict) -> _Rows:
 
 
 def _bulk_rows(
-    data: bytes | None, n_rows: int, first_line: int, index: dict, commas: bool = False
+    data: bytes | None, n_rows: int, first_line: int, ids: _Ids, commas: bool = False
 ) -> _Rows | None:
     """_scan_rows over raw.split() of each of the n_rows rows whose
     _joined text data encodes as UTF-8, with numpy over the bytes.
 
     The bytes are split at those str.split treats as whitespace, and
     with commas also at every comma, which reads a CSV row exactly when
-    each of its cells is one token.  Returns None, before touching
-    index, when that would not split the rows as str.split or csv does:
+    each of its cells is one token.  The block's ids are classed among
+    themselves (_row_classes), and only the distinct ids of its usable
+    rows go to ids.intern, which gives their provisional indexes.
+    Returns None, before touching ids, when that would not split the
+    rows as str.split or csv does:
     rows that are not str (data is None), a NUL or a non-ASCII space in
     the text, or with commas a non-blank row whose token count is not
     its comma count plus one (an empty cell, or a blank inside one).
@@ -318,7 +323,8 @@ def _bulk_rows(
     ue, ve, te = (ends[first_tok + j] for j in range(3))
     del starts, ends, first_tok
     # ids as NUL-padded 8-byte words (no id holds a NUL): equal ids, equal words
-    key = _word_rows(data, np.concatenate([us, vs]), np.concatenate([ue - us, ve - vs]))
+    length = np.concatenate([ue - us, ve - vs])
+    key = _word_rows(data, np.concatenate([us, vs]), length)
     if key is None:
         return None
 
@@ -353,23 +359,13 @@ def _bulk_rows(
         for i, lo, hi in zip(loops.tolist(), us[loops].tolist(), ue[loops].tolist())
     )
 
-    # provisional indexes: dict lookups per distinct id of the block, not per row
     u_cls, v_cls = u_cls[ok], v_cls[ok]
     used = np.zeros(rep.size, dtype=bool)
     used[u_cls] = used[v_cls] = True
     used = np.flatnonzero(used)
-    # each id's words, then a newline (no id holds one), with the NULs deleted
-    text = np.empty((used.size, 8 * key.shape[1] + 1), dtype=np.uint8)
-    text[:, :-1] = key[rep[used]].view(np.uint8)
-    text[:, -1] = ord("\n")
-    names = text.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
-    names = names.split("\n")[:-1]
-    del text
-    # one setdefault(name, len(index)) per name: map calls len just before it
     code = np.zeros(rep.size, dtype=np.int64)
-    code[used] = np.fromiter(
-        map(index.setdefault, names, map(len, repeat(index))), np.int64, used.size
-    )
+    code[used] = ids.intern(key[rep[used]], length[rep[used]])
+    del key
 
     short_or_long = np.flatnonzero((ntok != 0) & (ntok != 3)) + first_line
     rejects = [(line, "expected three columns") for line in short_or_long.tolist()]
@@ -410,11 +406,7 @@ def _row_classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     share the hash's kept high bits, np.unique classes the whole rows
     instead."""
     n = words.shape[0]
-    hashed = words[:, 0]
-    for j in range(1, words.shape[1]):
-        hashed = (hashed ^ (hashed >> np.uint64(29))) * _MIX ^ words[:, j]
-    # the last mix carries every byte, low ones included, into the high bits
-    hashed = (hashed ^ (hashed >> np.uint64(29))) * _MIX
+    hashed = _row_hash(words)
     bits = np.uint64(max(n - 1, 0).bit_length())
     low = (np.uint64(1) << bits) - np.uint64(1)
     keys = np.sort(hashed & ~low | np.arange(n, dtype=np.uint64))
@@ -435,6 +427,144 @@ def _row_classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cls, rep
 
 
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of words, equal for equal rows."""
+    hashed = words[:, 0]
+    for j in range(1, words.shape[1]):
+        hashed = (hashed ^ (hashed >> np.uint64(29))) * _MIX ^ words[:, j]
+    # the last mix carries every byte, low ones included, into the high bits
+    return (hashed ^ (hashed >> np.uint64(29))) * _MIX
+
+
+def _names(words: np.ndarray) -> list[str]:
+    """The ids held as rows of NUL-padded 8-byte words: each row's bytes
+    and a newline (no id holds one), NULs deleted, decoded and split."""
+    text = np.empty((words.shape[0], 8 * words.shape[1] + 1), dtype=np.uint8)
+    text[:, :-1] = words.view(np.uint8)
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass").split("\n")[:-1]
+
+
+class _Ids:
+    """Provisional node indexes of one parse, each distinct id interned once.
+
+    The numpy blocks' ids go into a table of rows of 8-byte words, one
+    group per word count: equal ids are of equal length, so each id is
+    kept at its own word count, not padded to its block's longest id.
+    The first numpy block's classes become the table's first entries,
+    tabled only when a second numpy block comes, so one block costs
+    nothing more.  A later block's distinct ids are looked up by their
+    _row_hash in their group's runs, and a hit counts only when its
+    words equal the id's; only the misses are decoded, and they become
+    a new run.  A group's runs are sorted by hash, and a run is merged
+    into the one before it while that one is not twice its size, so a
+    group has O(log ids) runs and an id is merged O(log ids) times.  If
+    an id's hash matches an entry of other words (distinct ids whose
+    hashes agree), the table is dropped, and the names of that block and
+    every later one go through index, as many times as blocks hold them.
+
+    While every block takes the numpy path, an id's provisional index is
+    its entry's number and names lists the ids in that order; no dict is
+    built.  A row-loop or csv block needs one: as_dict turns names into
+    index (id -> provisional index), and from then on an id new to the
+    table goes through index.setdefault, once per parse."""
+
+    def __init__(self):
+        self.names: list | None = []
+        self.index: dict | None = None
+        self.runs: dict | None = {}  # word count -> [(hash, code, words)], each sorted by hash
+        self.first = None  # the first numpy block's (words, length, code), until it is tabled
+
+    def __len__(self) -> int:
+        return len(self.names if self.index is None else self.index)
+
+    def __iter__(self):
+        """The ids in provisional index order."""
+        return iter(self.names if self.index is None else self.index)
+
+    def as_dict(self) -> dict:
+        if self.index is None:
+            self.index = dict(zip(self.names, range(len(self.names))))
+            self.names = None
+        return self.index
+
+    def intern(self, words: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """Provisional indexes of distinct ids held as rows of NUL-padded
+        8-byte words, length bytes long each."""
+        if self.runs is None:
+            return self._new(_names(words))
+        if not self.runs and self.first is None:
+            code = self._new(_names(words))
+            self.first = words, length, code
+            return code
+        if self.first is not None:
+            words_1, length_1, code_1 = self.first
+            self.first = None
+            for at, w, rows in _word_groups(words_1, length_1):
+                self._add(w, _row_hash(rows), code_1[at], rows)
+        code = np.empty(length.size, dtype=np.int64)
+        for at, w, rows in _word_groups(words, length):
+            hashed = _row_hash(rows)
+            found = self._find(w, hashed, rows)
+            if found is None:
+                self.runs = None
+                self.as_dict()
+                return self._new(_names(words))
+            new = np.flatnonzero(found < 0)
+            found[new] = self._new(_names(rows[new]))
+            self._add(w, hashed[new], found[new], rows[new])
+            code[at] = found
+        return code
+
+    def _new(self, names: list) -> np.ndarray:
+        """Provisional indexes of names no earlier entry of the table holds."""
+        if self.index is None:
+            start = len(self.names)
+            self.names += names
+            return np.arange(start, len(self.names))
+        # one setdefault(name, len(index)) per name: map calls len just before it
+        index = self.index
+        return np.fromiter(
+            map(index.setdefault, names, map(len, repeat(index))), np.int64, len(names)
+        )
+
+    def _find(self, w: int, hashed: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
+        """Each row's provisional index in group w, -1 for a row not there;
+        None when a row's hash matches an entry of other words."""
+        found = np.full(hashed.size, -1)
+        for run_hash, run_code, run_rows in self.runs.get(w, ()):
+            at = np.minimum(np.searchsorted(run_hash, hashed), run_hash.size - 1)
+            hit = np.flatnonzero(run_hash[at] == hashed)
+            at = at[hit]
+            if not np.array_equal(run_rows[at], rows[hit]):
+                return None
+            found[hit] = run_code[at]
+        return found
+
+    def _add(self, w: int, hashed: np.ndarray, code: np.ndarray, rows: np.ndarray) -> None:
+        if not hashed.size:
+            return
+        runs = self.runs.setdefault(w, [])
+        order = np.argsort(hashed)
+        run = hashed[order], code[order], rows[order]
+        while runs and runs[-1][0].size < 2 * run[0].size:
+            # a stable sort of two sorted runs is a merge
+            last = runs.pop()
+            order = np.argsort(np.concatenate([last[0], run[0]]), kind="stable")
+            run = tuple(np.concatenate(pair)[order] for pair in zip(last, run))
+        runs.append(run)
+
+
+def _word_groups(words: np.ndarray, length: np.ndarray):
+    """(at, w, rows) per word count w of the ids held as rows of words,
+    length bytes long each: the positions of the ids of w words (at
+    least one), and their first w words."""
+    n_words = np.maximum(-(-length // 8), 1)
+    for w in np.unique(n_words).tolist():
+        at = np.flatnonzero(n_words == w)
+        yield at, w, words[at, :w]
+
+
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """Ascending positions of the first occurrence of each value in values,
     which are non-negative and small enough to index an array."""
@@ -446,17 +576,19 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
 def _first_positions(values: np.ndarray) -> np.ndarray:
     """_first_occurrences of non-negative int64 values of any size."""
     m = values.size
-    if (int(values.max(initial=0)) + 1) * m > _PACKED_LIMIT:
+    bits = max(m - 1, 0).bit_length()
+    if (int(values.max(initial=0)) + 1) << bits > _PACKED_LIMIT:
         _, values = np.unique(values, return_inverse=True)
         return _first_occurrences(values)
-    # one sort of value * m + position starts each value's run at its first position
-    value, pos = np.divmod(np.sort(values * m + np.arange(m)), m)
-    return np.sort(pos[np.flatnonzero(np.diff(value, prepend=-1))])
+    # one sort of value << bits | position starts each value's run at its first position
+    keys = np.sort(values << bits | np.arange(m))
+    pos = keys & ((1 << bits) - 1)
+    return np.sort(pos[np.flatnonzero(np.diff(keys >> bits, prepend=-1))])
 
 
-def _index_events(rows: _Rows, index: dict) -> TemporalEdgeList:
+def _index_events(rows: _Rows, ids: _Ids) -> TemporalEdgeList:
     """Check the reject share, then sort, deduplicate and relabel the
-    events; index maps each id to its provisional index."""
+    events; ids lists the ids in provisional index order."""
     eu, ev, et, rejects, seen = rows
     if seen == 0 or not et.size:
         raise ValueError("no usable edge events in input")
@@ -472,7 +604,7 @@ def _index_events(rows: _Rows, index: dict) -> TemporalEdgeList:
 
     order = np.argsort(et, kind="stable")  # input order preserved within t
     # the first event of each unordered pair, in that order
-    pair = (np.minimum(eu, ev) * len(index) + np.maximum(eu, ev))[order]
+    pair = (np.minimum(eu, ev) * len(ids) + np.maximum(eu, ev))[order]
     keep = order[_first_positions(pair)]
     del order, pair
     eu, ev, et = eu[keep], ev[keep], et[keep]
@@ -484,8 +616,8 @@ def _index_events(rows: _Rows, index: dict) -> TemporalEdgeList:
     arrays = relabel[eu], relabel[ev], et, et[first_end // 2]
     for a in arrays:
         a.setflags(write=False)
-    ids = np.fromiter(index, dtype=object, count=len(index))[appearance]
-    return TemporalEdgeList(tuple(ids.tolist()), tuple(rejects), *arrays)
+    node_ids = np.fromiter(ids, dtype=object, count=len(ids))[appearance]
+    return TemporalEdgeList(tuple(node_ids.tolist()), tuple(rejects), *arrays)
 
 
 def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:
@@ -591,6 +723,7 @@ def evaluation_run(
         raise ValueError("horizons must be >= 0")
     summary, detail = [], []
     for tt in train_times:
+        spec_train = None  # built once per train time, when a horizon first needs it
         for h in horizons:
             te = tt + h
             if tt < tel.t_min or te > tel.t_max:
@@ -599,7 +732,8 @@ def evaluation_run(
                     tt, h, tel.t_min, tel.t_max,
                 )
                 continue
-            spec_train = DegreeSpectrum(_degrees_at(tel, tt))
+            if spec_train is None:
+                spec_train = DegreeSpectrum(_degrees_at(tel, tt))
             spec_test = DegreeSpectrum(_degrees_at(tel, te))
             if k > spec_train.node_count or k > spec_test.node_count:
                 log.warning(

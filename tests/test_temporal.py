@@ -429,6 +429,83 @@ def test_id_hash_collisions_are_told_apart():
     assert tel.rejects == ()
 
 
+def matches_reference(tel, lines, fmt):
+    events, node_ids, first_t, rejects = reference_parse(lines, fmt)
+    index = {x: i for i, x in enumerate(node_ids)}
+    return (
+        tel.events == tuple(events)
+        and tel.node_ids == tuple(node_ids)
+        and tel.rejects == tuple(rejects)
+        and tel.edge_u.tolist() == [index[u] for u, _, _ in events]
+        and tel.edge_v.tolist() == [index[v] for _, v, _ in events]
+        and tel.node_first_t.tolist() == first_t
+    )
+
+
+@pytest.mark.parametrize("row", ["c\u3000d 3", "nul\0id d 3"], ids=["wide-space", "nul-id"])
+def test_ids_shared_across_a_row_loop_block(row):
+    # in blocks of 2 rows, the middle block takes the row loop and shares
+    # ids with the numpy blocks on both sides; every id keeps one index
+    lines = ["a b 1", "b c 2", row, "d a 4", "a e 5", "e c 6", "d f 7", "b d 8"]
+    for block_rows, loops in ((2, 1), (temporal._BLOCK_ROWS, 1)):
+        scan = mock.patch.object(temporal, "_scan_rows", wraps=temporal._scan_rows)
+        with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows), scan as scanned:
+            tel = parse_edge_events(lines)
+        assert scanned.call_count == loops
+        assert matches_reference(tel, lines, "whitespace3col")
+
+
+def test_ids_are_decoded_once_per_parse():
+    # numpy blocks of 3 rows over 12 ids: each id is decoded once, in the
+    # block it first occurs in, and no dict is built
+    rng = np.random.default_rng(0)
+    pairs = rng.choice(12, (60, 2), replace=True)
+    lines = [f"id{a}x{'y' * (a % 11)} id{b}x{'y' * (b % 11)} {t}" for t, (a, b) in enumerate(pairs)]
+    decoded, names = [], temporal._names
+
+    def decode(words):
+        out = names(words)
+        decoded.extend(out)
+        return out
+
+    with mock.patch.object(temporal, "_BLOCK_ROWS", 3), \
+            mock.patch.object(temporal, "_names", side_effect=decode), \
+            mock.patch.object(temporal._Ids, "as_dict", side_effect=AssertionError("dict")):
+        tel = parse_edge_events(lines)
+    assert sorted(decoded) == sorted(tel.node_ids)
+    assert matches_reference(tel, lines, "whitespace3col")
+
+
+def test_id_hash_collisions_across_blocks_are_told_apart():
+    # with the multiplier at 0 every id hashes to 0; in blocks of one row,
+    # an id's hash matches entries of other ids from earlier blocks
+    ids = ["aaaaaaaa1", "bbbbbbbb1", "cccccccc1", "dddddddd1"]
+    lines = [f"{ids[0]} {ids[1]} 1", f"{ids[2]} {ids[1]} 2", f"{ids[3]} {ids[0]} 3"]
+    lines += [f"{ids[2]} {ids[0]} 4", f"{ids[1]} {ids[3]} 5", f"{ids[1]} {ids[0]} 6"]
+    with mock.patch.object(temporal, "_MIX", np.uint64(0)), \
+            mock.patch.object(temporal, "_BLOCK_ROWS", 1):
+        tel = parse_edge_events(lines)
+    assert tel.node_ids == (ids[0], ids[1], ids[2], ids[3])
+    assert matches_reference(tel, lines, "whitespace3col")
+
+
+def test_long_ids_across_blocks_keep_the_parse_small():
+    # ids are tabled at their own width: a table as wide as the 20,000-byte
+    # ids for every id would take ~160 MB here
+    rows = [f"a{i % 500} b{i % 700} {i}" for i in range(4000)]
+    rows.insert(1000, f"{'x' * 20_000} y 5")
+    rows.insert(3000, f"{'z' * 20_000} {'x' * 20_000} 6")
+    with mock.patch.object(temporal, "_BLOCK_ROWS", 2):
+        tracemalloc.start()
+        try:
+            tel = parse_edge_events(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert matches_reference(tel, rows, "whitespace3col")
+
+
 def _unique_calls():
     return mock.patch.object(temporal.np, "unique", wraps=np.unique)
 
@@ -510,6 +587,23 @@ def test_evaluation_rejects_bad_k():
     tel = parse_edge_events(STAR_LINES)
     with pytest.raises(ValueError):
         evaluation_run(tel, [1], [0], k=0)
+
+
+def test_evaluation_builds_each_train_spectrum_once():
+    # the README's predict example: 2 train times, 2 horizons each
+    rng = np.random.default_rng(0)
+    lines = [f"n{rng.integers(t + 5)} n{t + 5} {t}" for t in range(1, 101) for _ in range(3)]
+    tel = parse_edge_events(lines)
+    train_times, horizons = [80, 85], [6, 8]
+    degrees = mock.patch.object(temporal, "_degrees_at", wraps=temporal._degrees_at)
+    with degrees as counted:
+        summary, detail = evaluation_run(tel, train_times, horizons, k=10)
+    assert counted.call_count == len(train_times) * (1 + len(horizons))
+    # the same rows as one run per (train time, horizon) pair
+    runs = [evaluation_run(tel, [tt], [h], k=10) for tt in train_times for h in horizons]
+    assert len(summary) == 4
+    assert summary == [row for rows, _ in runs for row in rows]
+    assert detail == [row for _, rows in runs for row in rows]
 
 
 def test_evaluation_rejects_negative_horizon():
