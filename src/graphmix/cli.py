@@ -137,7 +137,7 @@ def _save_rows(out: str, stem: str, rows: list[dict], fmt: str | None) -> None:
 
 def _load_lines(path: str):
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
@@ -184,7 +184,7 @@ def _config_int(cfg: dict, key: str, default: int, low: int) -> int:
 
 def cmd_generate(args) -> int:
     try:
-        with open(args.config, encoding="utf-8") as f:
+        with open(args.config, encoding="utf-8-sig") as f:
             cfg = json.load(f)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from None
@@ -254,7 +254,7 @@ def cmd_estimate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --truth: {exc}") from None
     try:
-        with open(args.input, encoding="utf-8") as f:
+        with open(args.input, encoding="utf-8-sig") as f:
             g = read_edge_list(f)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.input}: {exc}") from None

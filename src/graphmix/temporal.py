@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
@@ -114,15 +114,14 @@ def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     return and no newline but at their end, and every non-blank row has
     one token per cell; csv reads the block otherwise, and from the
     first block with a quote or such a line break csv reads the rest of
-    the input.  Each distinct id is interned once per parse, not once
-    per block (_Ids): a later numpy block looks its ids up in a table of
-    the ids seen so far and decodes only the new ones.
+    the input.  Each block codes its own ids; at the end of the parse,
+    _interned classes the ids of all blocks in one step, so each
+    distinct id gets one index and is decoded once.
 
     Raises TemporalFormatError when more than 10% of data rows are
     unusable or a CSV record cannot be read, and ValueError when nothing
     usable remains at all.
     """
-    ids = _Ids()
     rows = iter(lines)
     head = list(islice(rows, 1))
     try:  # bytes rows, and text csv cannot read, are no header
@@ -130,33 +129,29 @@ def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     except csv.Error:
         header = None
     if header == ["u", "v", "t"]:
-        blocks = list(_csv_blocks(rows, ids))
+        blocks = list(_csv_blocks(rows))
     else:
         blocks = [
-            _bulk_rows(data, len(block), first_line, ids)
-            or _scan_rows(enumerate((raw.split() for raw in block), first_line), ids.as_dict())
+            _bulk_rows(data, len(block), first_line)
+            or _scan_rows(enumerate((raw.split() for raw in block), first_line))
             for first_line, block, data in _row_blocks(chain(head, rows), 1)
         ]
-    rows = _Rows.concat(blocks)
+    rows = _interned(blocks)
     del blocks
-    return _index_events(rows, ids)
+    return _index_events(rows)
 
 
 class _Rows(NamedTuple):
-    """Usable events of consecutive rows, with provisional node indexes."""
+    """Usable events of consecutive rows, whose endpoint codes index ids."""
 
     eu: np.ndarray
     ev: np.ndarray
     et: np.ndarray
     rejects: list  # (line_number, reason), in line order
     seen: int  # rows that are not blank
-
-    @classmethod
-    def concat(cls, blocks: list[_Rows]) -> _Rows:
-        none = np.empty(0, dtype=np.int64)
-        eu, ev, et = (np.concatenate([none, *(blk[c] for blk in blocks)]) for c in range(3))
-        rejects = [r for blk in blocks for r in blk.rejects]
-        return cls(eu, ev, et, rejects, sum(blk.seen for blk in blocks))
+    # the distinct ids, one per code: a numpy block's as rows of NUL-padded
+    # 8-byte words (_word_rows), names otherwise
+    ids: np.ndarray | list
 
 
 def _check_stamp(t_text: str) -> int | str:
@@ -203,7 +198,7 @@ def _joined(block: list) -> str | None:
         return None
 
 
-def _csv_blocks(rows: Iterable[str], ids: _Ids) -> Iterable[_Rows]:
+def _csv_blocks(rows: Iterable[str]) -> Iterable[_Rows]:
     """_Rows per block of the CSV records after the one-line header.
 
     Without a quote, or a line break other than a row's last character,
@@ -218,10 +213,10 @@ def _csv_blocks(rows: Iterable[str], ids: _Ids) -> Iterable[_Rows]:
             data.count(b"\n") != data.count(b"\n\0")  # the NULs end rows
         ):
             rest = chain(block, chain.from_iterable(blk for _, blk, _ in blocks))
-            yield _scan_rows(_csv_records(csv.reader(rest), first_line), ids.as_dict())
+            yield _scan_rows(_csv_records(csv.reader(rest), first_line))
             return
-        yield _bulk_rows(data, len(block), first_line, ids, commas=True) or _scan_rows(
-            _csv_records(csv.reader(block), first_line), ids.as_dict()
+        yield _bulk_rows(data, len(block), first_line, commas=True) or _scan_rows(
+            _csv_records(csv.reader(block), first_line)
         )
 
 
@@ -245,9 +240,10 @@ def _csv_records(reader, first_line: int) -> Iterable[tuple[int, list]]:
         start = first_line + reader.line_num
 
 
-def _scan_rows(rows: Iterable[tuple[int, list]], index: dict) -> _Rows:
+def _scan_rows(rows: Iterable[tuple[int, list]]) -> _Rows:
     """Split rows, each with its line number, checked one at a time."""
     eu, ev, et, rejects = [], [], [], []
+    index = {}  # id -> code
     seen = 0
     for lineno, row in rows:
         if not any(row):
@@ -271,11 +267,11 @@ def _scan_rows(rows: Iterable[tuple[int, list]], index: dict) -> _Rows:
         ev.append(index.setdefault(v, len(index)))
         et.append(t)
     eu, ev, et = (np.array(c, dtype=np.int64) for c in (eu, ev, et))
-    return _Rows(eu, ev, et, rejects, seen)
+    return _Rows(eu, ev, et, rejects, seen, list(index))
 
 
 def _bulk_rows(
-    data: bytes | None, n_rows: int, first_line: int, ids: _Ids, commas: bool = False
+    data: bytes | None, n_rows: int, first_line: int, commas: bool = False
 ) -> _Rows | None:
     """_scan_rows over raw.split() of each of the n_rows rows whose
     _joined text data encodes as UTF-8, with numpy over the bytes.
@@ -283,10 +279,9 @@ def _bulk_rows(
     The bytes are split at those str.split treats as whitespace, and
     with commas also at every comma, which reads a CSV row exactly when
     each of its cells is one token.  The block's ids are classed among
-    themselves (_row_classes), and only the distinct ids of its usable
-    rows go to ids.intern, which gives their provisional indexes.
-    Returns None, before touching ids, when that would not split the
-    rows as str.split or csv does:
+    themselves (_row_classes), which finds its self loops; its _Rows.ids
+    are the word rows of the distinct ids its usable rows use.  Returns
+    None when that would not split the rows as str.split or csv does:
     rows that are not str (data is None), a NUL or a non-ASCII space in
     the text, or with commas a non-blank row whose token count is not
     its comma count plus one (an empty cell, or a blank inside one).
@@ -323,8 +318,7 @@ def _bulk_rows(
     ue, ve, te = (ends[first_tok + j] for j in range(3))
     del starts, ends, first_tok
     # ids as NUL-padded 8-byte words (no id holds a NUL): equal ids, equal words
-    length = np.concatenate([ue - us, ve - vs])
-    key = _word_rows(data, np.concatenate([us, vs]), length)
+    key = _word_rows(data, np.concatenate([us, vs]), np.concatenate([ue - us, ve - vs]))
     if key is None:
         return None
 
@@ -364,14 +358,15 @@ def _bulk_rows(
     used[u_cls] = used[v_cls] = True
     used = np.flatnonzero(used)
     code = np.zeros(rep.size, dtype=np.int64)
-    code[used] = ids.intern(key[rep[used]], length[rep[used]])
+    code[used] = np.arange(used.size)
+    ids = key[rep[used]]
     del key
 
     short_or_long = np.flatnonzero((ntok != 0) & (ntok != 3)) + first_line
     rejects = [(line, "expected three columns") for line in short_or_long.tolist()]
     rejects += [(int(rows3[i]) + first_line, reason) for i, reason in bad.items()]
     rejects.sort()  # one reject per line
-    return _Rows(code[u_cls], code[v_cls], t[ok], rejects, int(np.count_nonzero(ntok)))
+    return _Rows(code[u_cls], code[v_cls], t[ok], rejects, int(np.count_nonzero(ntok)), ids)
 
 
 def _word_rows(data: bytes, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -406,7 +401,11 @@ def _row_classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     share the hash's kept high bits, np.unique classes the whole rows
     instead."""
     n = words.shape[0]
-    hashed = _row_hash(words)
+    hashed = words[:, 0]
+    for j in range(1, words.shape[1]):
+        hashed = (hashed ^ (hashed >> np.uint64(29))) * _MIX ^ words[:, j]
+    # the last mix carries every byte, low ones included, into the high bits
+    hashed = (hashed ^ (hashed >> np.uint64(29))) * _MIX
     bits = np.uint64(max(n - 1, 0).bit_length())
     low = (np.uint64(1) << bits) - np.uint64(1)
     keys = np.sort(hashed & ~low | np.arange(n, dtype=np.uint64))
@@ -427,15 +426,6 @@ def _row_classes(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cls, rep
 
 
-def _row_hash(words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of words, equal for equal rows."""
-    hashed = words[:, 0]
-    for j in range(1, words.shape[1]):
-        hashed = (hashed ^ (hashed >> np.uint64(29))) * _MIX ^ words[:, j]
-    # the last mix carries every byte, low ones included, into the high bits
-    return (hashed ^ (hashed >> np.uint64(29))) * _MIX
-
-
 def _names(words: np.ndarray) -> list[str]:
     """The ids held as rows of NUL-padded 8-byte words: each row's bytes
     and a newline (no id holds one), NULs deleted, decoded and split."""
@@ -445,124 +435,46 @@ def _names(words: np.ndarray) -> list[str]:
     return text.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass").split("\n")[:-1]
 
 
-class _Ids:
-    """Provisional node indexes of one parse, each distinct id interned once.
+def _interned(blocks: list[_Rows]) -> _Rows:
+    """The blocks as one _Rows whose ids hold each distinct id of the
+    parse once, and whose codes index them.
 
-    The numpy blocks' ids go into a table of rows of 8-byte words, one
-    group per word count: equal ids are of equal length, so each id is
-    kept at its own word count, not padded to its block's longest id.
-    The first numpy block's classes become the table's first entries,
-    tabled only when a second numpy block comes, so one block costs
-    nothing more.  A later block's distinct ids are looked up by their
-    _row_hash in their group's runs, and a hit counts only when its
-    words equal the id's; only the misses are decoded, and they become
-    a new run.  A group's runs are sorted by hash, and a run is merged
-    into the one before it while that one is not twice its size, so a
-    group has O(log ids) runs and an id is merged O(log ids) times.  If
-    an id's hash matches an entry of other words (distinct ids whose
-    hashes agree), the table is dropped, and the names of that block and
-    every later one go through index, as many times as blocks hold them.
-
-    While every block takes the numpy path, an id's provisional index is
-    its entry's number and names lists the ids in that order; no dict is
-    built.  A row-loop or csv block needs one: as_dict turns names into
-    index (id -> provisional index), and from then on an id new to the
-    table goes through index.setdefault, once per parse."""
-
-    def __init__(self):
-        self.names: list | None = []
-        self.index: dict | None = None
-        self.runs: dict | None = {}  # word count -> [(hash, code, words)], each sorted by hash
-        self.first = None  # the first numpy block's (words, length, code), until it is tabled
-
-    def __len__(self) -> int:
-        return len(self.names if self.index is None else self.index)
-
-    def __iter__(self):
-        """The ids in provisional index order."""
-        return iter(self.names if self.index is None else self.index)
-
-    def as_dict(self) -> dict:
-        if self.index is None:
-            self.index = dict(zip(self.names, range(len(self.names))))
-            self.names = None
-        return self.index
-
-    def intern(self, words: np.ndarray, length: np.ndarray) -> np.ndarray:
-        """Provisional indexes of distinct ids held as rows of NUL-padded
-        8-byte words, length bytes long each."""
-        if self.runs is None:
-            return self._new(_names(words))
-        if not self.runs and self.first is None:
-            code = self._new(_names(words))
-            self.first = words, length, code
-            return code
-        if self.first is not None:
-            words_1, length_1, code_1 = self.first
-            self.first = None
-            for at, w, rows in _word_groups(words_1, length_1):
-                self._add(w, _row_hash(rows), code_1[at], rows)
-        code = np.empty(length.size, dtype=np.int64)
-        for at, w, rows in _word_groups(words, length):
-            hashed = _row_hash(rows)
-            found = self._find(w, hashed, rows)
-            if found is None:
-                self.runs = None
-                self.as_dict()
-                return self._new(_names(words))
-            new = np.flatnonzero(found < 0)
-            found[new] = self._new(_names(rows[new]))
-            self._add(w, hashed[new], found[new], rows[new])
-            code[at] = found
-        return code
-
-    def _new(self, names: list) -> np.ndarray:
-        """Provisional indexes of names no earlier entry of the table holds."""
-        if self.index is None:
-            start = len(self.names)
-            self.names += names
-            return np.arange(start, len(self.names))
-        # one setdefault(name, len(index)) per name: map calls len just before it
-        index = self.index
-        return np.fromiter(
-            map(index.setdefault, names, map(len, repeat(index))), np.int64, len(names)
-        )
-
-    def _find(self, w: int, hashed: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
-        """Each row's provisional index in group w, -1 for a row not there;
-        None when a row's hash matches an entry of other words."""
-        found = np.full(hashed.size, -1)
-        for run_hash, run_code, run_rows in self.runs.get(w, ()):
-            at = np.minimum(np.searchsorted(run_hash, hashed), run_hash.size - 1)
-            hit = np.flatnonzero(run_hash[at] == hashed)
-            at = at[hit]
-            if not np.array_equal(run_rows[at], rows[hit]):
-                return None
-            found[hit] = run_code[at]
-        return found
-
-    def _add(self, w: int, hashed: np.ndarray, code: np.ndarray, rows: np.ndarray) -> None:
-        if not hashed.size:
-            return
-        runs = self.runs.setdefault(w, [])
-        order = np.argsort(hashed)
-        run = hashed[order], code[order], rows[order]
-        while runs and runs[-1][0].size < 2 * run[0].size:
-            # a stable sort of two sorted runs is a merge
-            last = runs.pop()
-            order = np.argsort(np.concatenate([last[0], run[0]]), kind="stable")
-            run = tuple(np.concatenate(pair)[order] for pair in zip(last, run))
-        runs.append(run)
-
-
-def _word_groups(words: np.ndarray, length: np.ndarray):
-    """(at, w, rows) per word count w of the ids held as rows of words,
-    length bytes long each: the positions of the ids of w words (at
-    least one), and their first w words."""
-    n_words = np.maximum(-(-length // 8), 1)
-    for w in np.unique(n_words).tolist():
-        at = np.flatnonzero(n_words == w)
-        yield at, w, words[at, :w]
+    The numpy blocks' ids are classed together, one _row_classes per word
+    count: equal ids are of equal length, so each id keeps its own width,
+    not its block's widest.  Only each class's first row is decoded.  If
+    a row-loop or csv block exists, its names and the classes' names then
+    go through one dict."""
+    tables = [blk.ids for blk in blocks if isinstance(blk.ids, np.ndarray)]
+    none = np.empty(0, dtype=np.int64)
+    # no id holds a NUL, so every word of an id is nonzero and its padding zero
+    width = np.concatenate([none, *(np.count_nonzero(t, axis=1) for t in tables)])
+    stops = np.cumsum([0, *map(len, tables)]).tolist()
+    code = np.empty(width.size, dtype=np.int64)
+    names = []
+    for w in np.flatnonzero(np.bincount(width)).tolist():
+        own = width == w
+        rows = [t[own[a:b], :w] for t, a, b in zip(tables, stops, stops[1:]) if t.shape[1] >= w]
+        rows = np.concatenate(rows)
+        cls, rep = _row_classes(rows)
+        code[own] = cls + len(names)
+        names += _names(rows[rep])
+    index = None if len(tables) == len(blocks) else dict(zip(names, range(len(names))))
+    # filled block by block: a list of mapped blocks would hold two more arrays per block
+    eu, ev = (np.empty(sum(blk.et.size for blk in blocks), dtype=np.int64) for _ in range(2))
+    spans = zip(stops, stops[1:])  # each numpy block's codes, in block order
+    end = 0
+    for blk in blocks:
+        if isinstance(blk.ids, list):
+            to = np.array([index.setdefault(x, len(index)) for x in blk.ids], dtype=np.int64)
+        else:
+            to = code[slice(*next(spans))]
+        n = blk.et.size
+        eu[end : end + n], ev[end : end + n] = to[blk.eu], to[blk.ev]
+        end += n
+    et = np.concatenate([none, *(blk.et for blk in blocks)])
+    rejects = [r for blk in blocks for r in blk.rejects]
+    seen = sum(blk.seen for blk in blocks)
+    return _Rows(eu, ev, et, rejects, seen, names if index is None else list(index))
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
@@ -586,10 +498,10 @@ def _first_positions(values: np.ndarray) -> np.ndarray:
     return np.sort(pos[np.flatnonzero(np.diff(keys >> bits, prepend=-1))])
 
 
-def _index_events(rows: _Rows, ids: _Ids) -> TemporalEdgeList:
+def _index_events(rows: _Rows) -> TemporalEdgeList:
     """Check the reject share, then sort, deduplicate and relabel the
-    events; ids lists the ids in provisional index order."""
-    eu, ev, et, rejects, seen = rows
+    events, whose codes index rows.ids."""
+    eu, ev, et, rejects, seen, ids = rows
     if seen == 0 or not et.size:
         raise ValueError("no usable edge events in input")
     if len(rejects) > 0.10 * seen:

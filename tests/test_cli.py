@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, files written, determinism."""
 
 import argparse
+import codecs
 import io
 import json
 import os
@@ -765,6 +766,38 @@ def test_undecodable_input_names_the_file(argv, message, tmp_path, capsys):
     assert stdout == "" and "Traceback" not in err
     assert err.startswith(message.format(data)) and err.count("\n") == 1
     assert not out.exists()
+
+
+def _edge_text():
+    buf = io.StringIO()
+    write_edge_list(three_star_mixture().graph, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["ingest", "--data", "in", "--snapshot-times", "2,3"], "a b 1\nb c 2\nc a 3\n"),
+        (["ingest", "--data", "in", "--snapshot-times", "2"], "u,v,t\na,b,1\nb,c,2\n"),
+        (["estimate", "--input", "in"], _edge_text()),
+        (["generate", "--config", "in"], "{" + _GOOD_CONFIG + "}"),
+    ],
+    ids=["events", "csv-events", "edge-list", "generate-config"],
+)
+def test_byte_order_mark_reads_as_the_unmarked_file(argv, text, tmp_path, monkeypatch, capsys):
+    # a file saved with a UTF-8 byte order mark gives the same files and
+    # stdout: the mark is neither part of the first id nor of the header
+    runs = []
+    for mark in (b"", codecs.BOM_UTF8):
+        run = tmp_path / ("marked" if mark else "plain")
+        run.mkdir()
+        (run / "in").write_bytes(mark + text.encode())
+        monkeypatch.chdir(run)
+        assert main(["--out", "o", *argv]) == 0
+        files = {path.name: path.read_bytes() for path in (run / "o").iterdir()}
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+    assert runs[0][1]
 
 
 @pytest.mark.parametrize(

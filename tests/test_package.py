@@ -75,3 +75,54 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     code = "import sys, graphmix.cli; print('concurrent.futures.process' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+def _reads(tree) -> set:
+    """The bare names a module reads, and the strings its __all__ lists."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return names
+
+
+def _defined(node) -> list:
+    """The names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(node, ast.AnnAssign):
+        return [node.target.id] if isinstance(node.target, ast.Name) else []
+    return []
+
+
+def test_no_dead_private_names_or_unused_imports():
+    # a module-level _name that nothing in the package reads, or an import
+    # its own module never uses, is code a change left behind
+    root = pathlib.Path(graphmix.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    read_anywhere = set().union(*map(_reads, trees.values()))
+    dead = []
+    for stem, tree in trees.items():
+        dead += [
+            (stem, name)
+            for node in tree.body
+            for name in _defined(node)
+            if name.startswith("_") and not name.startswith("__") and name not in read_anywhere
+        ]
+        read_here = _reads(tree)
+        dead += [
+            (stem, "import " + alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+            and (alias.asname or alias.name.partition(".")[0]) not in read_here
+        ]
+    assert dead == []

@@ -456,8 +456,8 @@ def test_ids_shared_across_a_row_loop_block(row):
 
 
 def test_ids_are_decoded_once_per_parse():
-    # numpy blocks of 3 rows over 12 ids: each id is decoded once, in the
-    # block it first occurs in, and no dict is built
+    # numpy blocks of 3 rows over 12 ids: each id is decoded once per
+    # parse, not once per block, and the row loop never runs
     rng = np.random.default_rng(0)
     pairs = rng.choice(12, (60, 2), replace=True)
     lines = [f"id{a}x{'y' * (a % 11)} id{b}x{'y' * (b % 11)} {t}" for t, (a, b) in enumerate(pairs)]
@@ -470,7 +470,7 @@ def test_ids_are_decoded_once_per_parse():
 
     with mock.patch.object(temporal, "_BLOCK_ROWS", 3), \
             mock.patch.object(temporal, "_names", side_effect=decode), \
-            mock.patch.object(temporal._Ids, "as_dict", side_effect=AssertionError("dict")):
+            mock.patch.object(temporal, "_scan_rows", side_effect=AssertionError("row loop")):
         tel = parse_edge_events(lines)
     assert sorted(decoded) == sorted(tel.node_ids)
     assert matches_reference(tel, lines, "whitespace3col")
@@ -726,13 +726,17 @@ def test_parse_matches_reference(fmt, data):
     lines = data.draw(event_lines(fmt))
     # small blocks put block boundaries, and ids seen in earlier blocks, in
     # reach; a small character cap splits blocks into row slices; a zero
-    # packing limit takes the deduplication that packs no positions
+    # packing limit takes the deduplication that packs no positions; a zero
+    # multiplier hashes every id to 0, so ids of one block and of different
+    # blocks collide
     block_rows = data.draw(st.sampled_from([3, 16, temporal._BLOCK_ROWS]))
     block_chars = data.draw(st.sampled_from([24, 200, temporal._BLOCK_CHARS]))
     packed_limit = data.draw(st.sampled_from([0, temporal._PACKED_LIMIT]))
+    mix = data.draw(st.sampled_from([np.uint64(0), temporal._MIX]))
     with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows), \
             mock.patch.object(temporal, "_BLOCK_CHARS", block_chars), \
-            mock.patch.object(temporal, "_PACKED_LIMIT", packed_limit):
+            mock.patch.object(temporal, "_PACKED_LIMIT", packed_limit), \
+            mock.patch.object(temporal, "_MIX", mix):
         tel = parse_edge_events(lines)
     events, node_ids, first_t, rejects = reference_parse(lines, fmt)
     assert tel.events == tuple(events)
