@@ -29,8 +29,6 @@ __all__ = [
     "DegreeSpectrum",
     "degree_spectrum",
     "edge_density",
-    "square_degree_ratio",
-    "max_degree_ratio",
     "top_k_degrees",
     "component_labels",
     "write_edge_list",
@@ -279,22 +277,6 @@ def edge_density(g: Graph) -> float:
     if g.node_count == 0:
         raise ValueError("density undefined for the empty node set")
     return 2.0 * g.edge_count / float(g.node_count) ** 2
-
-
-def square_degree_ratio(g: Graph) -> float:
-    """sum(deg^2) / (sum deg)^2; detects star-like degree concentration."""
-    deg = g.degrees()
-    total = deg.sum()
-    if total == 0:
-        raise ValueError("square_degree_ratio undefined without edges")
-    return float((deg.astype(np.float64) ** 2).sum()) / float(total) ** 2
-
-
-def max_degree_ratio(g: Graph) -> float:
-    """max degree / edge count."""
-    if g.edge_count == 0:
-        raise ValueError("max_degree_ratio undefined without edges")
-    return float(g.degrees().max()) / float(g.edge_count)
 
 
 def top_k_degrees(spectrum: DegreeSpectrum, k: int) -> np.ndarray:

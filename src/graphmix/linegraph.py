@@ -1,11 +1,10 @@
-"""Line graphs, their inverses on disjoint-clique inputs, and sparsity tests.
+"""Line graphs, their inverses on disjoint-clique inputs, and star forests.
 
 The inverse line graph is only taken on graphs whose components are all
 cliques; clique K_c maps back to the star K_{1,c} and an isolated vertex
 maps to a single disconnected edge.  The triangle is genuinely ambiguous
 (K_3 is the line graph of both K_3 and K_{1,3}); the star preimage is
-chosen so the output is always a star forest.  classify_sequence reads
-each graph's evidence from the degree ratios that graph defines.
+chosen so the output is always a star forest.
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    _Fresh,
-    _graph_from_state,
-    component_labels,
-    max_degree_ratio,
-    square_degree_ratio,
-)
+from .graph import Graph, _Fresh, _graph_from_state, component_labels
 
 __all__ = [
     "StructureError",
@@ -30,7 +22,6 @@ __all__ = [
     "decompose_disjoint_cliques",
     "star_forest",
     "inverse_line_graph_disjoint",
-    "classify_sequence",
 ]
 
 
@@ -156,30 +147,3 @@ def inverse_line_graph_disjoint(h: Graph) -> Graph:
     """
     dec = decompose_disjoint_cliques(h)
     return star_forest(dec.clique_sizes, isolated_edges=dec.isolated_count)[0]
-
-
-@dataclass(frozen=True)
-class _SequenceEvidence:
-    """Trailing-window evidence that a graph sequence stays line-graph sparse."""
-
-    square_degree_evidence: float
-    max_degree_evidence: float
-
-
-def classify_sequence(graphs) -> _SequenceEvidence:
-    """Evidence that a graph sequence stays line-graph sparse.
-
-    Membership in the sparse family is an asymptotic property, so this
-    reports evidence in [0, 1], never a verdict: the minimum over the
-    trailing half of the sequence of 4 * square_degree_ratio = sum(d^2)/m^2
-    (clipped to 1; star sequences saturate it) and of max_degree_ratio =
-    max_degree/m.  An edgeless graph there raises ValueError.
-    """
-    gs = list(graphs)
-    if not gs:
-        raise ValueError("need at least one graph")
-    tail = gs[len(gs) - (len(gs) + 1) // 2 :]
-    return _SequenceEvidence(
-        square_degree_evidence=min(1.0, *(4.0 * square_degree_ratio(g) for g in tail)),
-        max_degree_evidence=min(1.0, *(max_degree_ratio(g) for g in tail)),
-    )

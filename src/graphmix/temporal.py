@@ -80,11 +80,9 @@ class TemporalEdgeList:
     @property
     def events(self) -> tuple:
         """(u_id, v_id, t) per kept event, with the original id strings."""
-        return tuple(self._id_rows())
-
-    def _id_rows(self):
         ids = np.asarray(self.node_ids, dtype=object)
-        return zip(ids[self.edge_u].tolist(), ids[self.edge_v].tolist(), self.edge_t.tolist())
+        u, v = ids[self.edge_u].tolist(), ids[self.edge_v].tolist()
+        return tuple(zip(u, v, self.edge_t.tolist()))
 
     @property
     def t_min(self) -> int:
@@ -98,8 +96,9 @@ class TemporalEdgeList:
 def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     """Parse, clean and index a stream of "u v t" events.
 
-    The first row alone decides the format: if csv reads it as the cells
-    u, v, t (stripped, any case), it is a header and the rest is CSV;
+    A U+FEFF (byte order mark) that starts a str first row is dropped.
+    That row alone decides the format: if csv reads it as the cells u,
+    v, t (stripped, any case), it is a header and the rest is CSV;
     otherwise every row, the first included, is whitespace-split.  Blank
     rows are skipped; a row is rejected when it has other than three
     columns, a timestamp that is not an integer inside int64, or u == v.
@@ -111,19 +110,20 @@ def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     more than _BLOCK_CHARS characters in equal row slices; the result
     does not depend on the block size.  A CSV block is split this way,
     with commas as spaces, when its rows hold no quote, no carriage
-    return and no newline but at their end, and every non-blank row has
-    one token per cell; csv reads the block otherwise, and from the
-    first block with a quote or such a line break csv reads the rest of
-    the input.  Each block codes its own ids; at the end of the parse,
-    _interned classes the ids of all blocks in one step, so each
-    distinct id gets one index and is decoded once.
+    return and no newline but at their end, no cell of more bytes than
+    csv.field_size_limit(), and every non-blank row has one token per
+    cell; csv reads the block otherwise, and from the first block with
+    a quote or such a line break csv reads the rest of the input.  Each
+    block codes its own ids; at the end of the parse, _interned classes
+    the ids of all blocks in one step, so each distinct id gets one
+    index and is decoded once.
 
     Raises TemporalFormatError when more than 10% of data rows are
     unusable or a CSV record cannot be read, and ValueError when nothing
     usable remains at all.
     """
     rows = iter(lines)
-    head = list(islice(rows, 1))
+    head = [r.removeprefix("\ufeff") if isinstance(r, str) else r for r in islice(rows, 1)]
     try:  # bytes rows, and text csv cannot read, are no header
         header = [c.strip().lower() for c in next(csv.reader(head), [])]
     except csv.Error:
@@ -284,7 +284,8 @@ def _bulk_rows(
     None when that would not split the rows as str.split or csv does:
     rows that are not str (data is None), a NUL or a non-ASCII space in
     the text, or with commas a non-blank row whose token count is not
-    its comma count plus one (an empty cell, or a blank inside one).
+    its comma count plus one (an empty cell, or a blank inside one) or a
+    cell, comma to comma, of more bytes than csv.field_size_limit().
     It also returns None when the id-word table, one row per id as wide
     as the longest id, would outgrow _KEY_BYTES_PER_BYTE bytes per byte
     of the block plus _KEY_BYTES_SLACK (one long id among many short
@@ -304,7 +305,10 @@ def _bulk_rows(
         return None
     row_ends = row_ends[: n_rows + 1]
     if commas:
-        cells = np.diff(np.searchsorted(sep[b[sep] == ord(",")], row_ends)) + 1
+        cut = sep[(b[sep] == 0) | (b[sep] == ord(","))]  # the NULs and commas around cells
+        if np.diff(cut).max() > csv.field_size_limit() + 1:  # a cell longer than csv reads
+            return None
+        cells = np.diff(np.searchsorted(cut[b[cut] == ord(",")], row_ends)) + 1
     gap = np.flatnonzero(np.diff(sep) > 1)
     starts, ends = sep[gap] + 1, sep[gap + 1]
     del sep, gap
@@ -585,13 +589,8 @@ def _text_rows(texts: list[str], end: str) -> tuple[np.ndarray | None, np.ndarra
     data = (end.join(texts) + end).encode("utf-8", "surrogatepass")
     stop = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(end)) + 1
     if stop.size != len(texts):  # some text holds end
-        stop = np.cumsum(
-            np.fromiter(
-                (len(f"{x}{end}".encode("utf-8", "surrogatepass")) for x in texts),
-                np.int64,
-                len(texts),
-            )
-        )
+        sizes = [len(f"{x}{end}".encode("utf-8", "surrogatepass")) for x in texts]
+        stop = np.cumsum(sizes, dtype=np.int64)
     size = np.diff(stop, prepend=0)
     return _word_rows(data + bytes(7), stop - size, size), size
 

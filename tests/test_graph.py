@@ -16,9 +16,7 @@ from graphmix import (
     GraphFormatError,
     degree_spectrum,
     edge_density,
-    max_degree_ratio,
     read_edge_list,
-    square_degree_ratio,
     star_forest,
     top_k_degrees,
     write_edge_list,
@@ -33,10 +31,6 @@ def complete_graph(n):
 
 def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def random_graph(rng, n_max=12):
@@ -349,22 +343,6 @@ def test_edge_density_values():
         edge_density(Graph(0))
 
 
-def test_square_degree_ratio_values():
-    assert square_degree_ratio(star(4)) == pytest.approx(0.3125)
-    assert square_degree_ratio(complete_graph(4)) == pytest.approx(0.25)
-    assert square_degree_ratio(path(3)) == pytest.approx(0.375)
-    with pytest.raises(ValueError):
-        square_degree_ratio(Graph(3))
-
-
-def test_max_degree_ratio_values():
-    assert max_degree_ratio(star(4)) == 1.0
-    assert max_degree_ratio(complete_graph(4)) == 0.5
-    assert max_degree_ratio(path(5)) == 0.5
-    with pytest.raises(ValueError):
-        max_degree_ratio(Graph(3))
-
-
 def test_top_k_degrees():
     spec = DegreeSpectrum([5, 300, 100, 5, 200])
     assert top_k_degrees(spec, 3).tolist() == [300, 200, 100]
@@ -382,10 +360,10 @@ def test_degree_sum_and_ratio_inequality():
     rng = np.random.default_rng(10)
     for _ in range(200):
         g = random_graph(rng)
-        deg = g.degrees()
+        deg = g.degrees().astype(np.float64)
         assert deg.sum() == 2 * g.edge_count
-        lhs = max_degree_ratio(g) ** 2
-        assert lhs <= 4.0 * square_degree_ratio(g) + 1e-12
+        lhs = (deg.max() / g.edge_count) ** 2
+        assert lhs <= 4.0 * (deg**2).sum() / deg.sum() ** 2 + 1e-12
 
 
 def test_degree_spectrum_is_pure():

@@ -1,4 +1,4 @@
-"""Line graph, inverse on disjoint cliques, and sparsity evidence."""
+"""Line graph, inverse on disjoint cliques, and star forests."""
 
 import copy
 import pickle
@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from graphmix import (
     Graph,
     StructureError,
-    classify_sequence,
     component_labels,
     decompose_disjoint_cliques,
     inverse_line_graph_disjoint,
     line_graph,
-    parse_graphon,
-    sample_w_random_graph,
     star_forest,
 )
 
@@ -356,59 +353,3 @@ def test_round_trip_random_star_forests():
         assert s2.node_count == s.node_count
         assert s2.edge_count == s.edge_count
         assert component_edge_counts(s2) == component_edge_counts(s)
-
-
-def test_classify_growing_stars_saturates():
-    # K_{1,i}: m=i, d_max=i, sum d^2 = i^2 + i
-    ev = classify_sequence(star_forest([i])[0] for i in range(2, 51))
-    assert ev.square_degree_evidence == 1.0
-    assert ev.max_degree_evidence == 1.0
-
-
-def test_classify_dense_sequence_vanishes():
-    w = parse_graphon("const:0.5")
-    graphs = [sample_w_random_graph(w, n, np.random.default_rng(n)) for n in range(20, 201, 20)]
-    ev = classify_sequence(graphs)
-    assert ev.square_degree_evidence < 0.1
-    assert ev.max_degree_evidence < 0.1
-
-
-def test_classify_paths_scale_like_4_over_n():
-    ev = classify_sequence(
-        Graph(n, [(i, i + 1) for i in range(n - 1)]) for n in range(10, 101, 10)
-    )
-    assert ev.square_degree_evidence == pytest.approx(4.0 / 100.0, rel=0.2)
-
-
-def test_classify_needs_rows():
-    with pytest.raises(ValueError):
-        classify_sequence([])
-    with pytest.raises(ValueError):
-        classify_sequence([Graph(3)])
-
-
-def classify_rows_reference(rows):
-    """The row formula over (n, m, max_degree, sum_degree_squares) that
-    classify_sequence replaced."""
-    tail = rows[len(rows) - (len(rows) + 1) // 2 :]
-    sq = mx = 1.0
-    for n, m, d_max, sum_sq in tail:
-        sq = min(sq, min(1.0, float(sum_sq) / float(m) ** 2))
-        mx = min(mx, float(d_max) / float(m))
-    return sq, mx
-
-
-SEQUENCE_GRAPHS = st.one_of(
-    graphs().filter(lambda g: g.edge_count > 0),
-    st.lists(st.integers(1, 30), min_size=1, max_size=4).map(lambda s: star_forest(s)[0]),
-)
-
-
-@given(st.lists(SEQUENCE_GRAPHS, min_size=1, max_size=6))
-def test_classify_matches_the_row_formula(seq):
-    rows = [
-        (g.node_count, g.edge_count, int(g.degrees().max()), int((g.degrees() ** 2).sum()))
-        for g in seq
-    ]
-    ev = classify_sequence(seq)
-    assert (ev.square_degree_evidence, ev.max_degree_evidence) == classify_rows_reference(rows)

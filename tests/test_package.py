@@ -68,13 +68,32 @@ def test_private_names_cross_modules_only_by_allowlist():
     assert found == PRIVATE_IMPORTS
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # only run_suite with workers > 1 needs concurrent.futures.process
+def python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with this checkout's graphmix importable."""
     src = str(pathlib.Path(graphmix.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only run_suite with workers > 1 needs concurrent.futures.process
     code = "import sys, graphmix.cli; print('concurrent.futures.process' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = python("-c", code)
     assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+def test_console_entry_writes_the_fixture_and_fails_in_one_line(tmp_path):
+    # cli.entry is the console script's function; -m runs it as the script does
+    run = python("-m", "graphmix.cli", "--seed", "0", "--out", str(tmp_path), "fixture")
+    assert run.returncode == 0, run.stderr
+    bundled = pathlib.Path(__file__).parent / "data" / "synthetic_growth.events"
+    assert (tmp_path / "synthetic_growth.events").read_bytes() == bundled.read_bytes()
+    run = python("-m", "graphmix.cli", "estimate", "--input", str(tmp_path / "missing.edges"))
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
 
 
 def _reads(tree) -> set:

@@ -144,6 +144,15 @@ def test_csv_header_is_read_from_the_first_row(header):
     assert tel.rejects == ()
 
 
+def test_a_byte_order_mark_starting_the_first_row_is_dropped():
+    # a file read without utf-8-sig keeps the mark on its first row
+    for lines in (["a b 1", "b a 2", "a c 3"], ["u,v,t", "a,b,1"]):
+        assert parse_edge_events(["\ufeff" + lines[0], *lines[1:]]) == parse_edge_events(lines)
+    # only one mark, and only there: any other U+FEFF is part of its id
+    tel = parse_edge_events(["\ufeff\ufeffa b 1", "\ufeffc d 2"])
+    assert tel.node_ids == ("\ufeffa", "b", "\ufeffc", "d")
+
+
 @pytest.mark.parametrize(
     "lines, events, rejects",
     [
@@ -356,6 +365,25 @@ def test_one_long_id_keeps_the_parse_small(fmt):
     for field in dataclasses.fields(tel):
         assert np.array_equal(getattr(tel, field.name), getattr(slow, field.name))
     assert "x" * 10_000 in tel.node_ids
+
+
+@pytest.mark.parametrize("n", [1, 10])
+def test_a_csv_cell_beyond_the_csv_field_limit_fails_whatever_its_neighbours(n):
+    # csv refuses a cell longer than csv.field_size_limit(), and so does the
+    # parse, with or without the short rows that make its id table too wide
+    rows = ["u,v,t", "x" * 200_000 + ",y,1"] + [f"a{i},b{i},2" for i in range(n)]
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        reference_parse(rows, "csv3col")
+    with pytest.raises(TemporalFormatError, match="^line 2: field larger than field limit"):
+        parse_edge_events(rows)
+    limit = csv.field_size_limit(300_000)
+    try:
+        assert matches_reference(parse_edge_events(rows), rows, "csv3col")
+    finally:
+        csv.field_size_limit(limit)
+    # whitespace rows have no cell limit
+    spaced = [r.replace(",", " ") for r in rows[1:]]
+    assert matches_reference(parse_edge_events(spaced), spaced, "whitespace3col")
 
 
 def test_quote_free_csv_parses_in_bulk():
