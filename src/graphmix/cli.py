@@ -55,7 +55,7 @@ import numpy as np
 
 from .estimators import SegmentFit, estimate_partition, mape, retained_log_points
 from .graph import (
-    GraphFormatError, degree_spectrum, edge_density, read_edge_list, write_edge_list,
+    GraphFormatError, _count, degree_spectrum, edge_density, read_edge_list, write_edge_list,
 )
 from .graphon import parse_graphon
 from .masspartition import parse_mass_partition
@@ -175,13 +175,6 @@ def _staged(out: str):
 _GENERATE_KEYS = {"partition_u", "graphon_w", "schedule", "steps", "join", "seed"}
 
 
-def _config_int(cfg: dict, key: str, default: int, low: int) -> int:
-    value = cfg.get(key, default)
-    if type(value) is not int or value < low:
-        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
-
-
 def cmd_generate(args) -> int:
     try:
         with open(args.config, encoding="utf-8-sig") as f:
@@ -203,8 +196,8 @@ def cmd_generate(args) -> int:
         w = parse_graphon(cfg["graphon_w"])
         schedule = RatioSchedule(**cfg.get("schedule", {}))
         join = JoinConfig(*join_cfg.values())
-        steps = _config_int(cfg, "steps", 1, low=1)
-        seed = args.seed if args.seed is not None else _config_int(cfg, "seed", 0, low=0)
+        steps = _count(cfg.get("steps", 1), "steps", 1)
+        seed = args.seed if args.seed is not None else _count(cfg.get("seed", 0), "seed")
         sizes = schedule.sizes_for(u, steps)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad generate config: {exc}") from None

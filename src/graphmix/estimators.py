@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DegreeSpectrum, _fields_equal, top_k_degrees
+from .graph import DegreeSpectrum, _count, _fields_equal, top_k_degrees
 
 __all__ = [
     "AUTO_GAP_THRESHOLD",
@@ -57,8 +57,8 @@ def _check_forecast_input(train_top, n_train: int, n_test: int) -> np.ndarray:
     top = np.asarray(train_top, dtype=np.float64)
     if top.size and np.any(np.diff(top) > 0):
         raise ValueError("train_top must be non-increasing")
-    if n_train < 1 or n_test < 1:
-        raise ValueError("node counts must be positive")
+    _count(n_train, "n_train", 1)
+    _count(n_test, "n_test", 1)
     return top
 
 

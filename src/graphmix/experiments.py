@@ -38,7 +38,7 @@ from .estimators import (
     forecast_top_k,
     mape,
 )
-from .graph import DegreeSpectrum
+from .graph import DegreeSpectrum, _count
 from .graphon import parse_graphon
 from .masspartition import MassPartition, parse_mass_partition
 from .mixture import CapacityError, JoinConfig, MixtureSequence, _round_half_up, generate_mixture
@@ -237,12 +237,9 @@ def run_suite(
     suite = _SUITES[name]
     if replicates is None:
         replicates = suite.replicates
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    replicates, workers = _count(replicates, "replicates", 1), _count(workers, "workers", 1)
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be a positive finite number, got {scale}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     unknown = [exp for exp in experiments if exp not in _EXPERIMENT_IDS]
     if unknown:
         raise ValueError(

@@ -44,6 +44,13 @@ class GraphFormatError(ValueError):
 _KEY_NODE_LIMIT = 3_037_000_499
 
 
+def _count(value, name: str, low: int = 0) -> int:
+    """value as an int if it is a Python or numpy integer, not a bool, >= low."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _endpoint_array(raw: np.ndarray) -> np.ndarray:
     """raw as int64, or ValueError for non-integer or beyond-int64 values."""
     if raw.dtype.kind == "f":
@@ -122,10 +129,8 @@ class Graph:
     __slots__ = ("node_count", "edge_count", "_edges", "_degrees", "_rows")
 
     def __init__(self, node_count: int, edges=()):
-        if isinstance(node_count, bool) or not isinstance(node_count, (int, np.integer)):
-            raise ValueError(f"node_count must be an integer, got {node_count!r}")
-        node_count = int(node_count)
-        if not 0 <= node_count < 2**63:
+        node_count = _count(node_count, "node_count")
+        if node_count >= 2**63:
             raise ValueError("node_count out of range 0..2**63-1")
         arr = _canonical_edges(node_count, edges)
         _set_state(self, node_count, arr.shape[0], arr, None, None)
@@ -280,7 +285,7 @@ def edge_density(g: Graph) -> float:
 
 
 def top_k_degrees(spectrum: DegreeSpectrum, k: int) -> np.ndarray:
-    if k < 1 or k > spectrum.sorted_degrees.size:
+    if _count(k, "k", 1) > spectrum.sorted_degrees.size:
         raise ValueError(f"k={k} out of range 1..{spectrum.sorted_degrees.size}")
     return spectrum.sorted_degrees[:k].copy()
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _Fresh
+from .graph import Graph, _count, _Fresh
 from .masspartition import MassPartition, parse_mass_partition
 
 __all__ = [
@@ -111,9 +111,7 @@ def sample_w_random_graph(w: Graphon, n: int, rng: np.random.Generator) -> Graph
     the output does not depend on the block size.  Edges come out sorted,
     each block's flat hit indexes decoded by one divmod by its width.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xs = rng.random(n)
+    xs = rng.random(_count(n, "n", 1))
     return _graph_from_latents(w, xs, rng)
 
 

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .graph import Graph, _Fresh, _graph_from_state, component_labels
+from .graph import Graph, _count, _Fresh, _graph_from_state, component_labels
 
 __all__ = [
     "StructureError",
@@ -103,13 +103,7 @@ def star_forest(star_sizes, isolated_edges: int = 0) -> tuple[Graph, np.ndarray]
         raise ValueError("star sizes must be a flat (1-D) sequence of integers")
     if sizes.size and (sizes.dtype.kind not in "iu" or sizes.min() < 1):
         raise ValueError("star sizes must be integers >= 1")
-    if (
-        isinstance(isolated_edges, bool)
-        or not isinstance(isolated_edges, (int, np.integer))
-        or isolated_edges < 0
-    ):
-        raise ValueError(f"isolated_edges must be an integer >= 0, got {isolated_edges!r}")
-    isolated_edges = int(isolated_edges)
+    isolated_edges = _count(isolated_edges, "isolated_edges")
     leaf_count = sum(sizes.tolist())  # exact: int64 sums wrap
     node_count = leaf_count + sizes.size + 2 * isolated_edges
     if node_count >= 2**63:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import _fields_equal
+from .graph import _count, _fields_equal
 
 __all__ = [
     "MassPartition",
@@ -156,7 +156,8 @@ def _loglaw_weights(jmax: int) -> np.ndarray:
     return 1.0 / (j * np.log(j))
 
 def _factorial_weights(jmax: int) -> np.ndarray:
-    return np.array([1.0 / math.factorial(j) for j in range(2, jmax + 1)])
+    # 171! is past the largest float; its 1/j! terms are all below the floor
+    return np.array([1.0 / math.factorial(j) for j in range(2, min(jmax, 170) + 1)])
 
 
 def parse_mass_partition(text: str) -> MassPartition:
@@ -177,8 +178,8 @@ def parse_mass_partition(text: str) -> MassPartition:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             if kind == "mass":
                 vals = json.loads(rest)
-                if not isinstance(vals, list):
-                    raise ValueError("mass literal must be a JSON list")
+                if not isinstance(vals, list) or any(type(v) not in (int, float) for v in vals):
+                    raise ValueError("mass literal must be a JSON list of numbers")
                 return make_mass_partition(vals, rescale=False)
             if kind == "power":
                 a, jmin, jmax = rest.split(":")
@@ -205,9 +206,7 @@ def sample_clique_labels(p: MassPartition, m: int, rng: np.random.Generator) -> 
     Returns int labels; label j < len(p) means clique j, label len(p)
     means the leftover (isolated) region.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return p.locate(rng.random(m))
+    return p.locate(rng.random(_count(m, "m", 1)))
 
 
 def clique_size_counts(p: MassPartition, labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -228,8 +227,7 @@ def expected_hub_degree(
     """
     if not (0.0 < p_j <= 1.0):
         raise ValueError("p_j must be in (0, 1]")
-    if m_s < 1 or n_s < 1 or m_new < 0:
-        raise ValueError("m_s, n_s must be positive and m_new >= 0")
+    m_s, n_s, m_new = _count(m_s, "m_s", 1), _count(n_s, "n_s", 1), _count(m_new, "m_new")
     hit = 1.0 / n_s
     mean = m_s * p_j + m_new * hit
     var = m_s * p_j * (1.0 - p_j) + m_new * hit * (1.0 - hit)

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, _distinct_sorted, _fields_equal, _Fresh, component_labels
+from .graph import Graph, _count, _distinct_sorted, _fields_equal, _Fresh, component_labels
 from .graphon import Graphon, _graph_from_latents, sample_w_random_graph
 from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
@@ -326,8 +326,7 @@ def generate_mixture(
     sparse node count = m_sparse + #cliques + #isolated emerges from
     the draw.
     """
-    if n_dense < 1 or m_sparse < 1:
-        raise ValueError("n_dense and m_sparse must be >= 1")
+    n_dense, m_sparse = _count(n_dense, "n_dense", 1), _count(m_sparse, "m_sparse", 1)
     rng = rng if rng is not None else np.random.default_rng()
     g_d = sample_w_random_graph(w, n_dense, rng)
     labels = sample_clique_labels(u, m_sparse, rng)
@@ -353,12 +352,9 @@ class MixtureSequence:
         cfg: JoinConfig | None = None,
         seed=None,
     ):
-        self.sizes = [(int(a), int(b)) for a, b in sizes]
+        self.sizes = [(_count(a, "n_dense", 1), _count(b, "m_sparse", 1)) for a, b in sizes]
         if not self.sizes:
             raise ValueError("need at least one size")
-        for n_d, m_s in self.sizes:
-            if n_d < 1 or m_s < 1:
-                raise ValueError("sizes must be positive")
         self.u = u
         self.cfg = cfg or JoinConfig()
         n_max = max(n for n, _ in self.sizes)
@@ -462,9 +458,7 @@ class RatioSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if isinstance(self.a, bool) or not (math.isfinite(self.a) and self.a > 0):
             raise ValueError(f"schedule a must be finite and > 0, got {self.a}")
-        n = self.base_n_d
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"schedule base_n_d must be an integer >= 1, got {n}")
+        _count(self.base_n_d, "schedule base_n_d", 1)
 
     def ratio(self, i: int) -> float:
         if i < 1:
@@ -478,7 +472,7 @@ class RatioSchedule:
         """Target (n_dense, m_sparse) pairs; m_sparse is solved so the
         realized sparse node count lands near ratio(i) * n_dense(i)."""
         out = []
-        for i in range(1, steps + 1):
+        for i in range(1, _count(steps, "steps", 1) + 1):
             n_d = self.n_dense(i)
             n_s_target = max(1.0, self.ratio(i) * n_d)
             m_s = max(1, _round_half_up((n_s_target - len(u)) / (1.0 + u.leftover)))
@@ -499,9 +493,8 @@ def density_trajectory(
     Returns (index, node_count, density) rows; needs steps >= 2 to say
     anything about a trend.
     """
-    if steps < 2:
-        raise ValueError("need at least two steps for a trajectory")
-    seq = MixtureSequence(u, w, schedule.sizes_for(u, steps), cfg=cfg, seed=seed)
+    sizes = schedule.sizes_for(u, _count(steps, "steps", 2))
+    seq = MixtureSequence(u, w, sizes, cfg=cfg, seed=seed)
     out = []
     for i, mix in enumerate(seq):
         n = mix.n_dense + mix.n_sparse

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .graph import DegreeSpectrum, Graph, _fields_equal
+from .graph import DegreeSpectrum, Graph, _count, _fields_equal
 from .estimators import forecast_top_k, mape
 
 __all__ = [
@@ -628,8 +628,7 @@ def evaluation_run(
     and predicted degrees by rank.  Pairs reaching outside the observed
     time range are skipped with a warning.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _count(k, "k", 1)
     if min(horizons, default=0) < 0:
         raise ValueError("horizons must be >= 0")
     summary, detail = [], []

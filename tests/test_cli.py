@@ -113,6 +113,9 @@ _GOOD_CONFIG = (
         '"seed": -1',
         '"partition_u": "power:1.2:0:5"',
         '"partition_u": "geom:0:2:5"',
+        '"partition_u": "mass:[true]"',
+        '"partition_u": "mass:[0.2, false]"',
+        '"partition_u": "mass:[\\"0.5\\"]"',
     ],
     ids=lambda extra: extra.replace('"', ""),
 )
@@ -240,6 +243,11 @@ def test_estimate_bad_truth_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: bad --truth: bad partition literal 'power:1:2': "
         "not enough values to unpack (expected 3, got 2)\n"
+    )
+    assert main(["estimate", "--input", str(path), "--truth", "mass:[0.5, true]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad --truth: bad partition literal 'mass:[0.5, true]': "
+        "mass literal must be a JSON list of numbers\n"
     )
 
 

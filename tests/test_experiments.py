@@ -46,7 +46,7 @@ def test_suite_defaults_and_shape():
 
 @pytest.mark.parametrize("replicates", [0, -1])
 def test_suite_rejects_fewer_than_one_replicate(replicates):
-    with pytest.raises(ValueError, match=r"^replicates must be >= 1$"):
+    with pytest.raises(ValueError, match=rf"^replicates must be an integer >= 1, got {replicates}$"):
         run_suite("table1:topk", replicates=replicates, scale=0.05)
 
 
@@ -55,7 +55,7 @@ def test_suite_rejects_fewer_than_one_replicate(replicates):
     [
         (dict(scale=float("nan")), "scale must be a positive finite number, got nan"),
         (dict(scale=float("inf")), "scale must be a positive finite number, got inf"),
-        (dict(workers=0), "workers must be >= 1"),
+        (dict(workers=0), "workers must be an integer >= 1, got 0"),
     ],
     ids=["scale-nan", "scale-inf", "workers-0"],
 )

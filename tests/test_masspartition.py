@@ -93,6 +93,11 @@ def test_parse_factorial_literal():
     assert p.total == pytest.approx(1.0)
     assert len(p) < 49
     assert p[0] == pytest.approx(0.5 / (math.e - 2), rel=1e-9)
+    # 171! is past the largest float, so a larger jmax adds no term
+    last = parse_mass_partition("factorial:170")
+    assert last == p and len(last) == 16
+    for jmax in (171, 1000, 10**9):
+        assert parse_mass_partition(f"factorial:{jmax}") == last
 
 
 def test_parse_mass_literal_used_as_given():
@@ -120,6 +125,11 @@ def test_parse_bad_literals():
         ("loglaw:", "invalid literal for int() with base 10: ''"),
         ("geom:x:2:5", "could not convert string to float: 'x'"),
         ("mass:[2.0]", "weights sum to 2.0, must be <= 1"),
+        ("mass:{}", "mass literal must be a JSON list of numbers"),
+        ("mass:[true]", "mass literal must be a JSON list of numbers"),
+        ("mass:[0.2, false]", "mass literal must be a JSON list of numbers"),
+        ('mass:["0.5"]', "mass literal must be a JSON list of numbers"),
+        ("mass:[0.5, null]", "mass literal must be a JSON list of numbers"),
     ],
 )
 def test_bad_literal_errors_name_the_literal(text, reason):

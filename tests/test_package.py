@@ -1,13 +1,38 @@
-"""The package's public surface: one declaration per name."""
+"""The package's public surface: one declaration per name, and one rule
+for every count argument."""
 
 import ast
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import graphmix
+from graphmix import (
+    DegreeSpectrum,
+    Graph,
+    MixtureSequence,
+    RatioSchedule,
+    baseline_sqrt_predict,
+    density_trajectory,
+    evaluation_run,
+    expected_hub_degree,
+    generate_mixture,
+    parse_edge_events,
+    parse_graphon,
+    parse_mass_partition,
+    predict_top_k,
+    run_suite,
+    sample_clique_labels,
+    sample_w_random_graph,
+    star_forest,
+    top_k_degrees,
+)
 
 MODULES = (
     graphmix.estimators,
@@ -38,6 +63,14 @@ def test_package_exports_every_module_name():
 # every import of a _-prefixed name from another graphmix module; a new
 # one is added here on purpose, naming the one module that owns the name
 PRIVATE_IMPORTS = {
+    ("cli", "graph", "_count"),
+    ("estimators", "graph", "_count"),
+    ("experiments", "graph", "_count"),
+    ("graphon", "graph", "_count"),
+    ("linegraph", "graph", "_count"),
+    ("masspartition", "graph", "_count"),
+    ("mixture", "graph", "_count"),
+    ("temporal", "graph", "_count"),
     ("estimators", "graph", "_fields_equal"),
     ("graphon", "graph", "_Fresh"),
     ("linegraph", "graph", "_Fresh"),
@@ -145,3 +178,68 @@ def test_no_dead_private_names_or_unused_imports():
             and (alias.asname or alias.name.partition(".")[0]) not in read_here
         ]
     assert dead == []
+
+
+U = parse_mass_partition("mass:[0.5,0.3]")
+W = parse_graphon("const:0.5")
+SPECTRUM = DegreeSpectrum([3, 2, 2, 1])
+EVENTS = parse_edge_events(["a b 1", "b c 2", "c a 3"])
+SCHEDULE = RatioSchedule(base_n_d=5)
+
+
+def rng():
+    return np.random.default_rng(0)
+
+
+# each count argument -> (a call passing value as that count, the name its
+# error gives, the least count it takes)
+COUNTS = {
+    "Graph.node_count": (lambda v: Graph(v), "node_count", 0),
+    "star_forest.isolated_edges": (lambda v: star_forest([2], v), "isolated_edges", 0),
+    "top_k_degrees.k": (lambda v: top_k_degrees(SPECTRUM, v), "k", 1),
+    "sample_w_random_graph.n": (lambda v: sample_w_random_graph(W, v, rng()), "n", 1),
+    "sample_clique_labels.m": (lambda v: sample_clique_labels(U, v, rng()), "m", 1),
+    "expected_hub_degree.m_s": (lambda v: expected_hub_degree(0.5, v, 3, 4), "m_s", 1),
+    "expected_hub_degree.m_new": (lambda v: expected_hub_degree(0.5, 3, v, 4), "m_new", 0),
+    "expected_hub_degree.n_s": (lambda v: expected_hub_degree(0.5, 3, 3, v), "n_s", 1),
+    "generate_mixture.n_dense": (lambda v: generate_mixture(U, W, v, 5, rng=rng()), "n_dense", 1),
+    "generate_mixture.m_sparse": (
+        lambda v: generate_mixture(U, W, 5, v, rng=rng()), "m_sparse", 1
+    ),
+    "MixtureSequence.sizes.n_dense": (lambda v: MixtureSequence(U, W, [(v, 5)]), "n_dense", 1),
+    "MixtureSequence.sizes.m_sparse": (lambda v: MixtureSequence(U, W, [(5, v)]), "m_sparse", 1),
+    "RatioSchedule.base_n_d": (lambda v: RatioSchedule(base_n_d=v), "schedule base_n_d", 1),
+    "RatioSchedule.sizes_for.steps": (lambda v: SCHEDULE.sizes_for(U, v), "steps", 1),
+    "density_trajectory.steps": (
+        lambda v: density_trajectory(U, W, SCHEDULE, v, seed=0), "steps", 2
+    ),
+    "predict_top_k.n_train": (lambda v: predict_top_k([3, 2], v, 8), "n_train", 1),
+    "predict_top_k.n_test": (lambda v: predict_top_k([3, 2], 4, v), "n_test", 1),
+    "baseline_sqrt_predict.n_train": (
+        lambda v: baseline_sqrt_predict([3, 2], v, 8), "n_train", 1
+    ),
+    "run_suite.replicates": (
+        lambda v: run_suite("table1:finiteU", replicates=v, scale=0.03, experiments=(1,)),
+        "replicates",
+        1,
+    ),
+    "run_suite.workers": (
+        lambda v: run_suite(
+            "table1:finiteU", replicates=1, scale=0.03, experiments=(1,), workers=v
+        ),
+        "workers",
+        1,
+    ),
+    "evaluation_run.k": (lambda v: evaluation_run(EVENTS, [1], [1], v), "k", 1),
+}
+
+
+@pytest.mark.parametrize("call, name, low", COUNTS.values(), ids=COUNTS)
+def test_every_count_argument_takes_only_integers(call, name, low):
+    # a float is refused, not truncated: 20.9 must not make 20 dense nodes
+    for value in (2.5, 20.9, True, np.True_, "3", low - 1, np.int64(low - 1)):
+        message = f"{name} must be an integer >= {low}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    call(np.int64(max(low, 1)))
+    call(np.uint8(max(low, 1)))

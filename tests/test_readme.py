@@ -58,10 +58,12 @@ COMMANDS = [
 FILE_NAME = re.compile(r"^[\w./-]+\.[A-Za-z]\w*$")
 
 # each input file the README commands name -> what makes it from the README:
-# its ```json config, or the files its generate (the last graph) or fixture
-# command writes.  A command naming any other file fails the reach test.
+# its ```json config or ```csv events, or the files its generate (the last
+# graph) or fixture command writes.  A command naming any other file fails
+# the reach test.
 INPUTS = {
     "mixture.json": "json",
+    "events.csv": "csv",
     "g.edges": "generate",
     "events.txt": "fixture",
     "raw.events": "fixture",
@@ -94,11 +96,6 @@ LIBRARY_ONLY = {
         "tests/test_graphon.py::test_disjoint_clique_graphon_eval",
     "masspartition:_loglaw_weights": "tests/test_masspartition.py::test_parse_loglaw_literal",
     "masspartition:_factorial_weights": "tests/test_masspartition.py::test_parse_factorial_literal",
-    "temporal:_check_stamp": "tests/test_temporal.py::test_parse_rejects_bad_timestamp_under_cap",
-    "temporal:_csv_blocks": "tests/test_temporal.py::test_parse_csv_format",
-    "temporal:_csv_records":
-        "tests/test_temporal.py::test_csv_rejects_name_the_line_a_record_starts_on",
-    "temporal:_scan_rows": "tests/test_temporal.py::test_ids_shared_across_a_row_loop_block",
     "temporal:TemporalEdgeList.events": "tests/test_temporal.py::test_parse_basics",
     # the temporal writer, called by the temporal_forecast workload
     "temporal:serialize_edge_events": "tests/test_temporal.py::test_serialize_round_trip",
@@ -150,10 +147,12 @@ def run_command(argv):
 
 def make_inputs(where: Path) -> dict:
     """INPUTS' sources -> a file made by the README in the empty directory
-    where: its json config, the last graph its generate command writes,
-    and the file its fixture command writes."""
-    (where / "mixture.json").write_text(fenced("json")[0], encoding="utf-8")
-    made = {"json": where / "mixture.json"}
+    where: its json config, its csv events, the last graph its generate
+    command writes, and the file its fixture command writes."""
+    made = {}
+    for lang, name in (("json", "mixture.json"), ("csv", "events.csv")):
+        (where / name).write_text(fenced(lang)[0], encoding="utf-8")
+        made[lang] = where / name
     for name, pattern in (("generate", "*.edges"), ("fixture", "*.events")):
         (argv,) = [a for a in COMMANDS if cli.build_parser().parse_args(a).command == name]
         run_command(argv)
