@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DegreeSpectrum, _count, _fields_equal, top_k_degrees
+from .graph import DegreeSpectrum, _count, _fields_equal, _real, top_k_degrees
 
 __all__ = [
     "AUTO_GAP_THRESHOLD",
@@ -97,7 +97,7 @@ def _retained_degrees(spectrum: DegreeSpectrum, percentile: float) -> np.ndarray
     uniq = uniq[uniq > 0]
     if uniq.size == 0:
         raise ValueError("no positive degrees to scan")
-    uniq = uniq[uniq >= np.percentile(uniq, percentile)]
+    uniq = uniq[uniq >= np.percentile(uniq, _real(percentile, "percentile", 0, 100))]
     floor = int(uniq[:_MAX_UNIQUE][-1])
     sd = spectrum.sorted_degrees
     return sd[sd >= floor]
@@ -287,7 +287,7 @@ def retained_log_points(
     uniq = uniq[uniq > 0]
     if uniq.size == 0:
         raise ValueError("no positive degrees")
-    uniq = uniq[uniq > np.percentile(uniq, percentile)]
+    uniq = uniq[uniq > np.percentile(uniq, _real(percentile, "percentile", 0, 100))]
     ranks = 1.0 + np.searchsorted(-spectrum.sorted_degrees, -uniq)
     return ranks, np.log(uniq)
 

@@ -25,7 +25,6 @@ alone would sit near 4% MAPE.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,7 +37,7 @@ from .estimators import (
     forecast_top_k,
     mape,
 )
-from .graph import DegreeSpectrum, _count
+from .graph import DegreeSpectrum, _count, _real
 from .graphon import parse_graphon
 from .masspartition import MassPartition, parse_mass_partition
 from .mixture import CapacityError, JoinConfig, MixtureSequence, _round_half_up, generate_mixture
@@ -238,8 +237,7 @@ def run_suite(
     if replicates is None:
         replicates = suite.replicates
     replicates, workers = _count(replicates, "replicates", 1), _count(workers, "workers", 1)
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be a positive finite number, got {scale}")
+    scale = _real(scale, "scale", 0, low_open=True)
     unknown = [exp for exp in experiments if exp not in _EXPERIMENT_IDS]
     if unknown:
         raise ValueError(

@@ -18,6 +18,7 @@ Node counts and degrees must be integers, or ValueError is raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from typing import TextIO
 
@@ -49,6 +50,23 @@ def _count(value, name: str, low: int = 0) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
         return int(value)
     raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _real(value, name: str, low: float, high: float = math.inf, low_open: bool = False) -> float:
+    """value as a float if it is a finite Python or numpy real, not a bool
+    or str, in [low, high] ((low, high] when low_open)."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int beyond the float range
+            real = math.nan
+        if math.isfinite(real) and (low < real if low_open else low <= real) and real <= high:
+            return real
+    if high < math.inf:
+        span = f"in {'(' if low_open else '['}{low:g}, {high:g}]"
+    else:
+        span = f"{'>' if low_open else '>='} {low:g}"
+    raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
 
 
 def _endpoint_array(raw: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import _count, _fields_equal
+from .graph import _count, _fields_equal, _real
 
 __all__ = [
     "MassPartition",
@@ -225,8 +225,7 @@ def expected_hub_degree(
     which hits a given sparse node with probability 1/n_s (the edge
     multiplier c is already in m_new).
     """
-    if not (0.0 < p_j <= 1.0):
-        raise ValueError("p_j must be in (0, 1]")
+    p_j = _real(p_j, "p_j", 0, 1, low_open=True)
     m_s, n_s, m_new = _count(m_s, "m_s", 1), _count(n_s, "n_s", 1), _count(m_new, "m_new")
     hit = 1.0 / n_s
     mean = m_s * p_j + m_new * hit

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, _count, _distinct_sorted, _fields_equal, _Fresh, component_labels
+from .graph import Graph, _count, _distinct_sorted, _fields_equal, _Fresh, _real, component_labels
 from .graphon import Graphon, _graph_from_latents, sample_w_random_graph
 from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
@@ -69,9 +69,7 @@ class JoinConfig:
     edge_multiplier_c: float = 1.0
 
     def __post_init__(self):
-        c = self.edge_multiplier_c
-        if isinstance(c, bool) or not (math.isfinite(c) and c >= 0):
-            raise ValueError(f"edge_multiplier_c must be finite and >= 0, got {c}")
+        _real(self.edge_multiplier_c, "edge_multiplier_c", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,17 +454,14 @@ class RatioSchedule:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _RATIOS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if isinstance(self.a, bool) or not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"schedule a must be finite and > 0, got {self.a}")
+        _real(self.a, "schedule a", 0, low_open=True)
         _count(self.base_n_d, "schedule base_n_d", 1)
 
     def ratio(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("sequence index starts at 1")
-        return _RATIOS[self.kind](self.a, i)
+        return _RATIOS[self.kind](self.a, _count(i, "i", 1))
 
     def n_dense(self, i: int) -> int:
-        return self.base_n_d * i
+        return self.base_n_d * _count(i, "i", 1)
 
     def sizes_for(self, u: MassPartition, steps: int) -> list[tuple[int, int]]:
         """Target (n_dense, m_sparse) pairs; m_sparse is solved so the

@@ -53,8 +53,8 @@ def test_suite_rejects_fewer_than_one_replicate(replicates):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(scale=float("nan")), "scale must be a positive finite number, got nan"),
-        (dict(scale=float("inf")), "scale must be a positive finite number, got inf"),
+        (dict(scale=float("nan")), "scale must be a finite number > 0, got nan"),
+        (dict(scale=float("inf")), "scale must be a finite number > 0, got inf"),
         (dict(workers=0), "workers must be an integer >= 1, got 0"),
     ],
     ids=["scale-nan", "scale-inf", "workers-0"],

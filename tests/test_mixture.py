@@ -46,7 +46,7 @@ def fixed_dense(n=50, m=100, seed=0):
 
 def test_join_config_validation():
     for c in (-0.1, math.inf, math.nan, True, False):
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        with pytest.raises(ValueError, match="finite number >= 0"):
             JoinConfig(edge_multiplier_c=c)
 
 

@@ -1,5 +1,5 @@
-"""The package's public surface: one declaration per name, and one rule
-for every count argument."""
+"""The package's public surface: one declaration per name, loaded on first
+use, and one rule for every count and every real argument."""
 
 import ast
 import itertools
@@ -16,10 +16,16 @@ import graphmix
 from graphmix import (
     DegreeSpectrum,
     Graph,
+    JoinConfig,
     MixtureSequence,
     RatioSchedule,
     baseline_sqrt_predict,
     density_trajectory,
+    estimate_k_finite,
+    estimate_k_infinite,
+    estimate_partition,
+    estimate_partition_finite,
+    estimate_partition_infinite,
     evaluation_run,
     expected_hub_degree,
     generate_mixture,
@@ -31,6 +37,7 @@ from graphmix import (
     sample_clique_labels,
     sample_w_random_graph,
     star_forest,
+    retained_log_points,
     top_k_degrees,
 )
 
@@ -71,6 +78,10 @@ PRIVATE_IMPORTS = {
     ("masspartition", "graph", "_count"),
     ("mixture", "graph", "_count"),
     ("temporal", "graph", "_count"),
+    ("estimators", "graph", "_real"),
+    ("experiments", "graph", "_real"),
+    ("masspartition", "graph", "_real"),
+    ("mixture", "graph", "_real"),
     ("estimators", "graph", "_fields_equal"),
     ("graphon", "graph", "_Fresh"),
     ("linegraph", "graph", "_Fresh"),
@@ -115,6 +126,40 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     code = "import sys, graphmix.cli; print('concurrent.futures.process' in sys.modules)"
     run = python("-c", code)
     assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+def test_package_loads_its_modules_on_first_use():
+    code = """if True:
+        import sys
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("graphmix."))
+
+        import graphmix
+        print(loaded())
+        from graphmix import Graph
+        print(loaded())
+        # a later module's name loads the modules ahead of its owner too
+        from graphmix import parse_edge_events
+        print(loaded())
+        namespace = {}
+        exec("from graphmix import *", namespace)
+        print(sorted(set(namespace) - {"__builtins__"}) == graphmix.__all__, len(graphmix.__all__))
+        try:
+            graphmix.nope
+        except AttributeError as exc:
+            print(exc)
+    """
+    run = python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "[]",
+        "['graphmix.graph']",
+        "['graphmix.estimators', 'graphmix.graph', 'graphmix.graphon', 'graphmix.linegraph',"
+        " 'graphmix.masspartition', 'graphmix.mixture', 'graphmix.temporal']",
+        "True 57",
+        "module 'graphmix' has no attribute 'nope'",
+    ]
 
 
 def test_console_entry_writes_the_fixture_and_fails_in_one_line(tmp_path):
@@ -210,6 +255,8 @@ COUNTS = {
     "MixtureSequence.sizes.m_sparse": (lambda v: MixtureSequence(U, W, [(5, v)]), "m_sparse", 1),
     "RatioSchedule.base_n_d": (lambda v: RatioSchedule(base_n_d=v), "schedule base_n_d", 1),
     "RatioSchedule.sizes_for.steps": (lambda v: SCHEDULE.sizes_for(U, v), "steps", 1),
+    "RatioSchedule.ratio.i": (lambda v: SCHEDULE.ratio(v), "i", 1),
+    "RatioSchedule.n_dense.i": (lambda v: SCHEDULE.n_dense(v), "i", 1),
     "density_trajectory.steps": (
         lambda v: density_trajectory(U, W, SCHEDULE, v, seed=0), "steps", 2
     ),
@@ -243,3 +290,57 @@ def test_every_count_argument_takes_only_integers(call, name, low):
             call(value)
     call(np.int64(max(low, 1)))
     call(np.uint8(max(low, 1)))
+
+
+# a spectrum every percentile estimator can read at the accepted values
+RICH = DegreeSpectrum([2**j for j in range(1, 20)] + [1] * 40)
+PERCENTILE = ("in [0, 100]", (-1, -0.5, 100.5), (0, np.int64(50), np.float64(12.5)))
+
+
+def suite(scale):
+    return run_suite("table1:finiteU", replicates=1, scale=scale, experiments=(1,))
+
+
+# each real argument -> (a call passing value as it, the name its error
+# gives, the span it must lie in, values outside the span, values inside)
+REALS = {
+    "estimate_k_finite.percentile": (
+        lambda v: estimate_k_finite(RICH, v), "percentile", *PERCENTILE
+    ),
+    "estimate_partition_finite.percentile": (
+        lambda v: estimate_partition_finite(RICH, v), "percentile", *PERCENTILE
+    ),
+    "retained_log_points.percentile": (
+        lambda v: retained_log_points(RICH, v), "percentile", *PERCENTILE
+    ),
+    "estimate_k_infinite.percentile": (
+        lambda v: estimate_k_infinite(RICH, v), "percentile", *PERCENTILE
+    ),
+    "estimate_partition_infinite.percentile": (
+        lambda v: estimate_partition_infinite(RICH, v), "percentile", *PERCENTILE
+    ),
+    "estimate_partition.percentile": (
+        lambda v: estimate_partition(RICH, percentile=v), "percentile", *PERCENTILE
+    ),
+    "run_suite.scale": (suite, "scale", "> 0", (0, -0.5), (np.float64(0.03), 0.03)),
+    "expected_hub_degree.p_j": (
+        lambda v: expected_hub_degree(v, 3, 3, 4), "p_j", "in (0, 1]", (0, -0.5, 1.5), (1, 0.5)
+    ),
+    "JoinConfig.edge_multiplier_c": (
+        lambda v: JoinConfig(v), "edge_multiplier_c", ">= 0", (-0.1, 10**400), (0, np.float64(1.5))
+    ),
+    "RatioSchedule.a": (
+        lambda v: RatioSchedule(a=v), "schedule a", "> 0", (0, -1.0, 10**400), (np.float32(2.5), 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name, span, outside, inside", REALS.values(), ids=REALS)
+def test_every_real_argument_takes_only_finite_numbers(call, name, span, outside, inside):
+    # a bool is not 1.0 and a string is not parsed
+    for value in (True, np.True_, "0.5", float("nan"), float("inf"), *outside):
+        message = f"{name} must be a finite number {span}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    for value in inside:
+        call(value)
