@@ -222,7 +222,7 @@ def cmd_generate(args) -> int:
                 "origin_rle": rle,
             }
             graph = mix.graph
-            del mix  # writing needs only the joined graph; free the blocks first
+            del mix  # the graph drops the blocks once writing builds its rows
             with _create(stage, f"graph_{i + 1:04d}.edges") as f:
                 write_edge_list(graph, f)
             _save(stage, f"provenance_{i + 1:04d}.json", _json(prov))

@@ -29,18 +29,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimators import (
-    baseline_partition,
-    estimate_k_infinite,
-    estimate_partition_finite,
-    estimate_partition_infinite,
-    forecast_top_k,
-    mape,
-)
-from .graph import DegreeSpectrum, _count, _real
+from .estimators import baseline_partition, estimate_partition, forecast_top_k, mape
+from .graph import _count, _real, degree_spectrum
 from .graphon import parse_graphon
-from .masspartition import MassPartition, parse_mass_partition
-from .mixture import CapacityError, JoinConfig, MixtureSequence, _round_half_up, generate_mixture
+from .masspartition import parse_mass_partition
+from .mixture import (
+    CapacityError, JoinConfig, MixtureSequence, _round_half_up, _sparse_edge_count,
+    generate_mixture,
+)
 
 __all__ = ["SUITE_NAMES", "run_suite", "build_temporal_fixture"]
 
@@ -48,7 +44,7 @@ PAPER_N_TRAIN = 11000
 PAPER_N_TEST = 13200
 
 # dense node counts per suite; the remainder of the node budget goes to
-# the sparse part (m_s = n_total - n_dense - #partition entries)
+# the sparse part (m_s from mixture._sparse_edge_count)
 TOPK_DENSE = 600
 FINITE_DENSE = 500
 
@@ -88,10 +84,6 @@ INFINITE_U_EXPERIMENTS = {
 INFINITE_PERCENTILE = 10.0
 
 
-def _sparse_budget(n_total: int, n_dense: int, u: MassPartition) -> int:
-    return max(1, n_total - n_dense - len(u))
-
-
 def _replicate_seeds(seed: int, replicates: int) -> list[int]:
     state = np.random.SeedSequence(seed).generate_state(replicates, dtype=np.uint64)
     return [int(s) for s in state]
@@ -117,9 +109,9 @@ def _topk_plan(exp: int, scale: float) -> tuple[tuple, dict]:
     n_test = _scaled(PAPER_N_TEST, scale, 240)
     n_d_tr = _scaled(TOPK_DENSE, scale, 20)
     n_d_te = _round_half_up(n_d_tr * n_test / n_train)
-    sizes = (
-        (n_d_tr, _sparse_budget(n_train, n_d_tr, u)),
-        (n_d_te, _sparse_budget(n_test, n_d_te, u)),
+    sizes = tuple(
+        (n_d, _sparse_edge_count(u, n - n_d, f"{n}-node graph"))
+        for n, n_d in ((n_train, n_d_tr), (n_test, n_d_te))
     )
     return (w_text, u_text, sizes), {"graphon": w_text, "partition": u_text}
 
@@ -127,9 +119,9 @@ def _topk_plan(exp: int, scale: float) -> tuple[tuple, dict]:
 def _topk_replicate(args: tuple) -> dict:
     w_text, u_text, sizes, seed = args
     seq = MixtureSequence(parse_mass_partition(u_text), parse_graphon(w_text), sizes, seed=seed)
-    spec_tr = DegreeSpectrum(seq.member(0).degrees())
-    spec_te = DegreeSpectrum(seq.member(1).degrees())
-    k_hat, _ = estimate_k_infinite(spec_tr)
+    spec_tr = degree_spectrum(seq.member(0).graph)
+    spec_te = degree_spectrum(seq.member(1).graph)
+    k_hat = estimate_partition(spec_tr, "infinite").k_hat
     k = min(k_hat, spec_tr.node_count, spec_te.node_count)
     actual, prop, base = forecast_top_k(spec_tr, spec_te, k)
     return {
@@ -142,27 +134,24 @@ def _topk_replicate(args: tuple) -> dict:
 
 
 def _partition_plan(
-    u_text: str, n_dense: int, n_total: int, scale: float, infinite: bool
+    u_text: str, n_dense: int, n_total: int, scale: float, mode: str, percentile: float
 ) -> tuple[tuple, dict]:
-    n_d = _scaled(n_dense, scale, 20)
-    m_s = _sparse_budget(_scaled(n_total, scale, 200), n_d, parse_mass_partition(u_text))
-    return (infinite, u_text, n_d, m_s), {"partition": u_text}
+    n_d, n = _scaled(n_dense, scale, 20), _scaled(n_total, scale, 200)
+    m_s = _sparse_edge_count(parse_mass_partition(u_text), n - n_d, f"{n}-node graph")
+    return (mode, percentile, u_text, n_d, m_s), {"partition": u_text}
 
 
 def _partition_replicate(args: tuple) -> dict:
-    infinite, u_text, n_d, m_s, seed = args
+    mode, percentile, u_text, n_d, m_s, seed = args
     u = parse_mass_partition(u_text)
     mix = generate_mixture(u, parse_graphon(GRAPHON_W), n_d, m_s, rng=np.random.default_rng(seed))
-    spec = DegreeSpectrum(mix.degrees())
+    spec = degree_spectrum(mix.graph)
     del mix  # estimation needs only the degrees
-    if infinite:
-        est = estimate_partition_infinite(spec, percentile=INFINITE_PERCENTILE)
-    else:
-        est = estimate_partition_finite(spec)
+    est = estimate_partition(spec, mode, percentile)
     truth = u.weights[: min(est.k_hat, len(u))]
     head = (
         {"k_hat": est.k_hat, "covered_mass": float(truth.sum())}
-        if infinite
+        if mode == "infinite"
         else {"k_true": len(u), "k_hat": est.k_hat}
     )
     return {
@@ -188,14 +177,16 @@ _SUITES = {
     "table1:topk": _Suite(_topk_plan, _topk_replicate, 10, _KEYS),
     "table1:finiteU": _Suite(
         lambda exp, scale: _partition_plan(
-            FINITE_U_EXPERIMENTS[exp], FINITE_DENSE, PAPER_N_TRAIN, scale, False
+            FINITE_U_EXPERIMENTS[exp], FINITE_DENSE, PAPER_N_TRAIN, scale, "finite", 50.0
         ),
         _partition_replicate,
         10,
         _KEYS,
     ),
     "table1:infiniteU": _Suite(
-        lambda exp, scale: _partition_plan(*INFINITE_U_EXPERIMENTS[exp], scale, True),
+        lambda exp, scale: _partition_plan(
+            *INFINITE_U_EXPERIMENTS[exp], scale, "infinite", INFINITE_PERCENTILE
+        ),
         _partition_replicate,
         5,
         ("k_hat", "covered_mass", "mape_proposed", "mape_baseline"),

@@ -8,11 +8,11 @@ sort and are only checked and copied; rows the library has just built
 for the graph (an edge file's rows, a join's rows, a W-random sample's
 rows, a sequence member's rows) are frozen in place instead of copied,
 and a member that keeps all of its sample's rows shares them.  A star
-forest is fixed by its star sizes, so it takes its node count, edge count
-and degrees from them and builds its rows only on the first read of
-edges; every check above runs then, and the rows are frozen.  Node
-labels are 0..node_count-1; isolated nodes are allowed and matter (they
-enter node counts and densities).
+forest takes its counts and degrees from its star sizes, and a mixture's
+joined graph from its blocks; either builds its rows only on the first
+read of edges, every check above runs then, and the rows are frozen.
+Node labels are 0..node_count-1; isolated nodes are allowed and matter
+(they enter node counts and densities).
 Node counts and degrees must be integers, or ValueError is raised.
 """
 
@@ -166,17 +166,19 @@ class Graph:
             arr = Graph(self.node_count, _Fresh(self._rows())).edges
             if arr.shape[0] != self.edge_count:
                 raise ValueError("deferred rows disagree with the edge count")
-            object.__setattr__(self, "_edges", arr)
-            object.__setattr__(self, "_rows", None)
+            # known degrees stay; both functions go, and the data they read
+            deg = self._degrees if isinstance(self._degrees, np.ndarray) else None
+            _set_state(self, self.node_count, self.edge_count, arr, deg, None)
         return self._edges
 
     def degrees(self) -> np.ndarray:
         """Degree of every node, indexed by node label."""
-        if self._degrees is None:
-            deg = np.bincount(self.edges.ravel(), minlength=self.node_count)
+        deg = self._degrees  # an array, None, or a deferred graph's function
+        if not isinstance(deg, np.ndarray):
+            deg = deg() if deg else np.bincount(self.edges.ravel(), minlength=self.node_count)
             deg.setflags(write=False)
             object.__setattr__(self, "_degrees", deg)
-        return self._degrees
+        return deg
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -195,7 +197,7 @@ class Graph:
 
 def _set_state(g: Graph, node_count, edge_count, edges, degrees, rows) -> None:
     for arr in (edges, degrees):
-        if arr is not None:
+        if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     for name, value in zip(Graph.__slots__, (node_count, edge_count, edges, degrees, rows)):
         object.__setattr__(g, name, value)
@@ -205,10 +207,11 @@ def _graph_from_state(node_count, edge_count, edges, degrees, rows) -> Graph:
     """A Graph holding exactly this state; no check runs here.
 
     It restores a pickled or copied graph, rows built or not, and makes
-    a deferred one: edges None, degrees known, and rows, a function
-    returning the edge rows, data (a functools.partial of a module-level
-    function) so the graph pickles.  On the first read of edges the rows
-    are built and checked as Graph(node_count, _Fresh(rows())) checks them.
+    a deferred one: edges None, rows a function returning the edge rows,
+    and degrees known or a function called on their first read; both are
+    data (functools.partial of a module-level function) so the graph
+    pickles.  The first read of edges builds and checks the rows as
+    Graph(node_count, _Fresh(rows())) does and drops both functions.
     """
     g = object.__new__(Graph)
     _set_state(g, node_count, edge_count, edges, degrees, rows)

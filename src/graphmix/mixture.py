@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .graph import Graph, _count, _distinct_sorted, _fields_equal, _Fresh, _real, component_labels
+from .graph import Graph, _count, _distinct_sorted, _fields_equal, _Fresh, _graph_from_state
+from .graph import _real, component_labels, edge_density
 from .graphon import Graphon, _graph_from_latents, sample_w_random_graph
 from .linegraph import star_forest
 from .masspartition import MassPartition, clique_size_counts, sample_clique_labels
@@ -62,6 +63,17 @@ class CapacityError(RuntimeError):
 COLLISION_RETRIES = 100
 
 
+def _cross_edge_count(c: float, m_dense: int, n_d: int, n_s: int) -> int:
+    """round(c * m_dense) joining edges, or CapacityError when that many
+    distinct pairs do not fit the n_d x n_s grid."""
+    want = c * m_dense  # inf when c * m_dense overflows
+    if want + 0.5 >= n_d * n_s + 1:  # round(want) exceeds the pair grid
+        raise CapacityError(
+            f"cannot place {want:.6g} distinct cross edges between {n_d} x {n_s} nodes"
+        )
+    return _round_half_up(want)
+
+
 @dataclass(frozen=True)
 class JoinConfig:
     """edge_multiplier_c scales m_new = round(c * m_dense)."""
@@ -78,9 +90,10 @@ class MixtureGraph:
 
     dense and sparse are the two parts; cross holds the joining edges as
     sorted (dense id, sparse id) rows.  Joined node ids are dense ids,
-    then sparse ids shifted by n_dense.  Counts and degrees() come from
-    the blocks; the joined Graph is built, and checked, once, on the
-    first read of graph.
+    then sparse ids shifted by n_dense.  graph is the joined Graph,
+    deferred like a star forest: its counts come from the blocks, its
+    degrees are summed from them on their first read, and its rows are
+    built, and checked, on the first read of its edges.
 
     node_origin holds NodeOrigin codes; hubs maps partition index ->
     node id for every clique realized in the sparse sample.
@@ -125,25 +138,21 @@ class MixtureGraph:
 
     @cached_property
     def graph(self) -> Graph:
-        """The joined graph, built and checked on first read."""
-        n_d, n_s = self.n_dense, self.n_sparse
-        rows = _joined_edges(self.dense.edges, self.sparse.edges, self.cross, n_d, n_s)
-        graph = Graph(n_d + n_s, _Fresh(rows))
-        if graph.edge_count != self.m_dense + self.m_sparse + self.m_new:
-            raise ValueError("edge accounting violated")
-        return graph
+        """The joined graph; nothing is built until its degrees or edges are read."""
+        n, m = self.n_dense + self.n_sparse, self.m_dense + self.m_sparse + self.m_new
+        blocks = (self.dense, self.sparse, self.cross)
+        return _graph_from_state(
+            n, m, None, partial(_joined_degrees, *blocks), partial(_joined_edges, *blocks)
+        )
 
-    def degrees(self) -> np.ndarray:
-        """Degree of every joined node, summed from the blocks (read-only).
 
-        Equal to graph.degrees(), without building the joined graph.
-        """
-        n_d = self.n_dense
-        deg = np.empty(n_d + self.n_sparse, dtype=np.int64)
-        for part, side, out in ((self.dense, 0, deg[:n_d]), (self.sparse, 1, deg[n_d:])):
-            np.add(part.degrees(), np.bincount(self.cross[:, side], minlength=out.size), out=out)
-        deg.setflags(write=False)
-        return deg
+def _joined_degrees(g_d: Graph, g_s: Graph, cross: np.ndarray) -> np.ndarray:
+    """Degree of every joined node, summed from the blocks."""
+    n_d = g_d.node_count
+    deg = np.empty(n_d + g_s.node_count, dtype=np.int64)
+    for part, side, out in ((g_d, 0, deg[:n_d]), (g_s, 1, deg[n_d:])):
+        np.add(part.degrees(), np.bincount(cross[:, side], minlength=out.size), out=out)
+    return deg
 
 
 def _sample_cross_pairs(
@@ -233,16 +242,17 @@ def _derive_sparse_meta(g_s: Graph) -> tuple[np.ndarray, dict[int, int]]:
     return origin, {rank: int(hub) for rank, hub in enumerate(hub_nodes)}
 
 
-def _joined_edges(
-    dense: np.ndarray, sparse: np.ndarray, cross: np.ndarray, n_d: int, n_s: int
-) -> np.ndarray:
+def _joined_edges(g_d: Graph, g_s: Graph, cross: np.ndarray) -> np.ndarray:
     """Canonical rows of the union, from three blocks that are each sorted.
 
     Dense and cross rows both start at a dense node, so they interleave:
     their keys lo * n + hi merge in one stable sort (two sorted runs).
-    Shifted sparse rows start at n_d or later and follow both.
+    Shifted sparse rows start at n_d or later and follow both.  The
+    parts' edges are read here, so a star forest builds its rows only now.
     """
-    n = n_d + n_s
+    dense, sparse = g_d.edges, g_s.edges
+    n_d = g_d.node_count
+    n = n_d + g_s.node_count
     if n * n >= 2**63:  # keys would overflow; Graph sorts the blocks instead
         return np.concatenate([dense, cross + (0, n_d), sparse + n_d])
     key = np.sort(
@@ -267,22 +277,17 @@ def join_graphs(
     Dense nodes keep labels 0..n_d-1; sparse labels shift by n_d.  The
     cross pairs are drawn here, so a join that does not fit raises
     CapacityError here; the result keeps the two graphs and the cross
-    pairs, and builds the joined edge table only when its graph is first
-    read.  When the caller knows the sparse provenance (generate_mixture
-    does) it is passed through; otherwise tags are derived from the star
-    structure, and a K_{1,1} star is then tagged as an isolated edge (see
-    _derive_sparse_meta).
+    pairs, and its graph builds the joined edge table only when its
+    edges are first read, never for its degrees.  When the caller knows
+    the sparse provenance (generate_mixture does) it is passed through;
+    otherwise tags are derived from the star structure, and a K_{1,1}
+    star is then tagged as an isolated edge (see _derive_sparse_meta).
     """
     if g_d.node_count < 1 or g_s.node_count < 1:
         raise ValueError("both parts need at least one node")
     cfg = cfg or JoinConfig()
     n_d, n_s = g_d.node_count, g_s.node_count
-    want = cfg.edge_multiplier_c * g_d.edge_count  # inf when c * m_dense overflows
-    if want + 0.5 >= n_d * n_s + 1:  # round(want) exceeds the pair grid
-        raise CapacityError(
-            f"cannot place {want:.6g} distinct cross edges between {n_d} x {n_s} nodes"
-        )
-    m_new = _round_half_up(want)
+    m_new = _cross_edge_count(cfg.edge_multiplier_c, g_d.edge_count, n_d, n_s)
     if m_new > 0 and rng is None:
         raise ValueError("joining edges require an rng")
     cross = _sample_cross_pairs(n_d, n_s, m_new, rng)
@@ -402,24 +407,21 @@ class MixtureSequence:
         join_rng = np.random.default_rng(self._join_streams[0])
         edges = self._dense_full.edges
 
-        events: list[tuple[str, str, int]] = []
         # dense edge exists once both endpoints are inside the dense prefix;
         # rows are (lo, hi), so that is once hi is
         edge_step = np.searchsorted(nd_steps, edges[:, 1], side="right")
-        for (a, b), t in zip(edges, edge_step):
-            events.append((f"d{a}", f"d{b}", int(t) + 1))
+        events = [(f"d{a}", f"d{b}", int(t) + 1) for (a, b), t in zip(edges, edge_step)]
         # sparse vertex i contributes one star (or isolated) edge
         k = len(self.u)
         vert_step = np.searchsorted(ms_steps, np.arange(ms_steps[-1]), side="right")
-        for i, (j, t) in enumerate(zip(self._labels, vert_step)):
-            if j < k:
-                events.append((f"h{j}", f"s{i}", int(t) + 1))
-            else:
-                events.append((f"s{i}", f"s{i}b", int(t) + 1))
-        dense_edge_count_at = np.cumsum(np.bincount(edge_step, minlength=len(self.sizes)))
+        events += [
+            (f"h{j}", f"s{i}", int(t) + 1) if j < k else (f"s{i}", f"s{i}b", int(t) + 1)
+            for i, (j, t) in enumerate(zip(self._labels, vert_step))
+        ]
+        m_dense_at = np.cumsum(np.bincount(edge_step, minlength=len(self.sizes))).tolist()
         placed = np.empty((0, 2), dtype=np.int64)
         for t_idx, (n_d, m_s) in enumerate(self.sizes):
-            target = _round_half_up(self.cfg.edge_multiplier_c * int(dense_edge_count_at[t_idx]))
+            target = _cross_edge_count(self.cfg.edge_multiplier_c, m_dense_at[t_idx], n_d, m_s)
             new = _sample_cross_pairs(n_d, m_s, target - len(placed), join_rng, placed)
             placed = np.concatenate([placed, new])
             events.extend((f"d{a}", f"s{i}", t_idx + 1) for a, i in new.tolist())
@@ -469,10 +471,18 @@ class RatioSchedule:
         out = []
         for i in range(1, _count(steps, "steps", 1) + 1):
             n_d = self.n_dense(i)
-            n_s_target = max(1.0, self.ratio(i) * n_d)
-            m_s = max(1, _round_half_up((n_s_target - len(u)) / (1.0 + u.leftover)))
-            out.append((n_d, m_s))
+            where = f"schedule a={self.a!r}, step {i}"
+            out.append((n_d, _sparse_edge_count(u, self.ratio(i) * n_d, where)))
         return out
+
+
+def _sparse_edge_count(u: MassPartition, n_sparse, where: str) -> int:
+    """m_sparse (at least 1) whose star forest has about n_sparse nodes:
+    m * (1 + leftover) + len(u) for m labels.  where names what set
+    n_sparse, for the error when it is not finite."""
+    if not math.isfinite(n_sparse):
+        raise ValueError(f"sparse node target {n_sparse} is not finite ({where})")
+    return max(1, _round_half_up((n_sparse - len(u)) / (1.0 + u.leftover)))
 
 
 def density_trajectory(
@@ -490,9 +500,4 @@ def density_trajectory(
     """
     sizes = schedule.sizes_for(u, _count(steps, "steps", 2))
     seq = MixtureSequence(u, w, sizes, cfg=cfg, seed=seed)
-    out = []
-    for i, mix in enumerate(seq):
-        n = mix.n_dense + mix.n_sparse
-        m = mix.m_dense + mix.m_sparse + mix.m_new
-        out.append((i + 1, n, 2.0 * m / float(n) ** 2))  # edge_density of mix.graph
-    return out
+    return [(i, mix.graph.node_count, edge_density(mix.graph)) for i, mix in enumerate(seq, 1)]

@@ -177,6 +177,20 @@ def test_generate_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_generate_names_the_schedule_step_whose_target_overflows(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    schedule = '"schedule": {"kind": "quadratic", "a": 1e306, "base_n_d": 10}, "steps": 3'
+    cfg.write_text("{" + _GOOD_CONFIG + ", " + schedule + "}")
+    assert main(["--out", str(tmp_path / "o"), "generate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: bad generate config: sparse node target inf is not finite "
+        "(schedule a=1e+306, step 3)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_huge_join_multiplier_is_capacity_error(tmp_path, capsys):
     # c * m_dense overflows to inf; the join must refuse it before rounding
     cfg = tmp_path / "c.json"

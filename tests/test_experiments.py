@@ -112,6 +112,15 @@ def test_fixture_raises_when_joins_cannot_fit():
         seq.events()
 
 
+def test_fixture_refuses_an_overflowing_join_count_like_a_member():
+    # c * m_dense is inf: events() and member() raise the same CapacityError
+    seq = growth("mass:[0.5]", [(10, 20), (20, 40)], 1e308, 0)
+    with pytest.raises(CapacityError, match=r"^cannot place inf distinct cross edges between 10 x "):
+        seq.member(0)
+    with pytest.raises(CapacityError, match=r"^cannot place inf distinct cross edges between 10 x 20 "):
+        seq.events()
+
+
 # the second case has no dense edges at all, so it places no joins
 @pytest.mark.parametrize("sizes", [[(10, 20), (10, 30), (25, 60), (40, 60)], [(1, 5), (1, 10)]])
 def test_fixture_joins_accumulate_to_target(sizes):

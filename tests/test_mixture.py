@@ -4,6 +4,8 @@ import copy
 import hashlib
 import math
 import pickle
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -293,16 +295,64 @@ def test_mixture_blocks_agree_with_the_joined_graph(drawn):
         assert not fits  # raised by the join itself, never by reading .graph
         return
     assert fits is not False
-    deg = mix.degrees()
-    assert not deg.flags.writeable
     g = mix.graph
     assert mix.graph is g
-    assert np.array_equal(deg, g.degrees())
+    deg = g.degrees()
+    assert not deg.flags.writeable
+    # degrees summed from the blocks, against degrees counted from the rows
+    assert np.array_equal(deg, np.bincount(g.edges.ravel(), minlength=g.node_count))
     assert g.node_count == mix.n_dense + mix.n_sparse == mix.node_origin.size
     assert g.edge_count == mix.m_dense + mix.m_sparse + mix.m_new
     assert (mix.n_dense, mix.m_dense) == (mix.dense.node_count, mix.dense.edge_count)
     assert (mix.n_sparse, mix.m_sparse) == (mix.sparse.node_count, mix.sparse.edge_count)
     assert int(deg.sum()) == 2 * g.edge_count
+
+
+@given(mixture_draws())
+def test_joined_degrees_build_no_edge_table(drawn):
+    build, _ = drawn
+    try:
+        mix = build()
+    except CapacityError:
+        return
+    # a bare join derives its tags from the sparse rows, so builds them itself
+    sparse_built = mix.sparse._edges is not None
+    deg = mix.graph.degrees()
+    assert mix.graph._edges is None
+    assert (mix.sparse._edges is not None) == sparse_built
+    assert np.array_equal(deg, np.bincount(mix.graph.edges.ravel(), minlength=deg.size))
+
+
+@pytest.mark.parametrize("degrees_first", [False, True])
+def test_a_built_joined_graph_holds_no_block(degrees_first):
+    # generate writes a graph after dropping its mixture: once the rows are
+    # built, the blocks must go with the functions that read them
+    mix = generate_mixture(U23, W, 20, 80, rng=np.random.default_rng(3))
+    g, cross = mix.graph, weakref.ref(mix.cross)
+    del mix
+    if degrees_first:
+        g.degrees()
+    assert cross() is not None and callable(g._rows)
+    g.edges
+    assert g._rows is None
+    assert isinstance(g._degrees, np.ndarray) if degrees_first else g._degrees is None
+    assert cross() is None
+    assert np.array_equal(g.degrees(), np.bincount(g.edges.ravel(), minlength=g.node_count))
+
+
+def test_joined_graph_pickles_and_copies_before_and_after_its_rows():
+    def draw():
+        return generate_mixture(U23, W, 20, 80, rng=np.random.default_rng(3)).graph
+
+    g, want = draw(), draw()
+    copies = [pickle.loads(pickle.dumps(g)), copy.deepcopy(g)]
+    assert g._edges is None and all(back._edges is None for back in copies)
+    g.edges
+    copies += [pickle.loads(pickle.dumps(g)), copy.deepcopy(g)]
+    for back in copies:
+        # degrees first, so an unbuilt copy sums them with its own function
+        assert np.array_equal(back.degrees(), want.degrees())
+        assert back == want
 
 
 def test_cross_pair_codes_beyond_int64_raise_without_drawing():
@@ -325,11 +375,11 @@ def test_joined_edges_beyond_int64_pair_keys():
     # n * n overflows int64, and so would the key of the last dense edge; a
     # whole join this size would tag 3.1e9 nodes, so the edge merge is tested
     n_d = 3_100_000_000
-    dense = np.array([[5, 6], [3_099_999_998, 3_099_999_999]])
-    sparse = star_forest([2])[0].edges
+    dense = Graph(n_d, [[5, 6], [3_099_999_998, 3_099_999_999]])
+    sparse = star_forest([2])[0]
     cross = _sample_cross_pairs(n_d, 3, 2, np.random.default_rng(1))
-    rows = _joined_edges(dense, sparse, cross, n_d, 3)
-    want = Graph(n_d + 3, np.concatenate([dense, sparse + n_d, cross + (0, n_d)]))
+    rows = _joined_edges(dense, sparse, cross)
+    want = Graph(n_d + 3, np.concatenate([dense.edges, sparse.edges + n_d, cross + (0, n_d)]))
     assert Graph(n_d + 3, rows) == want
 
 
@@ -397,9 +447,9 @@ def test_suite_paths_leave_the_star_forest_unbuilt():
     member = MixtureSequence(U23, W, [(30, 150), (60, 400)], seed=24).member(0)
     digests = {}
     for name, m in (("mixture", mix), ("member", member)):
-        deg = m.degrees()
+        deg = m.graph.degrees()
         assert m.sparse._edges is None  # the sparse degrees came from the star sizes
-        assert np.array_equal(deg, m.graph.degrees())
+        assert np.array_equal(deg, np.bincount(m.graph.edges.ravel(), minlength=deg.size))
         assert m.sparse._edges is not None
         digests[name] = hashlib.sha256(m.graph.edges.tobytes()).hexdigest()
     # taken before star forests deferred their rows
@@ -416,7 +466,7 @@ def test_mixture_with_a_deferred_sparse_part_pickles_and_copies():
     for back in copies:
         assert back.sparse._edges is None
         assert back == mix and back.graph == mix.graph
-        assert np.array_equal(back.degrees(), mix.degrees())
+        assert np.array_equal(back.graph.degrees(), mix.graph.degrees())
 
 
 def sparse_part_by_loops(u, labels):
@@ -587,6 +637,15 @@ def test_sizes_for_hits_target_ratio():
     mix = generate_mixture(U23, W, *sizes[-1], rng=np.random.default_rng(11))
     target = 3.0 * 200
     assert abs(mix.n_sparse - target) / target < 0.05
+
+
+@pytest.mark.parametrize("a, step", [(1e308, 1), (1e306, 3)])
+def test_sizes_for_names_the_step_whose_target_overflows(a, step):
+    # ratio(i) * n_dense(i) is a finite float at every step before this one
+    sched = RatioSchedule("quadratic", a=a, base_n_d=10)
+    message = f"sparse node target inf is not finite (schedule a={a!r}, step {step})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sched.sizes_for(parse_mass_partition("mass:[0.5]"), 3)
 
 
 def test_density_trajectory_rows():

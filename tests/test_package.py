@@ -90,9 +90,11 @@ PRIVATE_IMPORTS = {
     ("mixture", "graph", "_distinct_sorted"),
     ("mixture", "graph", "_fields_equal"),
     ("mixture", "graph", "_Fresh"),
+    ("mixture", "graph", "_graph_from_state"),
     ("mixture", "graphon", "_graph_from_latents"),
     ("temporal", "graph", "_fields_equal"),
     ("experiments", "mixture", "_round_half_up"),
+    ("experiments", "mixture", "_sparse_edge_count"),
 }
 
 
