@@ -61,7 +61,7 @@ from .graphon import parse_graphon
 from .masspartition import parse_mass_partition
 from .mixture import CapacityError, JoinConfig, MixtureSequence, RatioSchedule
 from .experiments import SUITE_NAMES, build_temporal_fixture, run_suite
-from .temporal import evaluation_run, parse_edge_events, snapshot_at
+from .temporal import evaluation_run, parse_edge_events, serialize_edge_events, snapshot_at
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,7 +171,7 @@ def _staged(out: str):
     os.rmdir(stage)
 
 
-# top-level generate config keys; schedule keys are RatioSchedule's fields
+# top-level generate config keys
 _GENERATE_KEYS = {"partition_u", "graphon_w", "schedule", "steps", "join", "seed"}
 
 
@@ -186,16 +186,17 @@ def cmd_generate(args) -> int:
     if not isinstance(cfg, dict):
         raise ConfigError("bad generate config: expected a JSON object")
     try:
-        join_cfg = cfg.get("join", {})
-        if not isinstance(join_cfg, dict):
-            raise ValueError("join must be a JSON object")
-        unknown = set(cfg) - _GENERATE_KEYS | {f"join.{key}" for key in set(join_cfg) - {"c"}}
+        unknown = set(cfg) - _GENERATE_KEYS
+        for name, keys in (("schedule", {"kind", "a", "base_n_d"}), ("join", {"c"})):
+            if not isinstance(obj := cfg.get(name, {}), dict):
+                raise ValueError(f"{name} must be a JSON object")
+            unknown |= {f"{name}.{key}" for key in set(obj) - keys}
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
         u = parse_mass_partition(cfg["partition_u"])
         w = parse_graphon(cfg["graphon_w"])
         schedule = RatioSchedule(**cfg.get("schedule", {}))
-        join = JoinConfig(*join_cfg.values())
+        join = JoinConfig(*cfg.get("join", {}).values())
         steps = _count(cfg.get("steps", 1), "steps", 1)
         seed = args.seed if args.seed is not None else _count(cfg.get("seed", 0), "seed")
         sizes = schedule.sizes_for(u, steps)
@@ -345,8 +346,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_fixture(args) -> int:
     out = args.out or "."
-    events = build_temporal_fixture(seed=args.seed or 0)
-    _save(out, "synthetic_growth.events", "".join(f"{u} {v} {t}\n" for u, v, t in events))
+    tel = build_temporal_fixture(seed=args.seed or 0)
+    with _staged(out) as stage, _create(stage, "synthetic_growth.events") as f:
+        serialize_edge_events(tel, f)
     print(f"wrote fixture {os.path.join(out, 'synthetic_growth.events')}")
     return EXIT_OK
 

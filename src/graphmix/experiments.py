@@ -255,8 +255,8 @@ def run_suite(
     return {"suite": name, "rows": rows, "aggregates": aggregates}
 
 
-def build_temporal_fixture(seed: int = 0) -> list[tuple[str, str, int]]:
-    """Events of the bundled synthetic growth fixture at this seed.
+def build_temporal_fixture(seed: int = 0) -> "TemporalEdgeList":
+    """The TemporalEdgeList of the bundled synthetic growth fixture at this seed.
 
     The MixtureSequence.events() of partition power:1.2:2:50 and graphon
     exp_sum over 12 steps, step i of 15 i dense nodes and int(90 i^1.5)

@@ -388,8 +388,8 @@ class MixtureSequence:
     def __iter__(self):
         return (self.member(i) for i in range(len(self.sizes)))
 
-    def events(self) -> list[tuple[str, str, int]]:
-        """Timestamped events of the growing mixture, with stable node ids.
+    def events(self) -> "TemporalEdgeList":
+        """Timestamped events of the growing mixture, as a TemporalEdgeList.
 
         Sizes must be non-decreasing; each edge is stamped with the first
         step (1-based) at which it exists.  Dense nodes are d<i>, hubs h<j>,
@@ -400,6 +400,7 @@ class MixtureSequence:
         exist, so snapshots of the event list reproduce the growing graphs.
         Raises CapacityError when a step's joins do not fit.
         """
+        from .temporal import _index_events, _Rows  # the temporal layer loads on first use
         nd_steps = np.asarray([a for a, _ in self.sizes])
         ms_steps = np.asarray([b for _, b in self.sizes])
         if np.any(np.diff(nd_steps) < 0) or np.any(np.diff(ms_steps) < 0):
@@ -410,23 +411,24 @@ class MixtureSequence:
         # dense edge exists once both endpoints are inside the dense prefix;
         # rows are (lo, hi), so that is once hi is
         edge_step = np.searchsorted(nd_steps, edges[:, 1], side="right")
-        events = [(f"d{a}", f"d{b}", int(t) + 1) for (a, b), t in zip(edges, edge_step)]
-        # sparse vertex i contributes one star (or isolated) edge
-        k = len(self.u)
-        vert_step = np.searchsorted(ms_steps, np.arange(ms_steps[-1]), side="right")
-        events += [
-            (f"h{j}", f"s{i}", int(t) + 1) if j < k else (f"s{i}", f"s{i}b", int(t) + 1)
-            for i, (j, t) in enumerate(zip(self._labels, vert_step))
-        ]
         m_dense_at = np.cumsum(np.bincount(edge_step, minlength=len(self.sizes))).tolist()
-        placed = np.empty((0, 2), dtype=np.int64)
-        for t_idx, (n_d, m_s) in enumerate(self.sizes):
-            target = _cross_edge_count(self.cfg.edge_multiplier_c, m_dense_at[t_idx], n_d, m_s)
-            new = _sample_cross_pairs(n_d, m_s, target - len(placed), join_rng, placed)
+        placed, targets = np.empty((0, 2), dtype=np.int64), []
+        for (n_d, m_s), m_dense in zip(self.sizes, m_dense_at):
+            targets.append(_cross_edge_count(self.cfg.edge_multiplier_c, m_dense, n_d, m_s))
+            new = _sample_cross_pairs(n_d, m_s, targets[-1] - len(placed), join_rng, placed)
             placed = np.concatenate([placed, new])
-            events.extend((f"d{a}", f"s{i}", t_idx + 1) for a, i in new.tolist())
-        events.sort(key=lambda e: e[2])
-        return events
+        n_max, k, m_max = int(nd_steps[-1]), len(self.u), int(ms_steps[-1])
+        ids = [f"d{a}" for a in range(n_max)] + [f"h{j}" for j in range(k)]
+        ids += [f"s{i}" for i in range(m_max)] + [f"s{i}b" for i in range(m_max)]
+        leaf = n_max + k + np.arange(m_max)  # the codes of s<i>; those of s<i>b are m_max higher
+        hub = self._labels < k
+        # dense edges, per sparse vertex a star (h<j> s<i>) or isolated (s<i> s<i>b) edge, joins
+        eu = np.concatenate([edges[:, 0], np.where(hub, n_max + self._labels, leaf), placed[:, 0]])
+        ev = np.concatenate([edges[:, 1], np.where(hub, leaf, leaf + m_max), leaf[placed[:, 1]]])
+        vert_step = np.searchsorted(ms_steps, np.arange(m_max), side="right")
+        cross_step = np.searchsorted(targets, np.arange(len(placed)), side="right")
+        et = np.concatenate([edge_step, vert_step, cross_step]) + 1
+        return _index_events(_Rows(eu, ev, et, [], et.size, ids))  # sorts stably by time
 
 
 # ratio(i) of each schedule kind, given its scale a
@@ -470,9 +472,12 @@ class RatioSchedule:
         realized sparse node count lands near ratio(i) * n_dense(i)."""
         out = []
         for i in range(1, _count(steps, "steps", 1) + 1):
-            n_d = self.n_dense(i)
-            where = f"schedule a={self.a!r}, step {i}"
-            out.append((n_d, _sparse_edge_count(u, self.ratio(i) * n_d, where)))
+            n_d, where = self.n_dense(i), f"schedule a={self.a!r}, step {i}"
+            try:
+                target = self.ratio(i) * n_d
+            except OverflowError:  # n_d is an int too large for a float
+                target, where = math.inf, f"schedule base_n_d too large, step {i}"
+            out.append((n_d, _sparse_edge_count(u, target, where)))
         return out
 
 

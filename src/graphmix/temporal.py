@@ -6,7 +6,8 @@ ids to dense integers in order of first appearance, drops self loops
 and malformed rows (keeping a reject log in line order), and keeps the
 earliest timestamp per undirected pair.  Timestamps are integers that
 fit int64.  A TemporalEdgeList holds the node ids plus read-only index
-arrays; its events are derived from them.  Snapshots are cumulative:
+arrays; its events are derived from them.  _index_events builds every
+TemporalEdgeList, parsed or generated.  Snapshots are cumulative:
 snapshot_at(t) contains every node and edge seen up to and including t,
 so earlier snapshots are induced prefixes of later ones.
 """
@@ -280,7 +281,7 @@ def _bulk_rows(
     with commas also at every comma, which reads a CSV row exactly when
     each of its cells is one token.  The block's ids are classed among
     themselves (_row_classes), which finds its self loops; its _Rows.ids
-    are the word rows of the distinct ids its usable rows use.  Returns
+    are the word rows of every distinct id of its three-token rows.  Returns
     None when that would not split the rows as str.split or csv does:
     rows that are not str (data is None), a NUL or a non-ASCII space in
     the text, or with commas a non-blank row whose token count is not
@@ -357,20 +358,11 @@ def _bulk_rows(
         for i, lo, hi in zip(loops.tolist(), us[loops].tolist(), ue[loops].tolist())
     )
 
-    u_cls, v_cls = u_cls[ok], v_cls[ok]
-    used = np.zeros(rep.size, dtype=bool)
-    used[u_cls] = used[v_cls] = True
-    used = np.flatnonzero(used)
-    code = np.zeros(rep.size, dtype=np.int64)
-    code[used] = np.arange(used.size)
-    ids = key[rep[used]]
-    del key
-
     short_or_long = np.flatnonzero((ntok != 0) & (ntok != 3)) + first_line
     rejects = [(line, "expected three columns") for line in short_or_long.tolist()]
     rejects += [(int(rows3[i]) + first_line, reason) for i, reason in bad.items()]
     rejects.sort()  # one reject per line
-    return _Rows(code[u_cls], code[v_cls], t[ok], rejects, int(np.count_nonzero(ntok)), ids)
+    return _Rows(u_cls[ok], v_cls[ok], t[ok], rejects, int(np.count_nonzero(ntok)), key[rep])
 
 
 def _word_rows(data: bytes, start: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -504,7 +496,7 @@ def _first_positions(values: np.ndarray) -> np.ndarray:
 
 def _index_events(rows: _Rows) -> TemporalEdgeList:
     """Check the reject share, then sort, deduplicate and relabel the
-    events, whose codes index rows.ids."""
+    events, whose codes index rows.ids; an id no kept event uses gets none."""
     eu, ev, et, rejects, seen, ids = rows
     if seen == 0 or not et.size:
         raise ValueError("no usable edge events in input")
@@ -524,11 +516,11 @@ def _index_events(rows: _Rows) -> TemporalEdgeList:
     keep = order[_first_positions(pair)]
     del order, pair
     eu, ev, et = eu[keep], ev[keep], et[keep]
-    # every provisional index occurs in a kept event, so this ranks them all
     ends = np.column_stack([eu, ev]).ravel()
     first_end = _first_occurrences(ends)
     appearance = ends[first_end]
-    relabel = np.argsort(appearance)
+    relabel = np.empty(len(ids), dtype=np.int64)
+    relabel[appearance] = np.arange(appearance.size)
     arrays = relabel[eu], relabel[ev], et, et[first_end // 2]
     for a in arrays:
         a.setflags(write=False)

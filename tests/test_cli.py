@@ -6,6 +6,7 @@ import io
 import json
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +189,41 @@ def test_generate_names_the_schedule_step_whose_target_overflows(tmp_path, capsy
         "error: bad generate config: sparse node target inf is not finite "
         "(schedule a=1e+306, step 3)\n"
     )
+    assert not (tmp_path / "o").exists()
+
+
+def test_generate_names_a_base_n_d_too_large_for_a_float(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{" + _GOOD_CONFIG + ', "schedule": {"base_n_d": 1' + "0" * 400 + "}}")
+    assert main(["--out", str(tmp_path / "o"), "generate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: bad generate config: sparse node target inf is not finite "
+        "(schedule base_n_d too large, step 1)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ('"schedule": []', "schedule must be a JSON object"),
+        ('"join": []', "join must be a JSON object"),
+        ('"schedule": {"foo": 1}', "unknown keys ['schedule.foo']"),
+        ('"join": {"foo": 1}', "unknown keys ['join.foo']"),
+        ('"join": {"foo": 1}, "schedule": {"bar": 2}', "unknown keys ['join.foo', 'schedule.bar']"),
+    ],
+    ids=lambda value: value.replace('"', ""),
+)
+def test_generate_checks_schedule_and_join_alike(extra, message, tmp_path, capsys):
+    # a later duplicate key overrides the good value
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{" + _GOOD_CONFIG + ", " + extra + "}")
+    assert main(["--out", str(tmp_path / "o"), "generate", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad generate config: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -581,6 +617,26 @@ def test_fixture_matches_bundled(tmp_path, capsys):
     generated = (out / "synthetic_growth.events").read_bytes()
     with open(FIXTURE, "rb") as f:
         assert generated == f.read()
+
+
+def test_fixture_write_failure_leaves_out_as_it_was(tmp_path, capsys):
+    # the writer fails after its first rows: an older fixture stays, and an
+    # --out the command had to make is removed again
+    def fail(tel, f):
+        f.write("d0 d1 1\n")
+        raise OSError("disk full")
+
+    kept, made = tmp_path / "kept", tmp_path / "made" / "fx"
+    kept.mkdir()
+    (kept / "synthetic_growth.events").write_text("older\n")
+    with mock.patch.object(cli, "serialize_edge_events", side_effect=fail):
+        for out in (kept, made):
+            assert main(["--out", str(out), "fixture"]) == 3
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and err == "error: cannot write output: disk full\n"
+    assert os.listdir(kept) == ["synthetic_growth.events"]
+    assert (kept / "synthetic_growth.events").read_text() == "older\n"
+    assert os.listdir(tmp_path) == ["kept"]
 
 
 def test_ingest_snapshots_and_report(tmp_path, capsys):

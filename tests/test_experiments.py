@@ -1,7 +1,9 @@
 """Reference suites and the synthetic temporal fixture."""
 
 import hashlib
+import io
 import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -11,11 +13,17 @@ from graphmix import (
     CapacityError,
     JoinConfig,
     MixtureSequence,
+    build_temporal_fixture,
+    parse_edge_events,
     parse_graphon,
     parse_mass_partition,
     run_suite,
+    serialize_edge_events,
+    snapshot_at,
 )
 from graphmix import experiments as experiments_module
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "synthetic_growth.events")
 
 # SHA-256 of json.dumps(run_suite(name, replicates=2, seed=0, scale=0.05),
 # sort_keys=True); any change to seeding, sizing, sampling or estimation
@@ -125,12 +133,18 @@ def test_fixture_refuses_an_overflowing_join_count_like_a_member():
 @pytest.mark.parametrize("sizes", [[(10, 20), (10, 30), (25, 60), (40, 60)], [(1, 5), (1, 10)]])
 def test_fixture_joins_accumulate_to_target(sizes):
     c = 0.7
-    events = growth("mass:[0.5,0.3]", sizes, c, 5).events()
-    dense = [t for a, b, t in events if a[0] == b[0] == "d"]
-    joins = [(a, b, t) for a, b, t in events if a[0] == "d" and b[0] != "d"]
+    tel = growth("mass:[0.5,0.3]", sizes, c, 5).events()
+    kind = np.array([x[0] for x in tel.node_ids])  # d, h or s
+    u_kind, v_kind = kind[tel.edge_u], kind[tel.edge_v]
+    dense = tel.edge_t[(u_kind == "d") & (v_kind == "d")]
+    joins = (u_kind == "d") & (v_kind != "d")
     for step, (n_d, m_s) in enumerate(sizes, start=1):
-        m_dense = sum(t <= step for t in dense)
-        placed = [(int(a[1:]), b) for a, b, t in joins if t <= step]
+        m_dense = np.count_nonzero(dense <= step)
+        at = joins & (tel.edge_t <= step)
+        placed = [
+            (int(tel.node_ids[a][1:]), tel.node_ids[b])
+            for a, b in zip(tel.edge_u[at].tolist(), tel.edge_v[at].tolist())
+        ]
         assert len(placed) == int(np.floor(c * m_dense + 0.5))
         assert len(set(placed)) == len(placed)
         for a, b in placed:
@@ -142,17 +156,51 @@ def test_fixture_joins_accumulate_to_target(sizes):
 def test_fixture_shares_latents_with_sequence():
     sizes = [(10, 40), (20, 80), (30, 120)]
     seq = growth("mass:[0.5,0.3]", sizes, 0.5, 9)
-    events = seq.events()
-    mix = seq.member(len(sizes) - 1)
-    n_d = mix.n_dense
+    tel = seq.events()
+    index = {name: i for i, name in enumerate(tel.node_ids)}
+    # the snapshot at step t holds member t - 1's dense edges and stars
+    for t, mix in enumerate(seq, start=1):
+        snap = snapshot_at(tel, t)
+        n_d = mix.n_dense
 
-    dense = sorted(
-        (int(a[1:]), int(b[1:])) for a, b, _ in events if a[0] == b[0] == "d"
-    )
-    e = mix.graph.edges
-    assert dense == [tuple(r) for r in e[(e < n_d).all(axis=1)].tolist()]
+        names = [(tel.node_ids[a], tel.node_ids[b]) for a, b in snap.edges.tolist()]
+        dense = sorted(
+            tuple(sorted((int(a[1:]), int(b[1:])))) for a, b in names if a[0] == b[0] == "d"
+        )
+        e = mix.graph.edges
+        assert dense == [tuple(r) for r in e[(e < n_d).all(axis=1)].tolist()]
 
-    sparse_deg = np.bincount(e[(e >= n_d).all(axis=1)].ravel(), minlength=mix.graph.node_count)
-    for j, hub in mix.hubs.items():
-        spokes = sum(1 for a, _, _ in events if a == f"h{j}")
-        assert spokes == sparse_deg[hub]
+        sparse_deg = np.bincount(e[(e >= n_d).all(axis=1)].ravel(), minlength=mix.graph.node_count)
+        spokes = snap.degrees()  # joins never touch a hub
+        for j, hub in mix.hubs.items():
+            assert spokes[index[f"h{j}"]] == sparse_deg[hub]
+
+
+@pytest.mark.parametrize(
+    "u_text, sizes, c",
+    [
+        ("mass:[0.5,0.3]", [(10, 40), (20, 80), (30, 120)], 0.5),
+        ("mass:[0.5,0.3]", [(1, 5), (1, 10)], 0.7),  # no dense edge
+        ("mass:[0.2]", [(10, 40), (30, 80)], 1.0),  # most vertices are leftover: s<i> s<i>b
+    ],
+)
+def test_event_stream_keeps_every_generated_row(u_text, sizes, c):
+    # one row per dense edge, per sparse vertex and per cross pair of the
+    # last step, which holds them all; no two rows share a pair
+    seq = growth(u_text, sizes, c, 3)
+    tel, last = seq.events(), seq.member(len(sizes) - 1)
+    assert tel.edge_t.size == last.m_dense + last.m_sparse + last.m_new
+    assert tel.rejects == ()
+
+
+def test_fixture_is_the_parse_of_the_bundled_file():
+    with open(FIXTURE, encoding="utf-8") as f:
+        assert build_temporal_fixture(0) == parse_edge_events(f.read().splitlines())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fixture_serializes_and_parses_back(seed):
+    tel = build_temporal_fixture(seed)
+    buf = io.StringIO()
+    serialize_edge_events(tel, buf)
+    assert parse_edge_events(buf.getvalue().splitlines()) == tel

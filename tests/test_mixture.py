@@ -648,6 +648,14 @@ def test_sizes_for_names_the_step_whose_target_overflows(a, step):
         sched.sizes_for(parse_mass_partition("mass:[0.5]"), 3)
 
 
+def test_sizes_for_names_the_step_whose_base_n_d_does_not_fit_a_float():
+    # a 401-digit base_n_d is a valid count, but ratio(i) * n_dense(i) overflows
+    sched = RatioSchedule(base_n_d=10**400)
+    message = "sparse node target inf is not finite (schedule base_n_d too large, step 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sched.sizes_for(parse_mass_partition("mass:[0.5]"), 3)
+
+
 def test_density_trajectory_rows():
     sched = RatioSchedule("constant", a=1.0, base_n_d=20)
     rows = density_trajectory(U23, W, sched, 3, seed=0)

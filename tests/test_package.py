@@ -92,6 +92,8 @@ PRIVATE_IMPORTS = {
     ("mixture", "graph", "_Fresh"),
     ("mixture", "graph", "_graph_from_state"),
     ("mixture", "graphon", "_graph_from_latents"),
+    ("mixture", "temporal", "_index_events"),
+    ("mixture", "temporal", "_Rows"),
     ("temporal", "graph", "_fields_equal"),
     ("experiments", "mixture", "_round_half_up"),
     ("experiments", "mixture", "_sparse_edge_count"),

@@ -97,9 +97,6 @@ LIBRARY_ONLY = {
     "masspartition:_loglaw_weights": "tests/test_masspartition.py::test_parse_loglaw_literal",
     "masspartition:_factorial_weights": "tests/test_masspartition.py::test_parse_factorial_literal",
     "temporal:TemporalEdgeList.events": "tests/test_temporal.py::test_parse_basics",
-    # the temporal writer, called by the temporal_forecast workload
-    "temporal:serialize_edge_events": "tests/test_temporal.py::test_serialize_round_trip",
-    "temporal:_text_rows": "tests/test_temporal.py::test_serialize_round_trip",
 }
 
 

@@ -504,6 +504,21 @@ def test_ids_are_decoded_once_per_parse():
     assert matches_reference(tel, lines, "whitespace3col")
 
 
+def test_ids_only_in_rejected_rows_get_no_index():
+    # "x" occurs only in a self loop and "y" only in a row with a bad stamp;
+    # each numpy block classes every id of its rows, rejected ones included,
+    # and only the ids of kept events get an index
+    lines = [f"a{i} b{i} {i}" for i in range(1, 31)]
+    lines[4], lines[11], lines[20] = "x x 5", "y a3 soon", "a2 y 99999999999999999999"
+    for block_rows in (3, temporal._BLOCK_ROWS):
+        with mock.patch.object(temporal, "_BLOCK_ROWS", block_rows), \
+                mock.patch.object(temporal, "_scan_rows", side_effect=AssertionError("row loop")):
+            tel = parse_edge_events(lines)
+        assert "x" not in tel.node_ids and "y" not in tel.node_ids
+        assert len(tel.node_ids) == 2 * 27 and len(tel.rejects) == 3
+        assert matches_reference(tel, lines, "whitespace3col")
+
+
 def test_id_hash_collisions_across_blocks_are_told_apart():
     # with the multiplier at 0 every id hashes to 0; in blocks of one row,
     # an id's hash matches entries of other ids from earlier blocks
