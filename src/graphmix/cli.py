@@ -13,9 +13,12 @@ fixture     write the bundled synthetic temporal fixture
 Every command is deterministic under --seed: reruns produce
 byte-identical output files.  Exit codes: 0 success, 2 usage or config
 error, 3 data error, exhausted memory, or output that cannot be written.
-Every failure prints one "error: ..." line on stderr.  The parser checks
-every flag value, so a usage error (unknown command or flag, bad value,
-a global flag that the chosen command ignores) writes no files.
+Every failure prints one "error: ..." line on stderr; every input file
+is read by _read, so one that cannot be read or decoded fails the same
+way for every command, and an error in its content names it too.  The
+parser checks every flag value, so a usage error (unknown command or
+flag, bad value, a global flag that the chosen command ignores) writes
+no files.
 
 Global flags (--seed, --out, --scale, --format) go before the command;
 --scale, --format (json or csv tables) and --seed apply only to the
@@ -135,10 +138,13 @@ def _save_rows(out: str, stem: str, rows: list[dict], fmt: str | None) -> None:
     _save(out, f"{stem}.{fmt}", _json(rows) if fmt == "json" else buf.getvalue())
 
 
-def _load_lines(path: str):
+def _read(path: str, parse):
+    """parse(f) on path opened as UTF-8 text, a byte order mark skipped.
+    A file that cannot be opened or decoded, even part way through the
+    parse, is a ConfigError naming it."""
     try:
         with open(path, encoding="utf-8-sig") as f:
-            return f.readlines()
+            return parse(f)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
@@ -177,12 +183,9 @@ _GENERATE_KEYS = {"partition_u", "graphon_w", "schedule", "steps", "join", "seed
 
 def cmd_generate(args) -> int:
     try:
-        with open(args.config, encoding="utf-8-sig") as f:
-            cfg = json.load(f)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        cfg = _read(args.config, json.load)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("bad generate config: expected a JSON object")
     try:
@@ -248,11 +251,8 @@ def cmd_estimate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --truth: {exc}") from None
     try:
-        with open(args.input, encoding="utf-8-sig") as f:
-            g = read_edge_list(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}") from None
-    except (GraphFormatError, UnicodeDecodeError) as exc:
+        g = _read(args.input, read_edge_list)
+    except GraphFormatError as exc:
         raise ConfigError(f"bad graph file {args.input}: {exc}") from None
     spec = degree_spectrum(g)
     try:
@@ -298,8 +298,19 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _events(path: str):
+    """The TemporalEdgeList of the event file at path; content that is not
+    a usable event list is a data error naming the file."""
+    try:
+        return _read(path, parse_edge_events)
+    except ConfigError:  # the file cannot be read: a ValueError, but no data error
+        raise
+    except ValueError as exc:
+        raise ValueError(f"bad event file {path}: {exc}") from None
+
+
 def cmd_predict(args) -> int:
-    tel = parse_edge_events(_load_lines(args.data))
+    tel = _events(args.data)
     summary, detail = evaluation_run(tel, args.train_times, args.horizons, args.k)
     if not summary:
         raise ValueError("no evaluable train/horizon pairs in range")
@@ -324,7 +335,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    tel = parse_edge_events(_load_lines(args.data))
+    tel = _events(args.data)
     report = {
         "events": tel.edge_t.size,
         "nodes": len(tel.node_ids),

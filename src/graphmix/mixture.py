@@ -472,9 +472,10 @@ class RatioSchedule:
         realized sparse node count lands near ratio(i) * n_dense(i)."""
         out = []
         for i in range(1, _count(steps, "steps", 1) + 1):
-            n_d, where = self.n_dense(i), f"schedule a={self.a!r}, step {i}"
+            n_d = self.n_dense(i)
             try:
                 target = self.ratio(i) * n_d
+                where = f"schedule a={self.a!r}, base_n_d={float(self.base_n_d)!r}, step {i}"
             except OverflowError:  # n_d is an int too large for a float
                 target, where = math.inf, f"schedule base_n_d too large, step {i}"
             out.append((n_d, _sparse_edge_count(u, target, where)))

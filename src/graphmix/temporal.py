@@ -97,12 +97,14 @@ class TemporalEdgeList:
 def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     """Parse, clean and index a stream of "u v t" events.
 
-    A U+FEFF (byte order mark) that starts a str first row is dropped.
-    That row alone decides the format: if csv reads it as the cells u,
-    v, t (stripped, any case), it is a header and the rest is CSV;
-    otherwise every row, the first included, is whitespace-split.  Blank
-    rows are skipped; a row is rejected when it has other than three
-    columns, a timestamp that is not an integer inside int64, or u == v.
+    lines is any iterable of str rows, an open text file included; it is
+    read a block of rows at a time, never held whole.  A U+FEFF (byte
+    order mark) that starts the first row is dropped.  That row alone
+    decides the format: if csv reads it as the cells u, v, t (stripped,
+    any case), it is a header and the rest is CSV; otherwise every row,
+    the first included, is whitespace-split.  Blank rows are skipped; a
+    row is rejected when it has other than three columns, a timestamp
+    that is not an integer inside int64, or u == v.
     Among the rest, sorted stably by time, the first row of each
     unordered pair is kept.  A reject names the line its row starts on;
     a CSV record with a quoted newline spans several lines.
@@ -119,13 +121,15 @@ def parse_edge_events(lines: Iterable[str]) -> TemporalEdgeList:
     the ids of all blocks in one step, so each distinct id gets one
     index and is decoded once.
 
-    Raises TemporalFormatError when more than 10% of data rows are
-    unusable or a CSV record cannot be read, and ValueError when nothing
-    usable remains at all.
+    Raises TemporalFormatError when a row is not a str (naming its
+    line), when more than 10% of data rows are unusable or a CSV record
+    cannot be read, and ValueError when nothing usable remains at all.
     """
     rows = iter(lines)
-    head = [r.removeprefix("\ufeff") if isinstance(r, str) else r for r in islice(rows, 1)]
-    try:  # bytes rows, and text csv cannot read, are no header
+    head = list(islice(rows, 1))
+    _joined(head, 1)  # a first row that is not a str raises here
+    head = [r.removeprefix("\ufeff") for r in head]
+    try:  # text csv cannot read is no header
         header = [c.strip().lower() for c in next(csv.reader(head), [])]
     except csv.Error:
         header = None
@@ -166,16 +170,13 @@ def _check_stamp(t_text: str) -> int | str:
     return t
 
 
-def _row_blocks(rows: Iterable, first_line: int) -> Iterable[tuple[int, list, bytes | None]]:
+def _row_blocks(rows: Iterable[str], first_line: int) -> Iterable[tuple[int, list, bytes]]:
     """(line of its first row, rows, data) per block of at most _BLOCK_ROWS
-    rows, data being _joined(rows) encoded as UTF-8, or None when the rows
-    are not all str; a block whose text has more than _BLOCK_CHARS
-    characters comes in equal row slices."""
+    rows, data being _joined(rows) encoded as UTF-8; a block whose text
+    has more than _BLOCK_CHARS characters comes in equal row slices."""
     while block := list(islice(rows, _BLOCK_ROWS)):
-        text = _joined(block)
-        if text is None:
-            yield first_line, block, None
-        elif len(text) <= _BLOCK_CHARS:
+        text = _joined(block, first_line)
+        if len(text) <= _BLOCK_CHARS:
             data, text = text.encode("utf-8", "surrogatepass"), None  # no text kept while parsing
             yield first_line, block, data
         else:
@@ -183,20 +184,24 @@ def _row_blocks(rows: Iterable, first_line: int) -> Iterable[tuple[int, list, by
             del text
             step = -(-len(block) // slices)
             for at in range(0, len(block), step):
-                part = block[at : at + step]
-                yield first_line + at, part, _joined(part).encode("utf-8", "surrogatepass")
+                line, part = first_line + at, block[at : at + step]
+                yield line, part, _joined(part, line).encode("utf-8", "surrogatepass")
         first_line += len(block)
 
 
-def _joined(block: list) -> str | None:
-    """The rows of block joined with NUL, with one NUL before the first
-    row and _FAST_DIGITS after the last, so that digit and 8-byte word
-    reads starting inside the text end past it; None when the rows are
-    not all str."""
+def _joined(block: list, first_line: int) -> str:
+    """The rows of block, which starts at line first_line, joined with
+    NUL, with one NUL before the first row and _FAST_DIGITS after the
+    last, so that digit and 8-byte word reads starting inside the text
+    end past it.  The first row that is not a str raises
+    TemporalFormatError naming its line."""
     try:
         return "\0".join(["", *block, "\0" * (_FAST_DIGITS - 1)])
     except TypeError:
-        return None
+        at, row = next((at, r) for at, r in enumerate(block) if not isinstance(r, str))
+        raise TemporalFormatError(
+            f"line {first_line + at}: expected a str row, got {type(row).__name__}"
+        ) from None
 
 
 def _csv_blocks(rows: Iterable[str]) -> Iterable[_Rows]:
@@ -210,7 +215,7 @@ def _csv_blocks(rows: Iterable[str]) -> Iterable[_Rows]:
     """
     blocks = _row_blocks(rows, 2)
     for first_line, block, data in blocks:
-        if data is None or b'"' in data or b"\r" in data or (
+        if b'"' in data or b"\r" in data or (
             data.count(b"\n") != data.count(b"\n\0")  # the NULs end rows
         ):
             rest = chain(block, chain.from_iterable(blk for _, blk, _ in blocks))
@@ -271,9 +276,7 @@ def _scan_rows(rows: Iterable[tuple[int, list]]) -> _Rows:
     return _Rows(eu, ev, et, rejects, seen, list(index))
 
 
-def _bulk_rows(
-    data: bytes | None, n_rows: int, first_line: int, commas: bool = False
-) -> _Rows | None:
+def _bulk_rows(data: bytes, n_rows: int, first_line: int, commas: bool = False) -> _Rows | None:
     """_scan_rows over raw.split() of each of the n_rows rows whose
     _joined text data encodes as UTF-8, with numpy over the bytes.
 
@@ -283,16 +286,16 @@ def _bulk_rows(
     themselves (_row_classes), which finds its self loops; its _Rows.ids
     are the word rows of every distinct id of its three-token rows.  Returns
     None when that would not split the rows as str.split or csv does:
-    rows that are not str (data is None), a NUL or a non-ASCII space in
-    the text, or with commas a non-blank row whose token count is not
-    its comma count plus one (an empty cell, or a blank inside one) or a
-    cell, comma to comma, of more bytes than csv.field_size_limit().
+    a NUL or a non-ASCII space in the text, or with commas a non-blank
+    row whose token count is not its comma count plus one (an empty
+    cell, or a blank inside one) or a cell, comma to comma, of more
+    bytes than csv.field_size_limit().
     It also returns None when the id-word table, one row per id as wide
     as the longest id, would outgrow _KEY_BYTES_PER_BYTE bytes per byte
     of the block plus _KEY_BYTES_SLACK (one long id among many short
     ones), so memory stays bounded; ids of one length never do.
     """
-    if data is None or (not data.isascii() and any(c.encode() in data for c in _WIDE_SPACE)):
+    if not data.isascii() and any(c.encode() in data for c in _WIDE_SPACE):
         return None
     b = np.frombuffer(data, dtype=np.uint8)
 
@@ -541,7 +544,7 @@ def serialize_edge_events(tel: TemporalEdgeList, fobj: TextIO) -> None:
     that matrix cannot render exactly or compactly (an id holding a NUL,
     or padding above _KEY_BYTES_PER_BYTE bytes per byte of the block's
     text plus _KEY_BYTES_SLACK) is written as one join of the strings."""
-    ids = list(map(format, tel.node_ids))
+    ids = tel.node_ids
     stamp_starts, stamp_at = _runs(tel.edge_t)
     stamps = list(map(format, tel.edge_t[stamp_starts].tolist()))
     id_words, id_size = _text_rows(ids, " ")

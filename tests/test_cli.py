@@ -26,7 +26,7 @@ from graphmix import (
     star_forest,
     write_edge_list,
 )
-from graphmix import SUITE_NAMES, cli
+from graphmix import SUITE_NAMES, cli, temporal
 from graphmix.cli import main
 from graphmix.graphon import sample_w_random_graph
 
@@ -187,7 +187,7 @@ def test_generate_names_the_schedule_step_whose_target_overflows(tmp_path, capsy
     assert out == ""
     assert err == (
         "error: bad generate config: sparse node target inf is not finite "
-        "(schedule a=1e+306, step 3)\n"
+        "(schedule a=1e+306, base_n_d=10.0, step 3)\n"
     )
     assert not (tmp_path / "o").exists()
 
@@ -825,16 +825,16 @@ def test_late_generate_failure_removes_the_out_it_made(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv",
     [
-        (["estimate", "--input"], "error: bad graph file {}: "),
-        (["predict", "--train-times", "6", "--horizons", "2", "--data"], "error: cannot read {}: "),
-        (["--out", "{out}", "ingest", "--data"], "error: cannot read {}: "),
-        (["--out", "{out}", "generate", "--config"], "error: cannot read config {}: "),
+        ["estimate", "--input"],
+        ["predict", "--train-times", "6", "--horizons", "2", "--data"],
+        ["--out", "{out}", "ingest", "--data"],
+        ["--out", "{out}", "generate", "--config"],
     ],
     ids=["estimate", "predict", "ingest", "generate"],
 )
-def test_undecodable_input_names_the_file(argv, message, tmp_path, capsys):
+def test_undecodable_input_names_the_file(argv, tmp_path, capsys):
     data = tmp_path / "utf16.txt"
     data.write_bytes("n 3\n0 1\n".encode("utf-16"))  # starts ff fe
     out = tmp_path / "o"
@@ -842,8 +842,110 @@ def test_undecodable_input_names_the_file(argv, message, tmp_path, capsys):
     assert main(argv) == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and "Traceback" not in err
-    assert err.startswith(message.format(data)) and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read {data}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, message",
+    [
+        (["estimate", "--input"], "n 3\n0 1 2\n", 2, "bad graph file {}: line 2: "),
+        (["--out", "{out}", "generate", "--config"], "{not json", 2,
+         "config {} is not valid JSON: "),
+        (["predict", "--train-times", "6", "--horizons", "2", "--data"], "a a 1\n", 3,
+         "bad event file {}: no usable edge events in input"),
+        (["--out", "{out}", "ingest", "--data"], "a b 1\nb c\n", 3,
+         "bad event file {}: 1 of 2 rows rejected, above the 10% limit"),
+        (["--out", "{out}", "ingest", "--data"], 'u,v,t\na,b,1\n"' + "x" * 200_000 + '",d,2\n',
+         3, "bad event file {}: line 3: field larger than field limit"),
+    ],
+    ids=["estimate", "generate", "predict", "ingest", "ingest-csv"],
+)
+def test_content_errors_name_the_file(argv, text, code, message, tmp_path, capsys):
+    data = tmp_path / "input.txt"
+    data.write_text(text)
+    out = tmp_path / "o"
+    argv = [arg.replace("{out}", str(out)) for arg in argv] + [str(data)]
+    assert main(argv) == code
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert err.startswith(f"error: {message.format(data)}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _streamed_input(name):
+    """(text, train time, horizon, snapshot time) of an event file."""
+    n = temporal._BLOCK_ROWS
+    if name == "fixture":
+        with open(FIXTURE) as f:
+            return f.read(), 6, 2, 9
+    if name == "three-blocks":
+        rows = [f"n{i % 997} m{i * 31 % 1009} {i // 4096}\n" for i in range(3 * n)]
+        return "".join(rows), 20, 10, 30
+    # a quoted newline in the second block makes csv read from there on
+    rows = [f"a{i % 500},b{i % 701},{i // 1000}\n" for i in range(n + 100)]
+    rows[n + 10 : n + 10] = ['"q\n', 'r",a1,5\n']
+    return "u,v,t\n" + "".join(rows), 20, 30, 40
+
+
+@pytest.mark.parametrize("name", ["fixture", "three-blocks", "csv-quoted-newline"])
+def test_predict_and_ingest_stream_the_file(name, tmp_path, monkeypatch, capsys):
+    # the parse reads the open file a block at a time, and equals the parse
+    # of its lines listed first
+    text, train, horizon, snapshot = _streamed_input(name)
+    data = tmp_path / "in.events"
+    data.write_text(text)
+    with open(data, encoding="utf-8-sig") as f:
+        listed = parse_edge_events(f.readlines())
+    with open(data, encoding="utf-8-sig") as f:
+        assert parse_edge_events(f) == listed
+
+    def streamed(f):
+        assert isinstance(f, io.TextIOBase)  # the open file, not a list of its lines
+        return parse_edge_events(f)
+
+    def listed_first(f):
+        return parse_edge_events(f.readlines())
+
+    runs = {}
+    for how, parse in (("streamed", streamed), ("listed", listed_first)):
+        monkeypatch.setattr(cli, "parse_edge_events", parse)
+        out = tmp_path / how
+        argv = ["predict", "--data", str(data), "--train-times", str(train),
+                "--horizons", str(horizon)]
+        assert main(argv) == 0
+        predicted = capsys.readouterr().out
+        argv = ["--out", str(out), "ingest", "--data", str(data),
+                "--snapshot-times", str(snapshot)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        runs[how] = predicted, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs["streamed"] == runs["listed"]
+    summary, _ = evaluation_run(listed, [train], [horizon], 10)
+    assert json.loads(runs["streamed"][0]) == summary != []
+    report = json.loads(runs["streamed"][1]["ingest_report.json"])
+    assert (report["events"], report["nodes"]) == (listed.edge_t.size, len(listed.node_ids))
+
+
+def test_undecodable_byte_after_the_first_block_leaves_out_as_it_was(tmp_path, capsys):
+    data = tmp_path / "late.events"
+    rows = [f"a{i} b{i} {i}\n".encode() for i in range(2 * temporal._BLOCK_ROWS)]
+    data.write_bytes(b"".join(rows) + b"c \xff 5\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("older run\n")
+    argvs = [
+        ["--out", str(out), "predict", "--data", str(data), "--train-times", "9",
+         "--horizons", "2"],
+        ["--out", str(out), "ingest", "--data", str(data), "--snapshot-times", "9"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in err
+        assert err.startswith(f"error: cannot read {data}: ") and err.count("\n") == 1
+        assert os.listdir(out) == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "older run\n"
 
 
 def _edge_text():

@@ -643,9 +643,19 @@ def test_sizes_for_hits_target_ratio():
 def test_sizes_for_names_the_step_whose_target_overflows(a, step):
     # ratio(i) * n_dense(i) is a finite float at every step before this one
     sched = RatioSchedule("quadratic", a=a, base_n_d=10)
-    message = f"sparse node target inf is not finite (schedule a={a!r}, step {step})"
+    message = (
+        f"sparse node target inf is not finite (schedule a={a!r}, base_n_d=10.0, step {step})"
+    )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sched.sizes_for(parse_mass_partition("mass:[0.5]"), 3)
+
+
+def test_sizes_for_names_base_n_d_when_an_ordinary_a_overflows_the_target():
+    # a = 10 is ordinary; base_n_d = 10**308 fits a float, but the product does not
+    sched = RatioSchedule(base_n_d=10**308, a=10.0)
+    message = "sparse node target inf is not finite (schedule a=10.0, base_n_d=1e+308, step 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sched.sizes_for(parse_mass_partition("mass:[0.5]"), 1)
 
 
 def test_sizes_for_names_the_step_whose_base_n_d_does_not_fit_a_float():

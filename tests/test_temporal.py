@@ -159,8 +159,6 @@ def test_a_byte_order_mark_starting_the_first_row_is_dropped():
         # a blank first row: whitespace data, and the u,v,t row a reject
         (["", "u,v,t"] + GOOD_LINES * 5, (("1", "2", 5), ("2", "3", 6)),
          ((2, "expected three columns"),)),
-        # bytes rows are never a header
-        ([b"u,v,t"] + [b"a b 1"] * 10, ((b"a", b"b", 1),), ((1, "expected three columns"),)),
         # a row csv cannot read (a bare \r inside) is no header, but a whitespace row
         (["a\rb 1", "b c 2"], (("a", "b", 1), ("b", "c", 2)), ()),
         # a quoted newline does not carry a header onto the next line
@@ -172,7 +170,7 @@ def test_a_byte_order_mark_starting_the_first_row_is_dropped():
         # the first row is taken from the iterator, not read twice
         (iter(["u,v,t", "a,b,1", "b,c,2"]), (("a", "b", 1), ("b", "c", 2)), ()),
     ],
-    ids=["blank-first-row", "bytes", "csv-unreadable", "quoted-newline", "header", "iterator"],
+    ids=["blank-first-row", "csv-unreadable", "quoted-newline", "header", "iterator"],
 )
 def test_first_row_alone_decides_the_format(lines, events, rejects):
     tel = parse_edge_events(lines)
@@ -253,10 +251,9 @@ def oracle_text(tel):
         ["é 日本語 1", "日本語 ñandú 2", "é ñandú 3", "\udcff x 4"],
         # ids of 1, 8, 9 and 200 bytes, spanning one to 25 words
         ["a abcdefgh 1", "abcdefghi " + "z" * 200 + " 2", "a " + "z" * 200 + " 3"],
-        [b"a b 2", b"b c 1"],
         [f"a b {-(2**63)}", f"b c {2**63 - 1}", "c a 0"],
     ],
-    ids=["non-ascii", "id-lengths", "bytes-rows", "int64-ends"],
+    ids=["non-ascii", "id-lengths", "int64-ends"],
 )
 def test_serialize_writes_exactly_the_events(lines):
     tel = parse_edge_events(lines)
@@ -330,9 +327,24 @@ def test_parsed_arrays_are_contiguous():
 
 
 def test_parse_rows_that_are_not_str():
-    # bytes rows cannot be joined into one text; the row loop splits them
-    tel = parse_edge_events([b"a b 2", b"b c 1"])
-    assert tel.events == ((b"b", b"c", 1), (b"a", b"b", 2))
+    # rows are str: bytes ids would be written as "b'a'" and read back as
+    # other ids, and a str and a bytes row would make one id two nodes
+    n = temporal._BLOCK_ROWS
+    later = [f"a{i} b{i} 1" for i in range(n + 5)]
+    later[n + 3] = b"c d 2"
+    cases = [
+        ([b"a b 1", "b c 2"], 1, "bytes"),
+        (["x y 1", b"x y 2"], 2, "bytes"),
+        (["a b 1", "b c 2", None, "c d 3"], 3, "NoneType"),
+        (later, n + 4, "bytes"),  # past the first block
+        (["u,v,t", "a,b,1", 7], 3, "int"),
+        # a quote makes csv read the rest of the input, one block at a time
+        (["u,v,t", '"a",b,1'] + ["c,d,2"] * n + [b"e,f,3"], n + 3, "bytes"),
+    ]
+    for lines, line, kind in cases:
+        message = f"^line {line}: expected a str row, got {kind}$"
+        with pytest.raises(TemporalFormatError, match=message):
+            parse_edge_events(lines)
 
 
 def test_long_ids_parse_in_bulk():
