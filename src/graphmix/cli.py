@@ -13,12 +13,13 @@ fixture     write the bundled synthetic temporal fixture
 Every command is deterministic under --seed: reruns produce
 byte-identical output files.  Exit codes: 0 success, 2 usage or config
 error, 3 data error, exhausted memory, or output that cannot be written.
-Every failure prints one "error: ..." line on stderr; every input file
-is read by _read, so one that cannot be read or decoded fails the same
-way for every command, and an error in its content names it too.  The
-parser checks every flag value, so a usage error (unknown command or
-flag, bad value, a global flag that the chosen command ignores) writes
-no files.
+Every failure prints one "error: ..." line on stderr.  Every input file
+is read by _read, which alone decides how a bad one fails: a file that
+cannot be read or decoded exits 2 ("cannot read PATH: ..."), and content
+its parser rejects exits 2 for the config and 3 for a graph or event
+file ("bad <kind> file PATH: ...").  The parser checks every flag value,
+so a usage error (unknown command or flag, bad value, a global flag that
+the chosen command ignores) writes no files.
 
 Global flags (--seed, --out, --scale, --format) go before the command;
 --scale, --format (json or csv tables) and --seed apply only to the
@@ -57,9 +58,7 @@ import tempfile
 import numpy as np
 
 from .estimators import SegmentFit, estimate_partition, mape, retained_log_points
-from .graph import (
-    GraphFormatError, _count, degree_spectrum, edge_density, read_edge_list, write_edge_list,
-)
+from .graph import _count, degree_spectrum, edge_density, read_edge_list, write_edge_list
 from .graphon import parse_graphon
 from .masspartition import parse_mass_partition
 from .mixture import CapacityError, JoinConfig, MixtureSequence, RatioSchedule
@@ -72,8 +71,8 @@ EXIT_DATA = 3
 
 
 class ConfigError(ValueError):
-    """Bad flags or config content: exit code 2.  Any other ValueError
-    means the input parsed but cannot be processed: exit code 3."""
+    """Bad flags or config content, or an input file that cannot be read:
+    exit code 2.  Any other ValueError is a data error: exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,15 +137,21 @@ def _save_rows(out: str, stem: str, rows: list[dict], fmt: str | None) -> None:
     _save(out, f"{stem}.{fmt}", _json(rows) if fmt == "json" else buf.getvalue())
 
 
-def _read(path: str, parse):
+def _read(path: str, parse, kind: str):
     """parse(f) on path opened as UTF-8 text, a byte order mark skipped.
     A file that cannot be opened or decoded, even part way through the
-    parse, is a ConfigError naming it."""
+    parse, is a ConfigError naming it.  Content that parse rejects, with
+    a ValueError or by nesting too deep to recurse into, is an error
+    naming the kind of file and its path: a ConfigError for the config,
+    a data error (ValueError) for a graph or event file."""
     try:
         with open(path, encoding="utf-8-sig") as f:
             return parse(f)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except (RecursionError, ValueError) as exc:
+        error = ConfigError if kind == "config" else ValueError
+        raise error(f"bad {kind} file {path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -182,10 +187,7 @@ _GENERATE_KEYS = {"partition_u", "graphon_w", "schedule", "steps", "join", "seed
 
 
 def cmd_generate(args) -> int:
-    try:
-        cfg = _read(args.config, json.load)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
+    cfg = _read(args.config, json.load, "config")
     if not isinstance(cfg, dict):
         raise ConfigError("bad generate config: expected a JSON object")
     try:
@@ -250,10 +252,7 @@ def cmd_estimate(args) -> int:
             truth = parse_mass_partition(args.truth)
         except ValueError as exc:
             raise ConfigError(f"bad --truth: {exc}") from None
-    try:
-        g = _read(args.input, read_edge_list)
-    except GraphFormatError as exc:
-        raise ConfigError(f"bad graph file {args.input}: {exc}") from None
+    g = _read(args.input, read_edge_list, "graph")
     spec = degree_spectrum(g)
     try:
         est = estimate_partition(spec, mode=args.mode, percentile=args.percentile)
@@ -298,19 +297,8 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _events(path: str):
-    """The TemporalEdgeList of the event file at path; content that is not
-    a usable event list is a data error naming the file."""
-    try:
-        return _read(path, parse_edge_events)
-    except ConfigError:  # the file cannot be read: a ValueError, but no data error
-        raise
-    except ValueError as exc:
-        raise ValueError(f"bad event file {path}: {exc}") from None
-
-
 def cmd_predict(args) -> int:
-    tel = _events(args.data)
+    tel = _read(args.data, parse_edge_events, "event")
     summary, detail = evaluation_run(tel, args.train_times, args.horizons, args.k)
     if not summary:
         raise ValueError("no evaluable train/horizon pairs in range")
@@ -335,7 +323,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    tel = _events(args.data)
+    tel = _read(args.data, parse_edge_events, "event")
     report = {
         "events": tel.edge_t.size,
         "nodes": len(tel.node_ids),

@@ -52,6 +52,20 @@ def _count(value, name: str, low: int = 0) -> int:
     raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _int(token: str) -> int:
+    """int(token); an integer literal (ASCII digits after at most one sign)
+    that int() refuses for having more digits than
+    sys.get_int_max_str_digits() reads as 2**64, whatever its sign: a value
+    beyond int64, so out of every range a parser accepts."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = token[1:] if token[:1] in ("+", "-") else token
+        if digits.isascii() and digits.isdigit():
+            return 2**64
+        raise
+
+
 def _real(value, name: str, low: float, high: float = math.inf, low_open: bool = False) -> float:
     """value as a float if it is a finite Python or numpy real, not a bool
     or str, in [low, high] ((low, high] when low_open)."""
@@ -406,7 +420,7 @@ def _scan_edges(body: list[str], first_lineno: int) -> list[tuple[int, int]]:
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_int(parts[0]), _int(parts[1])))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
     return edges
@@ -430,7 +444,7 @@ def read_edge_list(fobj: TextIO) -> Graph:
     if len(header) != 2 or header[0] != "n":
         raise GraphFormatError(f"bad header {' '.join(header)!r}, expected 'n <count>'")
     try:
-        n = int(header[1])
+        n = _int(header[1])
     except ValueError:
         raise GraphFormatError(f"bad node count {header[1]!r}") from None
     body = fobj.read()

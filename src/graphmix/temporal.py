@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .graph import DegreeSpectrum, Graph, _count, _fields_equal
+from .graph import DegreeSpectrum, Graph, _count, _fields_equal, _int
 from .estimators import forecast_top_k, mape
 
 __all__ = [
@@ -162,7 +162,7 @@ class _Rows(NamedTuple):
 def _check_stamp(t_text: str) -> int | str:
     """The timestamp's value, or the reason its row is rejected."""
     try:
-        t = int(t_text)
+        t = _int(t_text)
     except ValueError:
         return f"non-integer timestamp {t_text!r}"
     if not -(2**63) <= t < 2**63:

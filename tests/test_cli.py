@@ -2,14 +2,19 @@
 
 import argparse
 import codecs
+import contextlib
 import io
 import json
 import os
+import sys
+import tempfile
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from graphmix import (
     JoinConfig,
@@ -258,7 +263,7 @@ def test_estimate_input_errors(tmp_path, capsys):
     assert main(["estimate", "--input", str(tmp_path / "missing.edges")]) == 2
     empty = tmp_path / "empty.edges"
     empty.write_text("")
-    assert main(["estimate", "--input", str(empty)]) == 2
+    assert main(["estimate", "--input", str(empty)]) == 3
     capsys.readouterr()
 
 
@@ -445,7 +450,7 @@ def test_integers_beyond_int64_are_input_errors(tmp_path, capsys):
     for name, text in files:
         path = tmp_path / name
         path.write_text(text)
-        assert main(["estimate", "--input", str(path)]) == 2
+        assert main(["estimate", "--input", str(path)]) == 3
     events = tmp_path / "big.events"
     events.write_text(f"a b 1\nb c {big}\na c 2\n")  # 1 of 3 rows rejected: above 10%
     argv = ["predict", "--data", str(events), "--train-times", "1", "--horizons", "1", "--k", "1"]
@@ -849,9 +854,16 @@ def test_undecodable_input_names_the_file(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, text, code, message",
     [
-        (["estimate", "--input"], "n 3\n0 1 2\n", 2, "bad graph file {}: line 2: "),
-        (["--out", "{out}", "generate", "--config"], "{not json", 2,
-         "config {} is not valid JSON: "),
+        (["estimate", "--input"], "n 3\n0 1 2\n", 3,
+         "bad graph file {}: line 2: expected 'u v'"),
+        (["estimate", "--input"], "n 3\n0 1\n1 0\n", 3,
+         "bad graph file {}: duplicate edge (0, 1)"),
+        (["estimate", "--input"], "", 3, "bad graph file {}: empty edge-list input"),
+        (["--out", "{out}", "generate", "--config"], "{not json", 2, "bad config file {}: "),
+        (["--out", "{out}", "generate", "--config"], "[" * 1000 + "]" * 1000, 2,
+         "bad config file {}: maximum recursion depth exceeded"),
+        (["--out", "{out}", "generate", "--config"], '{"steps": ' + "9" * 5000 + "}", 2,
+         "bad config file {}: Exceeds the limit"),
         (["predict", "--train-times", "6", "--horizons", "2", "--data"], "a a 1\n", 3,
          "bad event file {}: no usable edge events in input"),
         (["--out", "{out}", "ingest", "--data"], "a b 1\nb c\n", 3,
@@ -859,7 +871,8 @@ def test_undecodable_input_names_the_file(argv, tmp_path, capsys):
         (["--out", "{out}", "ingest", "--data"], 'u,v,t\na,b,1\n"' + "x" * 200_000 + '",d,2\n',
          3, "bad event file {}: line 3: field larger than field limit"),
     ],
-    ids=["estimate", "generate", "predict", "ingest", "ingest-csv"],
+    ids=["estimate", "estimate-duplicate", "estimate-empty", "generate", "generate-deep",
+         "generate-long-int", "predict", "ingest", "ingest-csv"],
 )
 def test_content_errors_name_the_file(argv, text, code, message, tmp_path, capsys):
     data = tmp_path / "input.txt"
@@ -871,6 +884,134 @@ def test_content_errors_name_the_file(argv, text, code, message, tmp_path, capsy
     assert stdout == "" and "Traceback" not in err
     assert err.startswith(f"error: {message.format(data)}") and err.count("\n") == 1
     assert not out.exists()
+
+
+# nesting up to 1,200 deep and digit runs up to 5,000 long, past both the
+# recursion limit and int()'s digit limit
+DEEP_JSON = st.integers(1, 1200).map(lambda depth: "[" * depth + "]" * depth)
+DIGIT_RUN = st.integers(1, 5000).map(lambda n: "9" * n)
+
+
+@st.composite
+def near_valid_configs(draw):
+    """A small generate config, in two draws of three with one value
+    swapped for raw JSON text or the text cut short.  Only values that
+    cannot make a large graph are swapped, so a valid draw builds at most
+    a few hundred nodes."""
+    cfg = {
+        "partition_u": draw(st.sampled_from(["mass:[0.5,0.3]", "power:1.2:2:5", "loglaw:4"])),
+        "graphon_w": draw(st.sampled_from(["const:0.1", "exp_sum", "mass:[0.6]"])),
+        "schedule": {
+            "kind": draw(st.sampled_from(["constant", "linear", "quadratic", "inverse_sqrt"])),
+            "a": draw(st.sampled_from([0.5, 1.0, 2.0])),
+            "base_n_d": draw(st.integers(1, 20)),
+        },
+        "steps": draw(st.integers(1, 2)),
+        "join": {"c": draw(st.sampled_from([0.0, 1.0, 3.0]))},
+        "seed": 0,
+    }
+    how = draw(st.sampled_from(["valid", "swap", "cut"]))
+    if how == "swap":
+        key = draw(st.sampled_from(["partition_u", "graphon_w", "kind", "c", "seed"]))
+        for node in (cfg, cfg["schedule"], cfg["join"]):
+            if key in node:
+                node[key] = "@"
+    raw = st.sampled_from(['"x"', "null", "true", "-1", "1e999", "{}", "[0.5]"])
+    text = json.dumps(cfg).replace('"@"', draw(st.one_of(raw, DEEP_JSON, DIGIT_RUN)))
+    return text[: draw(st.integers(0, len(text) - 1))] if how == "cut" else text
+
+
+# tokens of every kind: small integers, digit runs of either sign, and others
+TOKEN = st.one_of(
+    st.integers(-1, 9).map(str),
+    DIGIT_RUN,
+    DIGIT_RUN.map("-".__add__),
+    st.sampled_from(["a", "x", "1.5", "#"]),
+)
+
+
+def _with_odd_rows(draw, rows: list) -> list:
+    """rows with up to two rows of 1 to 4 TOKENs put in, in two draws of five."""
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        odd = " ".join(draw(st.lists(TOKEN, min_size=1, max_size=4)))
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    return rows
+
+
+@st.composite
+def near_valid_edge_lists(draw):
+    """An "n N" header, N mostly 9, over distinct edges of nodes 0..8."""
+    n = draw(st.one_of([st.just("9")] * 3 + [TOKEN, st.sampled_from(["", "x y"])]))
+    pairs = [f"{u} {v}" for u in range(9) for v in range(u + 1, 9)]
+    rows = _with_odd_rows(draw, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)))
+    return "\n".join([f"n {n}", *rows]) + "\n"
+
+
+@st.composite
+def near_valid_event_files(draw):
+    """"u v t" rows over four ids and times 0..3, perhaps as CSV under a
+    u,v,t header."""
+    pair = st.sampled_from(["a b", "b c", "c d", "a c", "b d", "d a"])
+    usual = st.tuples(pair, st.sampled_from("0123")).map(" ".join)
+    rows = _with_odd_rows(draw, draw(st.lists(usual, max_size=20)))
+    if draw(st.booleans()):
+        return "u,v,t\n" + "".join(row.replace(" ", ",") + "\n" for row in rows)
+    return "".join(row + "\n" for row in rows)
+
+
+_FILE_ARGS = {
+    "generate": (["generate", "--config"], near_valid_configs()),
+    "estimate": (["estimate", "--input"], near_valid_edge_lists()),
+    "predict": (["predict", "--train-times", "1", "--horizons", "0", "--data"],
+                near_valid_event_files()),
+    "ingest": (["ingest", "--data"], near_valid_event_files()),
+}
+
+
+@st.composite
+def command_inputs(draw):
+    """(argv up to the input path, the input file's bytes)."""
+    argv, near_valid = _FILE_ARGS[draw(st.sampled_from(sorted(_FILE_ARGS)))]
+    text = st.one_of(near_valid, near_valid, near_valid, DEEP_JSON, DIGIT_RUN).map(str.encode)
+    return argv, draw(st.one_of(text, text, text, st.binary(max_size=200)))
+
+
+@contextlib.contextmanager
+def _default_recursion_limit():
+    """Python's default recursion limit, which a command line run has and
+    which hypothesis raises while it runs a test."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@example((_FILE_ARGS["generate"][0], b"[" * 1000 + b"]" * 1000))
+@example((_FILE_ARGS["generate"][0], b'{"steps": ' + b"9" * 5000 + b"}"))
+@given(command_inputs())
+def test_no_input_file_prints_a_traceback(case):
+    # an exception that escapes main would be a traceback
+    argv, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "input"), os.path.join(tmp, "out")
+        with open(path, "wb") as f:
+            f.write(data)
+        os.mkdir(out)
+        with open(os.path.join(out, "keep.txt"), "w") as f:
+            f.write("older run\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with _default_recursion_limit():
+                code = main(["--out", out, *argv, path])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert [line[:7] for line in err.getvalue().splitlines()].count("error: ") == 1
+            assert os.listdir(out) == ["keep.txt"]
+            with open(os.path.join(out, "keep.txt")) as f:
+                assert f.read() == "older run\n"
 
 
 def _streamed_input(name):

@@ -421,6 +421,25 @@ def test_read_edge_list_rejects_integers_beyond_int64():
             read_edge_list(io.StringIO(text))
 
 
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk-first", "line-scan"])
+def test_read_edge_list_integers_too_long_for_int_are_out_of_range(bulk):
+    # int() refuses more than sys.get_int_max_str_digits() digits; such a
+    # literal is out of range as a 30-digit one is, not a non-integer
+    messages = set()
+    with mock.patch.object(graph_module, "_bulk_edges", graph_module._bulk_edges if bulk else
+                           lambda body: None):
+        for big in ("9" * 30, "9" * 5000, "-" + "9" * 5000):
+            for text in (f"n 3\n0 1\n1 {big}\n", f"n {big}\n0 1\n"):
+                with pytest.raises(GraphFormatError, match="out of range") as info:
+                    read_edge_list(io.StringIO(text))
+                messages.add(str(info.value))
+        with pytest.raises(GraphFormatError, match="^line 2: non-integer endpoint$"):
+            read_edge_list(io.StringIO(f"n 3\n0 {'9' * 5000}x\n"))
+    assert messages == {
+        "edge endpoint out of range 0..node_count-1", "node_count out of range 0..2**63-1",
+    }
+
+
 def test_read_edge_list_skips_blank_lines():
     g = read_edge_list(io.StringIO("\nn 3\n\n0 1\n  \n1 2"))
     assert g == Graph(3, [(0, 1), (1, 2)])

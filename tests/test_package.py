@@ -95,6 +95,7 @@ PRIVATE_IMPORTS = {
     ("mixture", "temporal", "_index_events"),
     ("mixture", "temporal", "_Rows"),
     ("temporal", "graph", "_fields_equal"),
+    ("temporal", "graph", "_int"),
     ("experiments", "mixture", "_round_half_up"),
     ("experiments", "mixture", "_sparse_edge_count"),
 }

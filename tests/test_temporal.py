@@ -86,6 +86,22 @@ def test_parse_rejects_bad_timestamp_under_cap():
         assert reason in tel.rejects[0][1]
 
 
+@pytest.mark.parametrize("row_loop", [False, True], ids=["numpy-block", "row-loop"])
+def test_parse_timestamps_too_long_for_int_are_outside_int64(row_loop):
+    # int() refuses more than sys.get_int_max_str_digits() digits; such a
+    # stamp is outside int64 as a 20-digit one is, not a non-integer
+    cases = [(s, "timestamp {!r} outside int64") for s in ("9" * 20, "9" * 5000, "-" + "9" * 5000)]
+    cases.append(("9" * 5000 + "x", "non-integer timestamp {!r}"))
+    for stamp, reason in cases:
+        lines = [f"a{i} b{i} {i}" for i in range(1, 11)] + [f"p q {stamp}"]
+        if row_loop:
+            lines[0] = f"{ROW_LOOP_ID} b1 1"  # a NUL sends the block to the row loop
+        with mock.patch.object(temporal, "_scan_rows", wraps=temporal._scan_rows) as scan:
+            tel = parse_edge_events(lines)
+        assert scan.called == row_loop
+        assert tel.rejects == ((11, reason.format(stamp)),)
+
+
 def test_parse_rejects_in_line_order():
     lines = [f"a{i} b{i} {i}" for i in range(1, 21)]
     lines[2] = "z z 3"
